@@ -233,8 +233,12 @@ class EquivalenceReport:
     agree: bool
 
 
-# diagram search is exponential in the letter count; beyond this the sweep
-# relies on the oracle plus constructive witnesses
+# solve_quadratic finds sat witnesses by bounded search over words (meeting in
+# the middle for these genus-0 forms), exponential in the witness length;
+# beyond this letter count the sweep skips the solver and relies on exhaustive
+# packing, the oracle and constructive witnesses.  The diagram search is not
+# the limit: it decides every instance of sweep_instances(4, 4, 3), up to 46
+# letters.
 SOLVER_LETTER_CAP = 30
 
 

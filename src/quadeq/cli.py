@@ -118,7 +118,8 @@ def cmd_solve(args) -> int:
     rep.add("verdict", res.status)
     rep.add("bound", res.bound_used)
     if res.status == "sat":
-        assert system.check(res.witness), "witness must re-verify"
+        if not system.check(res.witness):
+            raise AssertionError("internal: witness failed verification")
         for line in _fmt_witness(system, res.witness):
             rep.add("witness", line)
     rep.emit(args)
@@ -200,7 +201,8 @@ def cmd_genus(args) -> int:
         rep.add("verdict", "solvable" if res.solvable else "unsolvable")
         if res.witness:
             sysm = sv._tuple_form(coeffs, args.at, kind).system(gens)
-            assert sysm.check(res.witness)
+            if not sysm.check(res.witness):
+                raise AssertionError("internal: genus witness failed verification")
             for line in _fmt_witness(sysm, res.witness):
                 rep.add("witness", line)
         rep.emit(args)
@@ -405,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quadeq",
         description="quadratic word equations over free groups",
     )
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker cap for sweeps (currently sequential)")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def common(sp):
@@ -509,8 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        return _fail("--jobs must be positive")
     try:
         return args.fn(args)
     except FileNotFoundError as e:

@@ -2,35 +2,50 @@
 
 Pipeline: decouple the system (eliminating variables shared between two
 equations), normalize each surviving equation to standard form, then decide
-solvability by searching cancellation diagrams: perfect matchings of the
-coefficient letters (inverse letters for orientable forms; arbitrary signs,
-glued with a flip, for non-orientable forms).  Each complete matching glues
-the coefficient discs into closed components whose cost in handles/crosscaps
-is exact:
+solvability by searching cancellation diagrams.  A diagram glues the letters
+of the coefficient discs in pairs: a letter to an inverse letter, and in a
+non-orientable form also to an equal letter, glued with a flip.  The search
+builds the surface one gluing at a time (Culler, "Using surfaces to solve
+equations in free groups", Topology 20, 1981).  A partial diagram is a
+surface with boundary; its open clusters (components with unglued letters)
+are each a multiset of boundary cycles, the cyclic words of unglued letters.
+Gluing the pivot letter p of a cycle p A to a partner q:
 
-    orientable form:      cost(component) = orientable genus
+    q on the same cycle, p A q B:    inverse letters: cycles A and B
+                                     equal letters:   cycle A B^-1, a crosscap
+    q on another cycle q B of the    inverse letters: cycle A B, a handle
+      same cluster:                  equal letters:   cycle A B^-1, two crosscaps
+    q in another cluster:            the clusters merge into A B; for equal
+                                     letters the other cluster is inverted first
+
+Empty cycles are capped off, and a cluster without cycles is a closed
+component.  Its cost in handles/crosscaps is exact:
+
+    orientable form:      cost(component) = orientable genus h
     non-orientable form:  sphere with coherent disc orientations      -> 0
                           sphere needing a disc flip                  -> 1
                           orientable genus h >= 1                     -> 2h + 1
-                          non-orientable, Euler characteristic chi    -> 2 - chi
+                          non-orientable genus k                      -> k
 
-The equation is solvable at genus g iff some matching has total cost <= g.
-SAT answers carry witnesses found by bounded search on the standard form and
-transported back; UNSAT is a complete verdict (the matching space is finite),
-so it is not bound-limited.
+The equation is solvable at genus g iff some diagram has total cost <= g.
+SAT answers carry witnesses found by bounded search on the standard form
+(meeting in the middle for genus-0 orientable forms) and transported back;
+UNSAT is a complete verdict (there are finitely many diagrams), so it is not
+bound-limited.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Sequence
 
-from .equations import EquationError, EquationSystem, Equation
-from .oracle import SearchBound, is_satisfiable
+from .equations import EquationSystem, Equation
+from .oracle import SearchBound, is_satisfiable, reduced_words
 from .standardize import (
     NONORIENTABLE,
     ORIENTABLE,
-    Normalization,
     StandardForm,
     standardize,
 )
@@ -43,322 +58,182 @@ class SolverError(ValueError):
 
 # --- cancellation diagrams ----------------------------------------------------
 
-
-class _UndoUF:
-    """Union-find with rollback, optional parity weights on the edges."""
-
-    def __init__(self, n: int, parity: bool = False):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.par = [0] * n if parity else None
-        self.trail: list[tuple[int, int]] = []
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            x = self.parent[x]
-        return x
-
-    def parity_to_root(self, x: int) -> int:
-        p = 0
-        while self.parent[x] != x:
-            p ^= self.par[x]  # type: ignore[index]
-            x = self.parent[x]
-        return p
-
-    def union(self, x: int, y: int, edge_parity: int = 0) -> bool:
-        """Union returning True when two classes merged (False: already same)."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        px = self.parity_to_root(x) if self.par is not None else 0
-        py = self.parity_to_root(y) if self.par is not None else 0
-        if self.rank[rx] > self.rank[ry]:
-            rx, ry = ry, rx
-            px, py = py, px
-            x, y = y, x
-        # attach rx under ry
-        self.trail.append((rx, self.rank[ry]))
-        self.parent[rx] = ry
-        if self.par is not None:
-            self.par[rx] = px ^ py ^ edge_parity
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[ry] += 1
-        return True
-
-    def consistent(self, x: int, y: int, edge_parity: int) -> bool:
-        return (self.parity_to_root(x) ^ self.parity_to_root(y)) == edge_parity
-
-    def mark(self) -> int:
-        return len(self.trail)
-
-    def rollback(self, mark: int):
-        # LIFO order guarantees ry is a root again when its union unwinds
-        while len(self.trail) > mark:
-            rx, old_rank = self.trail.pop()
-            ry = self.parent[rx]
-            self.parent[rx] = rx
-            self.rank[ry] = old_rank
-            if self.par is not None:
-                self.par[rx] = 0
+# What an open cluster still owes when it closes, on top of the genus already
+# charged: a clean cluster (untwisted, no handle, all discs oriented alike)
+# nothing, a pending one (untwisted, with a handle or a flipped disc) its last
+# crosscap in a non-orientable form, a twisted one nothing.  A merge of two
+# clusters has at least the larger status of the two.
+_CLEAN, _PENDING, _TWISTED = 0, 1, 2
 
 
-@dataclass
-class _Cluster:
-    discs: int
-    letters: int
-    unmatched: int
-    corners: int           # live corner-class count
-    flip0: int             # discs at parity 0 relative to root
-    flip1: int
-    twisted: bool          # an orientation contradiction occurred
+def _inverse(cycle: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([x ^ 1 for x in reversed(cycle)])
+
+
+def _least_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
+    m = min(cycle)
+    return min(cycle[i:] + cycle[:i] for i, x in enumerate(cycle) if x == m)
 
 
 class CancellationDiagrams:
-    """Minimal-genus search over letter matchings of the coefficient discs."""
+    """Least-cost search over cancellation diagrams of the coefficient discs.
+
+    A search state is the multiset of open clusters, each a status and the
+    multiset of its boundary cycles: tuples of letters packed as
+    ``2*sym + (sign < 0)``.  Every disc starts as a clean cluster with one
+    cycle, and each step glues a pivot letter to one of its partners by the
+    rules of the module docstring.  Genus is charged as soon as it appears --
+    a handle costs 1 in an orientable form and 2 in a non-orientable one, a
+    crosscap 1 -- and a pending cluster pays its last crosscap when it
+    closes, which adds up to the cost table.
+
+    States are canonical: cycles by least rotation, a twisted cluster's
+    cycles each up to inversion, a pending cluster up to inverting all its
+    cycles, the whole state up to inverting every clean cluster at once.
+    (One clean cluster alone may not be inverted: which later merges need a
+    flip depends on its orientation.)  Each ``solvable_within`` call keeps a
+    table of the largest budget proven infeasible per state, and tries each
+    distinct (cost, state) child once.  The pivot is a letter with the fewest
+    partners, on the shortest cycle among those.
+    """
 
     def __init__(self, coefficients: Sequence[Word], kind: str):
-        self.kind = kind
-        self.discs = [w for w in coefficients]
-        for w in self.discs:
+        for w in coefficients:
             if len(w) == 0 or not w.is_cyclically_reduced():
                 raise SolverError("coefficients must be nonempty and cyclically reduced")
-        self.positions: list[tuple[int, int]] = [
-            (d, i) for d, w in enumerate(self.discs) for i in range(len(w))
-        ]
-        self.letter = {p: self.discs[p[0]][p[1]] for p in self.positions}
-        self.pos_index = {p: k for k, p in enumerate(self.positions)}
-        self.n = len(self.positions)
-        self.total_edges = self.n // 2
-        self.match: dict[tuple[int, int], tuple[int, int]] = {}
-
-    # corners are indexed like positions: corner k sits before letter k of its disc
-    def _corner(self, d: int, i: int) -> int:
-        return self.pos_index[(d, i % len(self.discs[d]))]
+        self.kind = kind
+        self.cycles = [tuple([2 * g.sym + (g.sign < 0) for g in w]) for w in coefficients]
+        self.n = sum(map(len, self.cycles))
 
     def balanced(self) -> bool:
-        counts: dict[tuple[int, int], int] = {}
-        for p in self.positions:
-            g = self.letter[p]
-            counts[(g.sym, g.sign)] = counts.get((g.sym, g.sign), 0) + 1
+        """Can every letter be glued?  Inverse letters pair up in an
+        orientable form; any two letters of a symbol in a non-orientable one."""
+        count = Counter(x for c in self.cycles for x in c)
         if self.kind == ORIENTABLE:
-            syms = {s for s, _ in counts}
-            return all(counts.get((s, 1), 0) == counts.get((s, -1), 0) for s in syms)
-        syms = {s for s, _ in counts}
-        return all((counts.get((s, 1), 0) + counts.get((s, -1), 0)) % 2 == 0 for s in syms)
+            return all(count[x] == count[x ^ 1] for x in count)
+        return all((count[x] + count[x ^ 1]) % 2 == 0 for x in count)
 
     def solvable_within(self, budget: int) -> bool:
+        """Does some diagram cost at most ``budget``?"""
         if self.n == 0:
             return budget >= 0
-        if self.n % 2:
+        if self.n % 2 or not self.balanced():
             return False
-        if not self.balanced():
-            return False
+        orientable = self.kind == ORIENTABLE
+        handle = 1 if orientable else 2
+        closing = (0, 0 if orientable else 1, 0)  # by status
+        failed: dict[tuple, int] = {}   # state -> largest budget proven infeasible
+        forms: dict[tuple, tuple] = {}  # cycle -> least rotations of it and of its inverse
+        mirrors: dict[tuple, tuple] = {}  # clean cluster -> the cluster inverted
 
-        corners = _UndoUF(self.n)
-        disc_uf = _UndoUF(len(self.discs), parity=True)
-        clusters: dict[int, _Cluster] = {
-            disc_uf.find(d): _Cluster(
-                discs=1,
-                letters=len(w),
-                unmatched=len(w),
-                corners=len(w),
-                flip0=1,
-                flip1=0,
-                twisted=False,
-            )
-            for d, w in enumerate(self.discs)
-        }
-        state = {"closed_cost": 0}
-        order = sorted(self.positions)
-        matched: set[tuple[int, int]] = set()
+        def form(c: tuple) -> tuple:
+            f = forms.get(c)
+            if f is None:
+                f = forms[c] = (_least_rotation(c), _least_rotation(_inverse(c)))
+            return f
 
-        def cluster_of(d: int) -> _Cluster:
-            return clusters[disc_uf.find(d)]
+        def cluster(status: int, cycles: list[tuple]) -> tuple:
+            fs = [form(c) for c in cycles]
+            if status == _TWISTED:
+                return status, tuple(sorted(map(min, fs)))
+            key = tuple(sorted([f[0] for f in fs]))
+            if status == _PENDING:
+                key = min(key, tuple(sorted([f[1] for f in fs])))
+            return status, key
 
-        def component_cost(c: _Cluster) -> int:
-            chi = c.corners - c.letters // 2 + c.discs
-            if self.kind == ORIENTABLE:
-                assert not c.twisted and c.flip1 == 0
-                assert (2 - chi) % 2 == 0
-                return (2 - chi) // 2
-            if c.twisted:
-                return 2 - chi
-            h2 = 2 - chi
-            assert h2 % 2 == 0
-            if chi == 2:
-                return 0 if (c.flip0 == 0 or c.flip1 == 0) else 1
-            return h2 + 1  # orientable genus h >= 1: 2h + 1 crosscaps
+        def canonical(clusters: list[tuple]) -> tuple:
+            state = tuple(sorted(clusters))
+            if all(s != _CLEAN for s, _ in clusters):
+                return state
+            mirror = []
+            for cl in clusters:
+                if cl[0] == _CLEAN:
+                    m = mirrors.get(cl)
+                    if m is None:
+                        m = mirrors[cl] = (_CLEAN, tuple(sorted([form(c)[1] for c in cl[1]])))
+                    cl = m
+                mirror.append(cl)
+            return min(state, tuple(sorted(mirror)))
 
-        def open_lower_bound() -> int:
-            open_v = sum(c.corners for c in clusters.values() if c.unmatched)
-            open_e = sum(c.letters for c in clusters.values() if c.unmatched) // 2
-            open_f = sum(c.discs for c in clusters.values() if c.unmatched)
-            if open_f == 0:
-                return 0
-            chi_max = open_v - open_e + open_f
-            raw = 2 - chi_max
-            if self.kind == ORIENTABLE:
-                return max(0, -(-raw // 2))  # ceil(raw / 2)
-            return max(0, raw)
-
-        def do_match(p: tuple[int, int], q: tuple[int, int]):
-            """Glue positions p and q; returns an undo token or None on prune."""
-            cm = corners.mark()
-            dm = disc_uf.mark()
-            gp, gq = self.letter[p], self.letter[q]
-            same = gp.sign == gq.sign
-            edge_parity = 1 if same else 0
-            dp, dq = p[0], q[0]
-            rp, rq = disc_uf.find(dp), disc_uf.find(dq)
-            snapshot = {
-                "rp": (rp, clusters.get(rp)),
-                "rq": (rq, clusters.get(rq)),
-                "state": dict(state),
-                "merged_root": None,
-            }
-            if rp != rq:
-                c1, c2 = clusters.pop(rp), clusters.pop(rq)
-                disc_uf.union(dp, dq, edge_parity)
-                root = disc_uf.find(dp)
-                snapshot["merged_root"] = root
-                # recompute flip counts relative to the new root
-                merged = _Cluster(
-                    discs=c1.discs + c2.discs,
-                    letters=c1.letters + c2.letters,
-                    unmatched=c1.unmatched + c2.unmatched,
-                    corners=c1.corners + c2.corners,
-                    flip0=0,
-                    flip1=0,
-                    twisted=c1.twisted or c2.twisted,
-                )
-                # parity bookkeeping: whichever old root got re-rooted has its
-                # discs' parities shifted by its new parity-to-root
-                sh1 = disc_uf.parity_to_root(rp)
-                sh2 = disc_uf.parity_to_root(rq)
-                f0 = (c1.flip0 if sh1 == 0 else c1.flip1) + (
-                    c2.flip0 if sh2 == 0 else c2.flip1
-                )
-                f1 = (c1.flip1 if sh1 == 0 else c1.flip0) + (
-                    c2.flip1 if sh2 == 0 else c2.flip0
-                )
-                merged.flip0, merged.flip1 = f0, f1
-                clusters[root] = merged
-                cl = merged
+        def children(state: tuple, left: int):
+            """(cost, state) for each gluing of the pivot that fits in ``left``."""
+            count = Counter(x for _, cycles in state for c in cycles for x in c)
+            if orientable:
+                partners = {x: count[x ^ 1] for x in count}
             else:
-                cl = clusters[rp]
-                if not disc_uf.consistent(dp, dq, edge_parity):
-                    cl = _Cluster(**{**cl.__dict__})
-                    cl.twisted = True
-                    clusters[rp] = cl
-                else:
-                    cl = _Cluster(**{**cl.__dict__})
-                    clusters[rp] = cl
-            if self.kind == ORIENTABLE and cl.twisted:
-                # cannot happen: orientable matchings only add parity-0 edges
-                raise AssertionError("twist in orientable matching")
+                partners = {x: count[x] + count[x ^ 1] - 1 for x in count}
+            least = min(partners.values())
+            size = self.n + 1
+            for i, (_, cycles) in enumerate(state):
+                for j, c in enumerate(cycles):
+                    if len(c) < size:
+                        for k, x in enumerate(c):
+                            if partners[x] == least:
+                                size, pivot = len(c), (i, j, k)
+                                break
+            ci, yi, pos = pivot
+            status, cycles = state[ci]
+            c = cycles[yi]
+            p = c[pos]
+            a = c[pos + 1:] + c[:pos]  # c = p a
+            for cj, (status2, cycles2) in enumerate(state):
+                for yj, d in enumerate(cycles2):
+                    for t, q in enumerate(d):
+                        if q != p ^ 1 and (orientable or q != p):
+                            continue
+                        if cj == ci:
+                            rest = [cl for i, cl in enumerate(state) if i != ci]
+                            if yj == yi:
+                                if t == pos:
+                                    continue
+                                u = (t - pos - 1) % len(c)
+                                head, tail = a[:u], a[u + 1:]  # c = p head q tail
+                                if q == p:
+                                    new, st, cost = [head + _inverse(tail)], _TWISTED, 1
+                                else:
+                                    new, st, cost = [head, tail], status, 0
+                            else:
+                                b = d[t + 1:] + d[:t]  # d = q b
+                                cost = handle
+                                if q == p:
+                                    new, st = [a + _inverse(b)], _TWISTED
+                                elif orientable:
+                                    new, st = [a + b], status
+                                else:
+                                    new, st = [a + b], max(status, _PENDING)
+                            new += [e for k, e in enumerate(cycles) if k != yi and k != yj]
+                        else:
+                            rest = [cl for i, cl in enumerate(state) if i != ci and i != cj]
+                            b = d[t + 1:] + d[:t]
+                            other = [e for k, e in enumerate(cycles2) if k != yj]
+                            cost = 0
+                            if q == p:
+                                new = [a + _inverse(b)] + list(map(_inverse, other))
+                                st = max(status, status2, _PENDING)
+                            else:
+                                new, st = [a + b] + other, max(status, status2)
+                            new += [e for k, e in enumerate(cycles) if k != yi]
+                        new = [e for e in new if e]
+                        if not new:
+                            cost += closing[st]
+                        if cost > left:
+                            continue
+                        if new:
+                            rest.append(cluster(st, new))
+                        yield cost, canonical(rest)
 
-            # corner identifications
-            (d1, i1), (d2, i2) = p, q
-            n1, n2 = len(self.discs[d1]), len(self.discs[d2])
-            if same:
-                pairs = [
-                    (self._corner(d1, i1), self._corner(d2, i2)),
-                    (self._corner(d1, i1 + 1), self._corner(d2, i2 + 1)),
-                ]
-            else:
-                pairs = [
-                    (self._corner(d1, i1), self._corner(d2, i2 + 1)),
-                    (self._corner(d1, i1 + 1), self._corner(d2, i2)),
-                ]
-            drop = 0
-            for a, b in pairs:
-                if corners.union(a, b):
-                    drop += 1
-            cl.corners -= drop
-            cl.unmatched -= 2
-            matched.add(p)
-            matched.add(q)
-            disc_unmatched[p[0]] -= 1
-            disc_unmatched[q[0]] -= 1
-            self.match[p] = q
-            self.match[q] = p
-
-            if cl.unmatched == 0:
-                state["closed_cost"] += component_cost(cl)
-            return (cm, dm, snapshot, p, q)
-
-        def undo(token):
-            cm, dm, snapshot, p, q = token
-            corners.rollback(cm)
-            matched.discard(p)
-            matched.discard(q)
-            disc_unmatched[p[0]] += 1
-            disc_unmatched[q[0]] += 1
-            del self.match[p]
-            del self.match[q]
-            rp, c1 = snapshot["rp"]
-            rq, c2 = snapshot["rq"]
-            if snapshot["merged_root"] is not None:
-                clusters.pop(snapshot["merged_root"], None)
-            disc_uf.rollback(dm)
-            if rp != rq:
-                if c1 is not None:
-                    clusters[rp] = c1
-                if c2 is not None:
-                    clusters[rq] = c2
-            else:
-                if c1 is not None:
-                    clusters[rp] = c1
-            state.update(snapshot["state"])
-
-        letter_ok = (
-            (lambda a, b: a.sym == b.sym and a.sign == -b.sign)
-            if self.kind == ORIENTABLE
-            else (lambda a, b: a.sym == b.sym)
-        )
-
-        disc_unmatched = [len(w) for w in self.discs]
-
-        def candidates(p: tuple[int, int]) -> list[tuple[int, int]]:
-            gp = self.letter[p]
-            return [
-                q
-                for q in order
-                if q != p and q not in matched and letter_ok(gp, self.letter[q])
-            ]
-
-        def pick_pivot() -> tuple[int, int] | None:
-            # first unmatched position: the pivot is a deterministic function
-            # of the partial state, so each complete matching is generated
-            # along exactly one path
-            for p in order:
-                if p not in matched:
-                    return p
-            return None
-
-        def rec() -> bool:
-            p = pick_pivot()
-            if p is None:
-                return state["closed_cost"] <= budget
-            seen_untouched: set[tuple[tuple[Generator, ...], int]] = set()
-            for q in candidates(p):
-                # symmetry: identical wholly-unmatched discs are interchangeable
-                dq = q[0]
-                if dq != p[0] and all(
-                    (dq, i) not in matched for i in range(len(self.discs[dq]))
-                ):
-                    key = (self.discs[dq].letters, q[1])
-                    if key in seen_untouched:
-                        continue
-                    seen_untouched.add(key)
-                token = do_match(p, q)
-                if state["closed_cost"] + open_lower_bound() <= budget:
-                    if rec():
-                        return True
-                undo(token)
+        def search(state: tuple, left: int) -> bool:
+            if not state:
+                return True
+            if failed.get(state, -1) >= left:
+                return False
+            for cost, child in sorted(dict.fromkeys(children(state, left)), key=itemgetter(0)):
+                if search(child, left - cost):
+                    return True
+            failed[state] = left
             return False
 
-        return rec()
+        return search(canonical([cluster(_CLEAN, [c]) for c in self.cycles]), budget)
 
     def min_genus(self, cutoff: int) -> int | None:
         for g in range(cutoff + 1):
@@ -370,10 +245,10 @@ class CancellationDiagrams:
 def _normalized_discs(form: StandardForm) -> list[Word]:
     """Cyclically reduced, nontrivial coefficient discs of a standard form.
 
-    Conjugators absorb the cyclic reduction of each C_j; the whole equation
-    may be conjugated, which cyclically reduces C.  The tuple's last entry is
-    C^-1... no: the equation reads prod(...) * C = 1, so the discs are
-    C_1..C_{m-1} and C itself (a cancellation diagram of the full left side).
+    The equation reads prod(...) * C = 1, so the discs are C_1..C_{m-1} and
+    C itself: a cancellation diagram fills in the whole left side.  Each
+    conjugator absorbs the cyclic reduction of its C_j, and conjugating the
+    whole equation cyclically reduces C; trivial discs are dropped.
     """
     discs = []
     for c in form.coefficients:
@@ -451,7 +326,8 @@ def _decouple(system: EquationSystem) -> tuple[list[Word], list[tuple[int, Word]
         sym, i, j = shared
         r = relators[i]
         pos = [k for k, g in enumerate(r) if g.sym == sym]
-        assert len(pos) == 1, "shared variable must occur once per relator"
+        if len(pos) != 1:
+            raise AssertionError("internal: shared variable must occur once per relator")
         k = pos[0]
         u, v = r.subword(0, k), r.subword(k + 1, len(r))
         img = u.inverse() * v.inverse()
@@ -469,6 +345,56 @@ def _decouple(system: EquationSystem) -> tuple[list[Word], list[tuple[int, Word]
             continue
         out.append(r)
     return out, elim, unsat
+
+
+def _witness(form: StandardForm, system: EquationSystem, bound: int) -> dict[str, Word] | None:
+    """The oracle's first solution of ``system``, the standard equation of
+    ``form``, at the least per-variable length ell <= bound that has one.
+
+    A genus-0 orientable form reads z_1^-1 C_1 z_1 ... z_n^-1 C_n z_n C = 1
+    and is solved by meeting in the middle: the products of the last n//2
+    conjugates (times C) go into a table, in which the inverses of the
+    products of the first ones are looked up.  With W the words of length
+    <= ell that is about |W|^ceil(n/2) word products where the oracle
+    closes |W|^(n-1) partial assignments.  The oracle's order is
+    lexicographic over (z_1, ..., z_n), each in the order of W, so keeping
+    the first right half per table entry and scanning the left halves in
+    order finds the same solution.
+    """
+    for ell in range(bound + 1):
+        if form.kind != ORIENTABLE or form.genus:
+            found = is_satisfiable(system, SearchBound(ell))
+        else:
+            found = _meet_conjugates(form, system, reduced_words(system.n_constants, ell))
+        if found is not None:
+            return found
+    return None
+
+
+def _meet_conjugates(form: StandardForm, system: EquationSystem,
+                     words: Sequence[Word]) -> dict[str, Word] | None:
+    conj = [[z.inverse() * c * z for z in words] for c in form.coefficients]
+    k = (len(conj) + 1) // 2
+    table: dict[tuple, tuple[int, ...]] = {}
+    for right, p in _products(conj[k:], form.tail):
+        table.setdefault(p.letters, right)
+    for left, p in _products(conj[:k], Word()):
+        right = table.get(p.inverse().letters)
+        if right is not None:
+            return {name: words[i] for name, i in zip(system.variables, left + right)}
+    return None
+
+
+def _products(factors: list[list[Word]], tail: Word):
+    """(choice, product times ``tail``) for every choice of one word from
+    each list, in lexicographic order of the choices."""
+    if not factors:
+        yield (), tail
+        return
+    rest = list(_products(factors[1:], tail))
+    for i, w in enumerate(factors[0]):
+        for choice, p in rest:
+            yield (i, *choice), w * p
 
 
 def solve_quadratic(
@@ -501,11 +427,7 @@ def solve_quadratic(
             return SolveResult("unsat", None, bound or 0, "no cancellation diagram")
         b = bound if bound is not None else default_bound(nz.form)
         used_bound = max(used_bound, b)
-        found = None
-        for ell in range(b + 1):
-            found = is_satisfiable(nz.system, SearchBound(ell))
-            if found is not None:
-                break
+        found = _witness(nz.form, nz.system, b)
         if found is None:
             return SolveResult(
                 "bound_exceeded", None, b,
@@ -559,13 +481,12 @@ def _genus_at(
     if not want_witness:
         return GenusResult(True, None)
     sysm = form.system(gens)
-    b = default_bound(form)
-    for ell in range(b + 1):
-        sol = is_satisfiable(sysm, SearchBound(ell))
-        if sol is not None:
-            assert sysm.check(sol)
-            return GenusResult(True, sol)
-    raise SolverError("diagram solvable but witness search exhausted the bound")
+    sol = _witness(form, sysm, default_bound(form))
+    if sol is None:
+        raise SolverError("diagram solvable but witness search exhausted the bound")
+    if not sysm.check(sol):
+        raise AssertionError("internal: genus witness failed verification")
+    return GenusResult(True, sol)
 
 
 def genus_orientable(

@@ -397,12 +397,18 @@ class _Normalizer:
             p, q, hpos = handles[0]
             # slide the handle right behind the square
             self.conjugate_block({p, q}, self.segment(2, hpos))
-            w = self.word
-            assert w[0].sym == v and w[1].sym == v
-            assert w[2].sym == p and w[3].sym == q
+            # the script below needs the handle to read p q p^-1 q^-1;
+            # sign flips act in place, so the block stays where it is
+            if self.word[2].sign == -1:
+                self.flip(p)
+            if self.word[3].sign == -1:
+                self.flip(q)
             vw = Word((Generator(v, 1),))
             pw = Word((Generator(p, 1),))
             qw = Word((Generator(q, 1),))
+            block = (vw * vw * pw * qw * pw.inverse() * qw.inverse()).letters
+            if self.word.letters[:6] != block:
+                raise StandardizeError("crosscap absorption needs the block v^2 p q p^-1 q^-1")
             # seven-move script: v v p q p^-1 q^-1 R  ->  v^2 q^2 p^2 R
             self.subst1(v, vw * pw.inverse(), vw * pw)      # v p^-1 v q p^-1 q^-1 R
             self.flip(p)                                     # v p v q p q^-1 R
@@ -605,7 +611,8 @@ def standardize(system: EquationSystem) -> Normalization:
             translated.append(g)
         else:
             translated.append(Generator(out_sys.var_sym(out_names[g.sym]), g.sign))
-    assert Word(translated) == rebuilt, "assembled word must equal the standard shape"
+    if Word(translated) != rebuilt:
+        raise AssertionError("internal: assembled word must equal the standard shape")
 
     return Normalization(
         original=system,

@@ -194,3 +194,11 @@ def test_compute_l(capsys):
 def test_unknown_command(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_check_equivalence_sweep(capsys):
+    code, out, _ = run(
+        capsys, "check-equivalence", "--max-items", "4", "--max-cap", "3", "--no-oracle",
+    )
+    assert code == 0
+    assert "verdict: agree" in out

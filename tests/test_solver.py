@@ -1,21 +1,27 @@
+import random
+
 import pytest
 
+from quadeq.binpack import build_equation, exhaustive_pack, sweep_instances
 from quadeq.equations import parse_system
 from quadeq.oracle import SearchBound, enumerate_solutions, is_satisfiable
 from quadeq.solver import (
     CancellationDiagrams,
     GenusResult,
     SolverError,
+    default_bound,
     form_min_genus,
+    form_solvable,
     genus_nonorientable,
     genus_orientable,
     solve_quadratic,
     tuple_genus,
 )
-from quadeq.standardize import NONORIENTABLE, ORIENTABLE
+from quadeq.standardize import NONORIENTABLE, ORIENTABLE, StandardForm, standardize
 from quadeq.words import Alphabet, Word, commutator
 
 AB = Alphabet(("a", "b"))
+ABC = Alphabet(("a", "b", "c"))
 GENS = ("a", "b")
 a, b = AB.word("a"), AB.word("b")
 
@@ -178,3 +184,180 @@ def test_solver_oracle_agreement(eq):
     else:
         assert res.status == "unsat"
         assert oracle_hit is None, f"oracle found {oracle_hit} but solver says unsat"
+
+
+# --- pinned least genus of random tuples -------------------------------------------
+
+# min_genus of seeded random coefficient tuples (both kinds, 1-4 discs, at most
+# 12 letters over a, b, c; capitals are inverses), recorded with the corner
+# matching search that preceded the boundary-cycle search.  Entries read
+# "kind disc... genus", with "-" for unsolvable at every genus.
+MIN_GENUS_PINS = """
+    o A C c a 0 ; n Cab aCbC a Ca 1 ; o A B ba 0 ; n caBACb c b -
+    o aaBabAbAAB 1 ; n Ca cb ab 1 ; o A BACaB bacb 1 ; n C a CAcb Bc 0
+    o B ab babAb - ; n B BaabA aBB - ; o C bcccBCC 1 ; n Ababb aba 1
+    o BAA - ; n BBBC b BBc 1 ; o abaa AAAB 0 ; n bA BA 1
+    o aaa b BAAA 0 ; n c Ac caca a 1 ; o a B B Abb 0 ; n B aCCBCbabC 3
+    o ABA B ba ba 0 ; n a cBcBAACBCa - ; o B A b a 0 ; n b C -
+    o ba BBAbA C Ca - ; n b ba baa aB 1 ; o Baaa AAAb 0 ; n CA cca C 0
+    o aabABABAba 1 ; n cB caaacAcb 3 ; o B bbbaBBA 1 ; n bb bABabABa 2
+    o B AAB - ; n ABAAAbaBAb 3 ; o bAC BCBBCA - ; n c c 1
+    o c C 0 ; n b A B accABabaa 2 ; o AAAbbcab - ; n aB b a 1
+    o B cc - ; n A A BA Ab 1 ; o bAbbAA BBBaaa 1 ; n aBaB a ABB AA 1
+    o abacBAAC 1 ; n B bCbb BA bac 1 ; o AbaaB a - ; n A a b B 0
+    o b ABB ABabaB - ; n a aa a 1 ; o B BcbCA ab 0 ; n aabb 2
+    o A a 0 ; n AA 1 ; o CCCAABCBcaa - ; n c abAAc A b 1
+    o a cBcB Ba Bc - ; n c BABAA - ; o B ACCbc cac C 0 ; n CC 1
+    o Ab a B 0 ; n aabAb AAA 1 ; o abAAb AA AA - ; n AAAbaaBBBA 3
+    o bcaBaBAbbc bc - ; n CCbA ACCB 1 ; o aab A babA - ; n aa AA 0
+    o c bC B 0 ; n AcBabCA C - ; o CaabCA bAc c BB 0 ; n ABABA aa AA A 1
+    o BaabA A 1 ; n a A b b 1 ; o B b 0 ; n A BBB AB 1
+    o c bCCBA c a 0 ; n aaBcABaCaa 3 ; o a A 0 ; n b B 0
+    o c C 0 ; n b aB a baba 1 ; o A cabc B CC 0 ; n aBAb cbbbc B 2
+    o AAB baa 0 ; n bAb AAbab 2 ; o A a 0 ; n abaB BB c C 1
+    o B ABBaBAbb - ; n ABA AbACC 2 ; o Ba b A 0 ; n Cb bc 1
+    o cbbABCaB 1 ; n BAAc c B 1 ; o CCacAAca 1 ; n BBAAA aaa 1
+    o bb bb BA aBBB 0 ; n BC b b cB 0 ; o b b BB 0 ; n C aa C 2
+    o b B 0 ; n B B 1 ; o bbb acAACBa b - ; n aBABabAb 3
+    o A a 0 ; n BA - ; o CbbcABBa 1 ; n a a a a 2
+    o BBA a ba Ab 0 ; n b b 1 ; o Ba - ; n A c Accc cccc 1
+    o CCAAAABaC - ; n BABBACA - ; o a ab - ; n BBaBaaBa 2
+    o b B 0 ; n a aab b a 1 ; o baabaBABAA 1 ; n ABcA aabACAbb 2
+    o aBBAbAba 1 ; n BAbbacaCbA 3 ; o a B BAAAB b - ; n b BAAAA 1
+    o AAA a ba aB 0 ; n Abb ba B bb 1 ; o bAb ba B BB 0 ; n BBBAAba A 2
+    o BCCBBAbcbbca 2 ; n B bab BB ba 1 ; o CA cb A - ; n A a 0
+    o A Ca CBcaCaB - ; n BB b - ; o cA AA aCaa 0 ; n BabcBAbbCAba 4
+    o a BBa Ab Ab 0 ; n AbbbA B A A 1 ; o aCCAbAcacB 2 ; n abAb 2
+    o ab aBAAbba ab - ; n A B a b 0 ; o caBcbaCCB AbA 1 ; n c a AC 0
+    o BBABB abbbb 0 ; n cc cbccacAb A C - ; o AAAAA BB - ; n A a A A 1
+    o a A 0 ; n b aaBBBB B 2 ; o ACC caB cb 0 ; n bcbC 2
+    o B aaaa bAAAA 0 ; n A A 1 ; o A a 0 ; n baaBABABBA -
+    o caac A bCBA C 1 ; n A a B b 0 ; o baaBAAABab 1 ; n BB 1
+    o A a 0 ; n aa bbb aa B 2 ; o AA - ; n B B 1
+    o A ABA a bbaBa 0 ; n B B aaaaBB 1 ; o aBB CbbcA 1 ; n BB B bAABaBa 2
+    o ABab 1 ; n CCaBaCCAAB 4 ; o AACC CA aCB - ; n Ab BAB b 1
+    o bC ACB c ac 0 ; n A A 1 ; o b bAb BB Ba 0 ; n b B a a 1
+    o BAcA b aaC 0 ; n cbcA cbCb B - ; o BB bcAcAcc - ; n A BaB 1
+    o A aa A 0 ; n a b aabbbAb b 1 ; o A BBaa - ; n Ba AB 1
+    o AAC a c a 0 ; n a a a A 1 ; o B a b A 0 ; n bb 1
+    o a b b aBaBaa - ; n ABAbaBAbbABA 3 ; o bAb AB caab - ; n B Cab cA 0
+    o AAbaabABA - ; n A C Bc Ab 1 ; o BAA abbaB 1 ; n acAAcbacbC 4
+    o ABA a a b 0 ; n CCBAB c C A 1 ; o CC cc 0 ; n AA 1
+    o B b 0 ; n cc 1 ; o ABBaaBaaB A A A - ; n BB b B 1
+    o b aB Ab B 0 ; n C b - ; o CC Bc B cAb - ; n AbaBBAAb 2
+    o B b 0 ; n ab BBBa 1 ; o bb A Ba B 0 ; n b b B B 0
+    o aba bbbab b A - ; n B b 0 ; o A baBA BB bab 0 ; n a A a a 1
+    o C CBcba cA 0 ; n a A 0 ; o a A 0 ; n aB BAB a AB 1
+    o AB - ; n aBABABAb 3 ; o a A 0 ; n B b BBaB bbaaBa 1
+    o aB bbba BAAB 0 ; n bbAb aBBB 0 ; o b aBaaBAbb AA B 1 ; n bbaa aa A a 1
+    o c C 0 ; n bA B AAbb a 1 ; o A a 0 ; n C c B b 0
+    o B b 0 ; n aa 1 ; o BABA c C baba 0 ; n ccA bcBaC 2
+    o B b 0 ; n bc cACa B C 0 ; o bcAcBaCCC c 1 ; n A BBabABA 1
+    o B A - ; n A BAbba aBB - ; o BBB bb B bb 0 ; n A A aa 0
+    o bab BAB B b 0 ; n A a 0 ; o a b BA 0 ; n A cbb -
+    o B b 0 ; n Ab - ; o AbaCB b Bc 1 ; n a b a B 1
+    o aB a BA Abb 0 ; n ab BAB aBaaa 1 ; o A Ba b 0 ; n A ab A ab 1
+    o a a A A 0 ; n b ba a 1 ; o c aa A AC 0 ; n aBAbaB AbAAA b -
+    o B b 0 ; n B BB AAA ab 1 ; o b BaBAA a b 0 ; n bABA BAbbaB 2
+    o A a 0 ; n Ba BBB AAA 2 ; o AbabABaB 1 ; n BacbCBccBA 4
+    o Ba AB bbb B 0 ; n A BBabbbA BA 1 ; o Baa BAbA b 0 ; n B BBB B b 1
+    o a BBB ab abb - ; n b a A B 0 ; o aaBABAbb 1 ; n C C 1
+    o baBBAb 1 ; n aabaBa BaaB 1 ; o a BACbac A 1 ; n AA 1
+    o a A 0 ; n AbaB 3 ; o cA aa B CbA 0 ; n bb AbbABAbbA B 1
+    o B b 0 ; n aBB b bcbcAb 1 ; o b BacBABBA - ; n B A a -
+    o aab AcAB C 0 ; n aBaaaaBaBB 2 ; o b B 0 ; n AcbcbaabbA 2
+    o aa AA 0 ; n a aBaB BA bAA 1 ; o A a AcbACBB aa - ; n aaBAABa ABB 2
+    o CacAB ba A 0 ; n aa Ba a B 1 ; o Ba b - ; n A Ac BAbaBB c 1
+    o A a a A 0 ; n AcBcbac - ; o BcB a ACCbbb cB 0 ; n cB CB 1
+    o A b a B 0 ; n bA ba bbb bbb 1 ; o A a 0 ; n b bbb 1
+    o a cb - ; n aBa a AAA B 1 ; o a A B - ; n B Baac a acaBaB 1
+    o a bCC c cAB 0 ; n aCBaaBa c 1 ; o AbaaBAbaBA 2 ; n b BAbacB c 1
+    o a A 0 ; n BC abCC C A 1 ; o a BAbbaB A 0 ; n cbb bA aCb 1
+    o bb bAA aaBB A - ; n Ba - ; o bca AACaB 1 ; n AAAAAA 1
+    o aBC c Ac bC 0 ; n baCbcA cc 3 ; o CCaabCab - ; n aBAc B A AC 1
+    o cBBa A aC A - ; n b bb b 1 ; o ACaab BcAca AC 0 ; n a aCC CAA C 1
+    o A a 0 ; n Ab b AcAcaBB 1 ; o A a B b 0 ; n B BA B -
+    o CaBA cBcACb - ; n aaaabbbAB A 2 ; o A a b B 0 ; n B bc BAB ca 1
+    o bC ACBB cbc a 0 ; n cc 1 ; o A BaB A bab 0 ; n BB abaB 1
+    o BcB A C abb 0 ; n a aBaab B b 1 ; o ab BBBAbba A 0 ; n ab CBBC aC BC 1
+    o acac CCA A 0 ; n A ca C 0 ; o a b AB 0 ; n B AccaB 1
+    o a BBA b b 0 ; n C bcbcb b C 1 ; o B b B b 0 ; n A b BA 1
+    o baa AAB b B 0 ; n A Cbbb Bc a 1 ; o B B Cbcba A 0 ; n aB B A BB 1
+"""
+
+
+def _pinned_tuples():
+    for entry in MIN_GENUS_PINS.replace("\n", ";").split(";"):
+        if not entry.strip():
+            continue
+        kind, *discs, genus = entry.split()
+        yield (
+            ORIENTABLE if kind == "o" else NONORIENTABLE,
+            [Word(ABC.gen(ch.lower(), 1 if ch.islower() else -1) for ch in d) for d in discs],
+            None if genus == "-" else int(genus),
+        )
+
+
+def test_min_genus_pinned():
+    pins = list(_pinned_tuples())
+    assert len(pins) == 360
+    for kind, discs, genus in pins:
+        n = sum(len(d) for d in discs)
+        assert CancellationDiagrams(discs, kind).min_genus(n // 2 + 1) == genus, (kind, discs)
+
+
+def test_form_solvable_matches_packing():
+    instances = sweep_instances(4, 3, 2)
+    assert len(instances) == 22
+    for inst in instances:
+        form = standardize(build_equation(inst, free_form=True)).form
+        assert form_solvable(form) == (exhaustive_pack(inst) is not None), inst
+
+
+def _random_word(rng, length):
+    letters = []
+    while len(letters) < length:
+        g = AB.gen(rng.choice(GENS), rng.choice((1, -1)))
+        if not letters or letters[-1] != g.inv():
+            letters.append(g)
+    return Word(letters)
+
+
+def test_genus_zero_witness_is_oracles_first():
+    # products of up to four conjugates with a planted solution: the witness
+    # found by meeting in the middle is the oracle's first solution
+    rng = random.Random(11)
+    for _ in range(60):
+        cs = [_random_word(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 4))]
+        product = Word()
+        for c in cs:
+            z = _random_word(rng, rng.randint(0, 2))
+            product = product * z.inverse() * c * z
+        coefficients = cs + [product.inverse()]
+        form = StandardForm(ORIENTABLE, 0, tuple(cs), product.inverse())
+        system = form.system(GENS)
+        first = None
+        for ell in range(default_bound(form) + 1):
+            first = is_satisfiable(system, SearchBound(ell))
+            if first is not None:
+                break
+        assert genus_orientable(coefficients, 0, GENS) == GenusResult(True, first), coefficients
+
+
+# corpus skeletons whose handle reaches crosscap absorption with a negative
+# letter (p^-1 q p q^-1, p^-1 q^-1 p q, p q^-1 p^-1 q), each bare and with the
+# corpus's constant variants
+ABSORPTION_SYSTEMS = [
+    f"{pre}{skeleton}{post}"
+    for skeleton in ("x y x z y z^-1", "x y z x z y", "x y z y^-1 x z")
+    for pre, post in (("", ""), ("a ", " b^-1"), ("a^-1 b ", " a"))
+]
+
+
+@pytest.mark.parametrize("eq", ABSORPTION_SYSTEMS)
+def test_crosscap_absorption_systems(eq):
+    s = parse_system(f"gens: a b\nvars: x y z\n{eq} = 1")
+    res = solve_quadratic(s)
+    assert res.status == ("sat" if is_satisfiable(s, SearchBound(2)) else "unsat")
+    if res.status == "sat":
+        assert s.check(res.witness)
