@@ -21,13 +21,13 @@ the product back into item order keeps track of the conjugators exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .equations import Equation, EquationSystem
 from .oracle import SearchBound, is_satisfiable
-from .solver import SolveResult, solve_quadratic
-from .words import Alphabet, Generator, Word, commutator, substitute
+from .solver import solve_quadratic
+from .words import Alphabet, Word, commutator
 
 
 class BinPackError(ValueError):
@@ -85,17 +85,18 @@ def build_a(params: ReductionParams) -> Word:
     expected = (len(params.spacers) + 1) * params.power + params.scale * params.power * sum(
         params.spacers
     )
-    assert len(out) == expected
+    if len(out) != expected:
+        raise AssertionError(f"internal: build_a length {len(out)} != {expected}")
     return out
 
 
-def _uv(params: ReductionParams, free_form: bool) -> tuple[tuple[str, ...], Word, Word, int]:
-    """(generators, u, v, exponent scale) for the chosen presentation."""
+def _uv(params: ReductionParams, free_form: bool) -> tuple[tuple[str, ...], Word, Word]:
+    """(generators, u, v) for the chosen presentation."""
     if free_form:
         al = Alphabet(FREE_GENS)
-        return FREE_GENS, al.word("a"), al.word("b"), 1
+        return FREE_GENS, al.word("a"), al.word("b")
     al = Alphabet(EMBEDDED_GENS)
-    return EMBEDDED_GENS, build_a(params), al.word("b") ** params.scale, 1
+    return EMBEDDED_GENS, build_a(params), al.word("b") ** params.scale
 
 
 def build_equation(
@@ -110,12 +111,11 @@ def build_equation(
     intermediate shape with spare coefficients R_1..R_m); they get their own
     conjugators and no special solver handling.
     """
-    gens, u, v, _ = _uv(params, free_form)
+    gens, u, v = _uv(params, free_form)
     s = len(inst.items)
     names = tuple(f"z{j+1}" for j in range(s + len(extras)))
     sys0 = EquationSystem(gens, names, ())
     al = sys0.alphabet
-    shift = 0  # extras are already over the constant alphabet
 
     lhs = Word()
     for j, r in enumerate(inst.items):
@@ -127,7 +127,8 @@ def build_equation(
         lhs = lhs * z.inverse() * extra * z
     rhs = commutator(u ** inst.bins, v ** inst.capacity)
     out = EquationSystem(gens, names, (Equation(lhs, rhs),))
-    assert out.is_quadratic()
+    if not out.is_quadratic():
+        raise AssertionError("internal: the bin-packing equation must be quadratic")
     return out
 
 
@@ -187,7 +188,7 @@ def packing_to_witness(
         if sum(inst.items[j] for j in b) != inst.capacity:
             raise BinPackError("packing is not exact: some bin misses capacity")
 
-    gens, u, v, _ = _uv(params, free_form)
+    gens, u, v = _uv(params, free_form)
 
     # derived order: bins first, items ascending inside each bin
     terms: list[tuple[int, Word]] = []  # (item index, conjugator)

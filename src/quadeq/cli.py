@@ -47,7 +47,7 @@ from . import schema as sc
 from . import solver as sv
 from . import surfaces as sf
 from .equations import EquationError, EquationSystem, parse_system, triangulate, triangular_constant_form
-from .oracle import SearchBound, enumerate_solutions, min_solution_stats
+from .oracle import SearchBound, enumerate_solutions
 from .parsing import WordSyntaxError, parse_word
 from .standardize import StandardizeError, standardize
 from .words import Alphabet, AlphabetError, Word
@@ -98,6 +98,26 @@ def _read(path: str) -> str:
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_BADINPUT
+
+
+def _read_words(text: str, header: str, noun: str) -> tuple[Alphabet, list[Word]]:
+    """A ``<header>:`` line naming the alphabet, then one ``noun`` word per line."""
+    alphabet: Alphabet | None = None
+    words: list[Word] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith(f"{header}:"):
+            alphabet = Alphabet(tuple(line[len(header) + 1:].split()))
+            continue
+        if alphabet is None:
+            raise EquationError(f"line {lineno}: {noun}s before {header}: header")
+        words.append(parse_word(line, alphabet))
+    if alphabet is None or not words:
+        article = "an" if header[0] in "aeiou" else "a"
+        raise EquationError(f"need {article} {header}: header and at least one {noun}")
+    return alphabet, words
 
 
 def _fmt_witness(system: EquationSystem, witness: dict[str, Word]) -> list[str]:
@@ -176,22 +196,8 @@ def cmd_standardize(args) -> int:
 def cmd_genus(args) -> int:
     text = _read(args.file)
     rep = Report("genus").digest(text)
-    gens: tuple[str, ...] | None = None
-    coeffs: list[Word] = []
-    alphabet: Alphabet | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("gens:"):
-            gens = tuple(line[len("gens:"):].split())
-            alphabet = Alphabet(gens)
-            continue
-        if gens is None:
-            return _fail(f"line {lineno}: coefficients before gens: header")
-        coeffs.append(parse_word(line, alphabet))
-    if gens is None or not coeffs:
-        return _fail("need a gens: header and at least one coefficient")
+    alphabet, coeffs = _read_words(text, "gens", "coefficient")
+    gens = alphabet.names
     kind = args.kind
     if args.at is not None:
         fn = sv.genus_orientable if kind == "orientable" else sv.genus_nonorientable
@@ -218,22 +224,7 @@ def cmd_genus(args) -> int:
 def cmd_surface(args) -> int:
     text = _read(args.file)
     rep = Report("surface").digest(text)
-    edges: tuple[str, ...] | None = None
-    words: list[Word] = []
-    alphabet: Alphabet | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("edges:"):
-            edges = tuple(line[len("edges:"):].split())
-            alphabet = Alphabet(edges)
-            continue
-        if edges is None:
-            return _fail(f"line {lineno}: words before edges: header")
-        words.append(parse_word(line, alphabet))
-    if edges is None or not words:
-        return _fail("need an edges: header and at least one word")
+    alphabet, words = _read_words(text, "edges", "word")
     q = sf.classify(words)
     surf = sf.glue(q)
     rep.add("kind", q.kind)

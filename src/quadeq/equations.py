@@ -8,11 +8,11 @@ generalized-equation construction can see both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from .parsing import WordSyntaxError, parse_word
-from .words import Alphabet, Generator, UnassignedVariableError, Word, substitute
+from .words import Alphabet, Generator, Word, substitute
 
 
 class EquationError(ValueError):
@@ -226,19 +226,21 @@ def triangulate(system: EquationSystem) -> Triangulation:
             new_equations.append(Equation(Word(first + (x,))))
             defs.append((name, w.subword(0, k + 2)))
             prev = x
-        assert prev is not None
+        if prev is None:
+            raise AssertionError("internal: a long relator must open a chain")
         new_equations.append(Equation(Word((prev.inv(), w[n - 2], w[n - 1]))))
         all_defs.append(tuple(defs))
 
     out = EquationSystem(system.gens, system.variables + tuple(fresh), tuple(new_equations))
 
     size, orig_size = out.total_length(), system.total_length()
-    if orig_size >= 3:
-        assert size <= max(0, (orig_size - 2)) * (3 * orig_size), (
-            f"triangulation size bound violated: {size} > ({orig_size}-2)(3*{orig_size})"
+    if orig_size >= 3 and size > (orig_size - 2) * (3 * orig_size):
+        raise AssertionError(
+            f"internal: triangulation size bound violated: "
+            f"{size} > ({orig_size}-2)(3*{orig_size})"
         )
-    if system.is_quadratic():
-        assert out.is_quadratic(), "triangulation must preserve quadraticity"
+    if system.is_quadratic() and not out.is_quadratic():
+        raise AssertionError("internal: triangulation must preserve quadraticity")
     return Triangulation(system, out, tuple(fresh), tuple(all_defs))
 
 
@@ -261,16 +263,12 @@ class TriangularConstantForm:
     def lift(self, assignment: Mapping[str, Word]) -> dict[str, Word]:
         """Extend an original solution to all normal-form variables."""
         out = dict(assignment)
-        amap = {self.original.var_sym(n): w for n, w in assignment.items()
-                if n in self.original.variables}
         for name, cword in self.constant_eqs:
             if name not in out:
                 out[name] = cword
         # chain variables introduced by the inner triangulation are recovered
         # by re-solving each triple left to right
         changed = True
-        sysvars = self.system.variables
-        sym_of = {n: self.system.var_sym(n) for n in sysvars}
         while changed:
             changed = False
             for t in self.triples:
@@ -300,7 +298,6 @@ class TriangularConstantForm:
                 name = self.system.var_name(g.sym)
                 out[name] = img if g.sign > 0 else img.inverse()
                 changed = True
-        _ = amap, sym_of
         return out
 
 
@@ -374,7 +371,8 @@ def triangular_constant_form(system: EquationSystem) -> TriangularConstantForm:
             first = (items[0], items[1]) if k == 0 else (prev.inv(), items[k + 1])  # type: ignore[union-attr]
             triples.append((first[0], first[1], x))
             prev = x
-        assert prev is not None
+        if prev is None:
+            raise AssertionError("internal: a long skeleton must open a chain")
         triples.append((prev.inv(), items[n - 2], items[n - 1]))
 
     equations = [Equation(Word(t)) for t in triples]
@@ -382,8 +380,8 @@ def triangular_constant_form(system: EquationSystem) -> TriangularConstantForm:
     for name, cword in const_eqs:
         equations.append(Equation(Word((Generator(sym_of[name], 1),)), cword))
     out = EquationSystem(s.gens, tuple(new_vars), tuple(equations))
-    if system.is_quadratic() and not trivially_false:
-        assert out.is_quadratic(), "normal form must preserve quadraticity"
+    if system.is_quadratic() and not trivially_false and not out.is_quadratic():
+        raise AssertionError("internal: normal form must preserve quadraticity")
     return TriangularConstantForm(
         original=system,
         system=out,

@@ -17,7 +17,7 @@ the first item is pinned by a constant base.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .equations import Equation, EquationSystem
 from .words import Generator, Word, substitute
@@ -158,7 +158,7 @@ class GenEqSolution:
 
     items: dict[int, Word]
 
-    def value(self, geneq: GenEq, b: Base) -> Word:
+    def value(self, b: Base) -> Word:
         w = Word()
         for j in range(b.lo, b.hi):
             w = w * self.items[j]
@@ -172,7 +172,7 @@ class GenEqSolution:
             total += len(self.items[j])
         return len(Word(letters)) == total
 
-    def offset(self, geneq: GenEq, b: Base, p: int) -> int:
+    def offset(self, b: Base, p: int) -> int:
         if b.eps == 1:
             return sum(len(self.items[j]) for j in range(b.lo, p))
         return sum(len(self.items[j]) for j in range(p, b.hi))
@@ -190,7 +190,7 @@ class GenEqSolution:
                 continue
             seen.add(b.name)
             seen.add(b.dual)
-            if self.value(geneq, b) != self.value(geneq, geneq.dual_of(b.name)):
+            if self.value(b) != self.value(geneq.dual_of(b.name)):
                 return False
         for c in geneq.constant_bases():
             w = Word()
@@ -200,7 +200,7 @@ class GenEqSolution:
                 return False
         for p, name, q in geneq.connections:
             b = geneq.base(name)
-            if self.offset(geneq, b, p) != self.offset(geneq, geneq.dual_of(name), q):
+            if self.offset(b, p) != self.offset(geneq.dual_of(name), q):
                 return False
         return True
 
@@ -493,7 +493,8 @@ def _shift_down(ge: GenEq, cut: int, amount: int) -> GenEq:
     def mv(x: int) -> int:
         if x < cut:
             return x
-        assert x >= cut + amount, "reference into deleted boundaries"
+        if x < cut + amount:
+            raise GenEqError("reference into deleted boundaries")
         return x - amount
 
     bases = []
@@ -689,22 +690,6 @@ def _solution_drop(sol: GenEqSolution, cut: int, amount: int) -> GenEqSolution:
     return GenEqSolution(items)
 
 
-def _solution_merge(sol: GenEqSolution, lo: int, hi: int) -> GenEqSolution:
-    """Merge items lo..hi-1 into one (for lone removal)."""
-    merged = Word()
-    for j in range(lo, hi):
-        merged = merged * sol.items[j]
-    items = {}
-    for j, w in sol.items.items():
-        if j < lo:
-            items[j] = w
-        elif j == lo:
-            items[j] = merged
-        elif j >= hi:
-            items[j - (hi - lo - 1)] = w
-    return GenEqSolution(items)
-
-
 def _solution_insert(sol: GenEqSolution, after: int, left_len: int) -> GenEqSolution:
     items = {}
     for j, w in sol.items.items():
@@ -724,7 +709,7 @@ def _tie_with_solution(
     """Tie boundary p on base ``name`` at the position its solution dictates."""
     b = ge.base(name)
     d = ge.dual_of(name)
-    target = sol.offset(ge, b, p)
+    target = sol.offset(b, p)
     # walk the dual's span in oriented order accumulating item lengths
     order = range(d.lo, d.hi) if d.eps == 1 else range(d.hi - 1, d.lo - 1, -1)
     acc = 0
@@ -760,17 +745,18 @@ def _tie_with_solution(
 
 
 def entire_transform(
-    ge: GenEq,
-    budget: int,
-    solution: GenEqSolution | None = None,
-    verify_steps: bool = False,
+    ge: GenEq, budget: int, solution: GenEqSolution | None = None
 ) -> EntireTransformResult:
     """Run the rewriting process for ``budget`` rounds.
 
-    With a solution, boundary ties follow the solution's offsets and the
-    solution is carried through every step (``verify_steps`` re-checks it
-    after each round).  Without one, ties are searched depth-first over
-    placements left to right until a terminal equation is reached.
+    A round drops matched pairs, ties every boundary of the longest base
+    starting at 1, transfers everything it covers onto its dual and deletes
+    the consumed prefix.  Only tie placement depends on the mode.  With a
+    solution, ties follow the solution's offsets, the solution is carried
+    through every step and re-checked after each round; unsupported
+    configurations raise ``UnsupportedCase``.  Without one, ties are searched
+    depth-first over the dual's boundaries left to right, then over
+    splitting insertions, and a branch that hits an error is pruned.
 
     Terminates when the first item is pinned by a constant base (or nothing
     non-constant remains).  A repeated combinatorial equation aborts the
@@ -794,21 +780,15 @@ def entire_transform(
         j = empty[0]
         ge = contract_item(ge, j)
         trace.append(TraceOp("contract", (j,)))
-        items = {}
-        for k, w in sol.items.items():
-            if k < j:
-                items[k] = w
-            elif k > j:
-                items[k - 1] = w
-        sol = GenEqSolution(items)
-    if verify_steps and not sol.verify(ge):
-        raise AssertionError("solution lost during contraction")
+        sol = _solution_drop(sol, j, 1)
+    if not sol.verify(ge):
+        raise AssertionError("internal: solution lost during contraction")
 
     seen = {ge.canonical_text()}
     for rounds in range(1, budget + 1):
         ge, sol, done = _entire_round(ge, sol, trace)
-        if verify_steps and not sol.verify(ge):
-            raise AssertionError("solution lost while rewriting")
+        if not sol.verify(ge):
+            raise AssertionError("internal: solution lost while rewriting")
         if done:
             trace.append(TraceOp("terminal", ()))
             return EntireTransformResult(ge, trace, rounds, "terminal", sol)
@@ -827,17 +807,8 @@ def _terminal(ge: GenEq) -> bool:
     return False
 
 
-def _leading(ge: GenEq) -> Base | None:
-    starters = [b for b in ge.nonconstant_bases() if b.lo == 1]
-    if not starters:
-        return None
-    return max(starters, key=lambda b: (b.hi - b.lo, b.name))
-
-
-def _entire_round(
-    ge: GenEq, sol: GenEqSolution, trace: list[TraceOp]
-) -> tuple[GenEq, GenEqSolution, bool]:
-    # drop matched pairs first: they carry no information
+def _drop_matched(ge: GenEq, trace: list[TraceOp]) -> GenEq:
+    """Remove matched pairs: they carry no information."""
     changed = True
     while changed:
         changed = False
@@ -848,69 +819,78 @@ def _entire_round(
                 trace.append(TraceOp("match", (b.name,)))
                 changed = True
                 break
-    if _terminal(ge):
-        return ge, sol, True
-    mu = _leading(ge)
-    if mu is None:
+    return ge
+
+
+def _leading_base(ge: GenEq) -> Base:
+    """The longest base starting at 1, whose dual must not lie inside it."""
+    starters = [b for b in ge.nonconstant_bases() if b.lo == 1]
+    if not starters:
         raise UnsupportedCase("item 1 is covered by no base")
+    mu = max(starters, key=lambda b: (b.hi - b.lo, b.name))
     d = ge.dual_of(mu.name)
     if mu.lo <= d.lo and d.hi <= mu.hi:
         raise UnsupportedCase("dual overlaps its own base (periodic case)")
+    return mu
 
-    # tie every boundary of the leading base (insertions can widen spans,
-    # so rescan until nothing is untied)
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10_000:
-            raise AssertionError("tie loop did not settle")
-        mu_now = ge.base(mu.name)
-        untied = [
-            p for p in range(mu_now.lo, mu_now.hi + 1) if ge.tied(mu.name, p) is None
-        ]
-        if not untied:
-            break
-        ge, sol = _tie_with_solution(ge, sol, mu.name, untied[0], trace)
 
-    # transfer everything covered by mu (except its dual) onto the dual
+def _untied(ge: GenEq, name: str) -> list[int]:
+    b = ge.base(name)
+    return [p for p in range(b.lo, b.hi + 1) if ge.tied(name, p) is None]
+
+
+def _finish_round(
+    ge: GenEq, sol: GenEqSolution | None, mu: str, trace: list[TraceOp]
+) -> tuple[GenEq, GenEqSolution | None]:
+    """Transfer everything under the fully tied base ``mu`` (except its dual)
+    onto the dual, then cut at the first doubly covered item and drop the
+    consumed prefix; a carried solution loses the dropped items."""
     while True:
-        mu_now = ge.base(mu.name)
+        mu_now = ge.base(mu)
         inside = [
             b
             for b in ge.nonconstant_bases()
-            if b.name not in (mu.name, mu_now.dual)
+            if b.name not in (mu, mu_now.dual)
             and mu_now.lo <= b.lo
             and b.hi <= mu_now.hi
         ]
         if not inside:
             break
-        target = inside[0]
-        for p in (target.lo, target.hi):
-            if ge.tied(mu.name, p) is None:
-                ge, sol = _tie_with_solution(ge, sol, mu.name, p, trace)
-        ge = et2_transfer(ge, mu.name, target.name)
-        trace.append(TraceOp("transfer", (mu.name, target.name)))
+        ge = et2_transfer(ge, mu, inside[0].name)
+        trace.append(TraceOp("transfer", (mu, inside[0].name)))
 
-    # cut at the first doubly-covered item and drop the consumed prefix
-    mu_now = ge.base(mu.name)
-    j = None
-    for item in range(1, mu_now.hi):
-        if ge.coverage(item) >= 2:
-            j = item
-            break
+    mu_now = ge.base(mu)
+    j = next((item for item in range(1, mu_now.hi) if ge.coverage(item) >= 2), None)
     if j == 1:
         raise UnsupportedCase("no progress: item 1 is still doubly covered")
     if j is None:
         # nothing else lives under mu: remove the pair and its span
-        trace.append(TraceOp("dropall", (mu.name,)))
-        sol = _solution_drop(sol, 1, mu_now.hi - 1)
-        ge = apply_trace_op(ge, TraceOp("dropall", (mu.name,)))
+        op, dropped = TraceOp("dropall", (mu,)), mu_now.hi - 1
     else:
-        if ge.tied(mu.name, j) is None:
-            ge, sol = _tie_with_solution(ge, sol, mu.name, j, trace)
-        trace.append(TraceOp("cutdrop", (mu.name, j)))
-        ge = apply_trace_op(ge, TraceOp("cutdrop", (mu.name, j)))
-        sol = _solution_drop(sol, 1, j - 1)
+        op, dropped = TraceOp("cutdrop", (mu, j)), j - 1
+    trace.append(op)
+    ge = apply_trace_op(ge, op)
+    if sol is not None:
+        sol = _solution_drop(sol, 1, dropped)
+    return ge, sol
+
+
+def _entire_round(
+    ge: GenEq, sol: GenEqSolution, trace: list[TraceOp]
+) -> tuple[GenEq, GenEqSolution, bool]:
+    ge = _drop_matched(ge, trace)
+    if _terminal(ge):
+        return ge, sol, True
+    mu = _leading_base(ge).name
+    # insertions can widen spans, so rescan until nothing is untied
+    for _ in range(10_000):
+        untied = _untied(ge, mu)
+        if not untied:
+            break
+        ge, sol = _tie_with_solution(ge, sol, mu, untied[0], trace)
+    else:
+        raise AssertionError("internal: tie loop did not settle")
+    ge, sol = _finish_round(ge, sol, mu, trace)
     return ge, sol, _terminal(ge)
 
 
@@ -918,35 +898,26 @@ def _entire_transform_search(ge: GenEq, budget: int) -> EntireTransformResult:
     """Depth-first tie search: enumerate placements left to right."""
     seen: set[str] = set()
 
+    # every call owns ``trace``: branches pass extended copies
     def rec(g: GenEq, trace: list[TraceOp], rounds: int) -> EntireTransformResult | None:
-        changed = True
-        while changed:
-            changed = False
-            for b in g.nonconstant_bases():
-                d = g.dual_of(b.name)
-                if (b.lo, b.hi, b.eps) == (d.lo, d.hi, d.eps):
-                    g = et3_remove_matched(g, b.name)
-                    trace = trace + [TraceOp("match", (b.name,))]
-                    changed = True
-                    break
+        g = _drop_matched(g, trace)
         if _terminal(g):
-            return EntireTransformResult(g, trace + [TraceOp("terminal", ())],
-                                         rounds, "terminal")
+            trace.append(TraceOp("terminal", ()))
+            return EntireTransformResult(g, trace, rounds, "terminal")
         if rounds >= budget:
             return None
         key = g.canonical_text()
         if key in seen:
             return None
         seen.add(key)
-        mu = _leading(g)
-        if mu is None:
+        try:
+            mu = _leading_base(g)
+        except UnsupportedCase:
             return None
-        d = g.dual_of(mu.name)
-        if mu.lo <= d.lo and d.hi <= mu.hi:
-            return None
-        untied = [p for p in range(mu.lo, mu.hi + 1) if g.tied(mu.name, p) is None]
+        untied = _untied(g, mu.name)
         if untied:
             p = untied[0]
+            d = g.dual_of(mu.name)
             # existing boundaries left to right, then splitting insertions
             for q in range(d.lo, d.hi + 1):
                 try:
@@ -968,36 +939,10 @@ def _entire_transform_search(ge: GenEq, budget: int) -> EntireTransformResult:
                 if out is not None:
                     return out
             return None
-        # fully tied: transfer and cut like the solution-driven round
+        # an error in this round or in any deeper one prunes this branch
         try:
-            while True:
-                mu_now = g.base(mu.name)
-                inside = [
-                    b for b in g.nonconstant_bases()
-                    if b.name not in (mu.name, mu_now.dual)
-                    and mu_now.lo <= b.lo and b.hi <= mu_now.hi
-                ]
-                if not inside:
-                    break
-                t = inside[0]
-                g = et2_transfer(g, mu.name, t.name)
-                trace = trace + [TraceOp("transfer", (mu.name, t.name))]
-            mu_now = g.base(mu.name)
-            j = None
-            for item in range(1, mu_now.hi):
-                if g.coverage(item) >= 2:
-                    j = item
-                    break
-            if j == 1:
-                return None
-            if j is None:
-                op = TraceOp("dropall", (mu.name,))
-            else:
-                if g.tied(mu.name, j) is None:
-                    return None
-                op = TraceOp("cutdrop", (mu.name, j))
-            g = apply_trace_op(g, op)
-            return rec(g, trace + [op], rounds + 1)
+            g, _ = _finish_round(g, None, mu.name, trace)
+            return rec(g, trace, rounds + 1)
         except GenEqError:
             return None
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator
 
 from .equations import EquationSystem
 from .words import Generator, Word, nth_root, root_of, substitute
@@ -118,7 +118,8 @@ def _solve_last(relator: Word, sym: int, limit: int) -> list[Word] | None:
         return None
     if len(occ) == 2:
         (i, si), (j, sj) = occ
-        assert si == -sj
+        if si != -sj:
+            raise AssertionError("internal: mixed signs expected")
         u = relator.subword(0, i)
         mid = relator.subword(i + 1, j)
         v = relator.subword(j + 1, len(relator))

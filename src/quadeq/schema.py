@@ -24,9 +24,9 @@ decimal size of L, expanding the integer only on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
-from .equations import Equation, EquationError, EquationSystem, TriangularConstantForm
+from .equations import Equation, EquationSystem, TriangularConstantForm
 from .words import Generator, Word, substitute
 
 
@@ -176,10 +176,12 @@ def build_schema(
     size = out.total_length()
     n = src.total_length()
     bound = n * (4 + 2 * choice.length_bound + quasi_lambda * n + quasi_mu)
-    assert size <= bound, f"schema size bound violated: {size} > {bound}"
+    if size > bound:
+        raise AssertionError(f"internal: schema size bound violated: {size} > {bound}")
     if src.is_quadratic():
         counts = out.occurrence_counts()
-        assert all(c <= 2 for c in counts.values()), "schema must stay quadratic"
+        if any(c > 2 for c in counts.values()):
+            raise AssertionError("internal: schema must stay quadratic")
 
     return SchemaOutput(
         system=out, images=images, quasi_lambda=quasi_lambda, quasi_mu=quasi_mu

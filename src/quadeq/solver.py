@@ -91,9 +91,10 @@ class CancellationDiagrams:
     cycles each up to inversion, a pending cluster up to inverting all its
     cycles, the whole state up to inverting every clean cluster at once.
     (One clean cluster alone may not be inverted: which later merges need a
-    flip depends on its orientation.)  Each ``solvable_within`` call keeps a
-    table of the largest budget proven infeasible per state, and tries each
-    distinct (cost, state) child once.  The pivot is a letter with the fewest
+    flip depends on its orientation.)  The instance keeps a table of the
+    largest budget proven infeasible per state across ``solvable_within``
+    calls, so rising budgets reuse it, and each call tries each distinct
+    (cost, state) child once.  The pivot is a letter with the fewest
     partners, on the shortest cycle among those.
     """
 
@@ -104,6 +105,9 @@ class CancellationDiagrams:
         self.kind = kind
         self.cycles = [tuple([2 * g.sym + (g.sign < 0) for g in w]) for w in coefficients]
         self.n = sum(map(len, self.cycles))
+        self._failed: dict[tuple, int] = {}   # state -> largest budget proven infeasible
+        self._forms: dict[tuple, tuple] = {}  # cycle -> least rotations of it and of its inverse
+        self._mirrors: dict[tuple, tuple] = {}  # clean cluster -> the cluster inverted
 
     def balanced(self) -> bool:
         """Can every letter be glued?  Inverse letters pair up in an
@@ -122,9 +126,7 @@ class CancellationDiagrams:
         orientable = self.kind == ORIENTABLE
         handle = 1 if orientable else 2
         closing = (0, 0 if orientable else 1, 0)  # by status
-        failed: dict[tuple, int] = {}   # state -> largest budget proven infeasible
-        forms: dict[tuple, tuple] = {}  # cycle -> least rotations of it and of its inverse
-        mirrors: dict[tuple, tuple] = {}  # clean cluster -> the cluster inverted
+        failed, forms, mirrors = self._failed, self._forms, self._mirrors
 
         def form(c: tuple) -> tuple:
             f = forms.get(c)
@@ -235,11 +237,9 @@ class CancellationDiagrams:
 
         return search(canonical([cluster(_CLEAN, [c]) for c in self.cycles]), budget)
 
-    def min_genus(self, cutoff: int) -> int | None:
-        for g in range(cutoff + 1):
-            if self.solvable_within(g):
-                return g
-        return None
+    def min_genus(self, cutoff: int, start: int = 0) -> int | None:
+        """Least budget in ``start..cutoff`` that some diagram fits, or None."""
+        return next((g for g in range(start, cutoff + 1) if self.solvable_within(g)), None)
 
 
 def _normalized_discs(form: StandardForm) -> list[Word]:
@@ -266,14 +266,6 @@ def form_solvable(form: StandardForm) -> bool:
     discs = _normalized_discs(form)
     diag = CancellationDiagrams(discs, form.kind)
     return diag.solvable_within(form.genus)
-
-
-def form_min_genus(form: StandardForm, cutoff: int | None = None) -> int | None:
-    discs = _normalized_discs(form)
-    if cutoff is None:
-        cutoff = sum(len(d) for d in discs) // 2 + 1
-    diag = CancellationDiagrams(discs, form.kind)
-    return diag.min_genus(cutoff)
 
 
 # --- the solver -----------------------------------------------------------------
@@ -522,11 +514,5 @@ def tuple_genus(
     s = sum(len(c) for c in coefficients)
     if cutoff is None:
         cutoff = s // 2 + 1
-    start = 0 if kind == ORIENTABLE else 1
-    form0 = _tuple_form(coefficients, 0, kind)
-    discs = _normalized_discs(form0)
-    diag = CancellationDiagrams(discs, kind)
-    for g in range(start, cutoff + 1):
-        if diag.solvable_within(g):
-            return g
-    return None
+    diag = CancellationDiagrams(_normalized_discs(_tuple_form(coefficients, 0, kind)), kind)
+    return diag.min_genus(cutoff, 0 if kind == ORIENTABLE else 1)

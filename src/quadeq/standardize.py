@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .equations import EquationError, EquationSystem, Equation
+from .equations import EquationSystem, Equation
 from .words import Generator, Word, substitute
 
 ORIENTABLE = "orientable"
@@ -91,10 +91,6 @@ class StandardForm:
             w = w * Word((z.inv(),)) * c * Word((z,))
         w = w * self.tail
         return EquationSystem(gens, names, (Equation(w),))
-
-
-def standard_form_system(form: StandardForm, gens: tuple[str, ...]) -> EquationSystem:
-    return form.system(gens)
 
 
 @dataclass
@@ -351,16 +347,19 @@ class _Normalizer:
             i1, _i2 = self.occurrences(x)
             self.rotate(i1)
             occ = self.occurrences(x)
-            assert occ[0] == 0 and self.word[0].sign == 1
+            if occ[0] != 0 or self.word[0].sign != 1:
+                raise AssertionError("internal: rotation must bring x^+1 to the front")
             ys = [k for k in self.occurrences(y) if 0 < k < occ[1]]
-            assert len(ys) == 1, "linked partner must sit inside the gap"
+            if len(ys) != 1:
+                raise AssertionError("internal: linked partner must sit inside the gap")
             k = ys[0]
             if self.word[k].sign == -1:
                 self.flip(y)
             # word = x A y B x^-1 C y^-1 D
             i2 = self.occurrences(x)[1]
             j2 = [t for t in self.occurrences(y) if t != k][0]
-            assert k < i2 < j2
+            if not k < i2 < j2:
+                raise AssertionError("internal: handle letters out of order")
             a = self.segment(1, k)
             yw = Word((Generator(y, 1),))
             xw = Word((Generator(x, 1),))
@@ -447,7 +446,8 @@ class _Normalizer:
                 if inner_ok:
                     target = s
                     break
-            assert target is not None, "open pairs must nest after handle collection"
+            if target is None:
+                raise AssertionError("internal: open pairs must nest after handle collection")
             s = target
             # vacate closed blocks from the interior by sliding them to front
             while True:
@@ -479,7 +479,8 @@ class _Normalizer:
             if len(occ) != 2:
                 continue  # the pair cancelled away; variable became free
             i, j = occ
-            assert all(self.word[k].sym < self.nc for k in range(i + 1, j))
+            if any(self.word[k].sym >= self.nc for k in range(i + 1, j)):
+                raise AssertionError("internal: a square's gap must be constant")
             if self.word[i].sign == 1:
                 self.flip(s)
 
@@ -488,7 +489,8 @@ class _Normalizer:
         squares, handles, _ = self.blocks()
         conj = self.conj_blocks()
         kind_nonor = bool(squares)
-        assert not (squares and handles), "mixed blocks must be absorbed first"
+        if squares and handles:
+            raise AssertionError("internal: mixed blocks must be absorbed first")
 
         ordered_vars: list[int] = []
         prefix_len = 0
@@ -547,14 +549,16 @@ class _Normalizer:
             i, j = self.occurrences(s)
             self.slide_conj_block(s, self.segment(prefix_len, i))
             i2, j2 = self.occurrences(s)
-            assert i2 == prefix_len
+            if i2 != prefix_len:
+                raise AssertionError("internal: a slid block must start at the prefix")
             coeff_list.append((s, self.segment(i2 + 1, j2)))
             prefix_len = j2 + 1
             ordered_vars.append(s)
             placed.add(s)
 
         tail = self.segment(prefix_len, len(self.word))
-        assert all(g.sym < self.nc for g in tail), "tail must be constant"
+        if any(g.sym >= self.nc for g in tail):
+            raise AssertionError("internal: tail must be constant")
         return ordered_vars, genus_vars, coeff_list, tail
 
 

@@ -11,13 +11,11 @@ multi-form genus accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
+from .standardize import NONORIENTABLE, ORIENTABLE
 from .words import Alphabet, CyclicWord, Generator, Word, cyclic_normalize
-
-ORIENTABLE = "orientable"
-NONORIENTABLE = "nonorientable"
 
 
 class NotQuadraticError(ValueError):
@@ -83,7 +81,8 @@ class Component:
     @property
     def genus(self) -> int:
         if self.orientable:
-            assert (2 - self.chi) % 2 == 0
+            if self.chi % 2:
+                raise AssertionError("internal: an orientable surface has even chi")
             return (2 - self.chi) // 2
         return 2 - self.chi
 
@@ -357,12 +356,12 @@ def glue(qset: QuadraticSet | Iterable[CyclicWord | Word]) -> GluedSurface:
     if not isinstance(qset, QuadraticSet):
         qset = classify(qset)
     surf = SurfaceComplex(qset).summary()
-    if len(qset.words) == 1:
-        # a one-polygon gluing has no disc-flip freedom: the letter signs
-        # decide orientability.  (Multi-disc sets can classify non-orientable
-        # yet glue orientably, e.g. {ab, ab} is a sphere.)
-        assert surf.kind == qset.kind, (
-            "orientability of a one-word gluing disagrees with the letter signs"
+    # a one-polygon gluing has no disc-flip freedom: the letter signs decide
+    # orientability.  (Multi-disc sets can classify non-orientable yet glue
+    # orientably, e.g. {ab, ab} is a sphere.)
+    if len(qset.words) == 1 and surf.kind != qset.kind:
+        raise AssertionError(
+            "internal: orientability of a one-word gluing disagrees with the letter signs"
         )
     return surf
 

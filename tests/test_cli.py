@@ -126,6 +126,19 @@ def test_surface_torus(tmp_path, capsys):
     assert "genus: 1" in out
 
 
+@pytest.mark.parametrize("cmd,text,message", [
+    ("genus", "[a,b]\ngens: a b\n", "error: line 1: coefficients before gens: header"),
+    ("genus", "# no header\n", "error: need a gens: header and at least one coefficient"),
+    ("surface", "a a\nedges: a\n", "error: line 1: words before edges: header"),
+    ("surface", "# no header\n", "error: need an edges: header and at least one word"),
+])
+def test_word_file_header_errors(tmp_path, capsys, cmd, text, message):
+    f = write(tmp_path, "w.txt", text)
+    code, out, err = run(capsys, cmd, f)
+    assert code == 2
+    assert out == "" and err.strip() == message
+
+
 def test_surface_dot(tmp_path, capsys):
     f = write(tmp_path, "q.txt", "edges: a\na a\n")
     dot = str(tmp_path / "g.dot")
@@ -180,6 +193,22 @@ def test_geneq_trace(tmp_path, capsys):
     dump1 = out.split("bounds ", 1)[1]
     dump2 = out2.split("bounds ", 1)[1]
     assert dump1 == dump2
+
+
+@pytest.mark.parametrize("text,rounds", [
+    ("gens: a b\nvars: x y z\nx b = 1\ny z y x^-1 z = 1\n", 5),
+    ("gens: a b\nvars: x y z\nx b a^2 = 1\ny z y x z = 1\n", 6),
+])
+def test_geneq_trace_search_prunes_bad_cut(tmp_path, capsys, text, rounds):
+    # a cut that would delete a boundary still in use prunes its search branch
+    f = write(tmp_path, "s.txt", text)
+    tr = str(tmp_path / "trace.txt")
+    code, out, _ = run(capsys, "geneq-trace", f, "--trace-out", tr)
+    assert code == 0
+    assert "status: terminal" in out and f"rounds: {rounds}" in out
+    code2, out2, _ = run(capsys, "geneq-trace", f, "--replay", tr)
+    assert code2 == 0
+    assert out.split("bounds ", 1)[1] == out2.split("bounds ", 1)[1]
 
 
 def test_compute_l(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -230,7 +231,7 @@ def test_et_carrier_soundness_small():
 def test_entire_transform_constant_equation_terminal():
     b = build("gens: a b\nvars: x\nx = a")
     sol = b.push({"x": AL.word("a")})
-    res = entire_transform(b.geneq, budget=10, solution=sol, verify_steps=True)
+    res = entire_transform(b.geneq, budget=10, solution=sol)
     assert res.status == "terminal"
     assert res.solution.verify(res.terminal)
 
@@ -253,8 +254,7 @@ def test_entire_transform_triangular_with_constants():
     b = from_system(s)
     gsol = b.push(sol)
     assert gsol.verify(b.geneq)
-    res = entire_transform(b.geneq, budget=b.geneq.nbound, solution=gsol,
-                           verify_steps=True)
+    res = entire_transform(b.geneq, budget=b.geneq.nbound, solution=gsol)
     assert res.status == "terminal"
     assert res.rounds <= b.geneq.nbound
 
@@ -264,7 +264,7 @@ def test_entire_transform_trace_replay_byte_exact():
     b = from_system(s)
     _sol, gsol = first_graphical(b, s, bound=1, limit=20)
     assert gsol is not None
-    res = entire_transform(b.geneq, budget=50, solution=gsol, verify_steps=True)
+    res = entire_transform(b.geneq, budget=50, solution=gsol)
     assert res.status in ("terminal", "repeat")
     replayed = replay_trace(b.geneq, res.trace)
     assert replayed.canonical_text() == res.terminal.canonical_text()
@@ -293,7 +293,7 @@ def test_entire_transform_never_adds_bases_and_stays_quadratic():
     start_count = len(b.geneq.nonconstant_bases())
     gsol = b.push(sol)
 
-    res = entire_transform(b.geneq, budget=100, solution=gsol, verify_steps=True)
+    res = entire_transform(b.geneq, budget=100, solution=gsol)
     assert res.status in ("terminal", "repeat")
     assert len(res.terminal.nonconstant_bases()) <= start_count
     assert res.terminal.is_quadratic()
@@ -307,3 +307,195 @@ def test_entire_transform_search_mode():
     assert res.status == "terminal"
     replayed = replay_trace(b.geneq, res.trace)
     assert replayed.canonical_text() == res.terminal.canonical_text()
+
+
+# --- pinned runs over the corpus ----------------------------------------------------
+
+# Rows are (corpus index, status, rounds, trace digest, terminal digest); a
+# digest is the first 16 hex digits of the sha256 of ``render_trace`` or of the
+# terminal ``canonical_text``.  Solution mode: every 10th corpus system with a
+# graphical witness at SearchBound(1) (the first of up to 50 enumerated
+# solutions that pushes), budget 50.
+SOLUTION_PINS = [
+    (52, 'terminal', 1, '6d12c2698d60a06e', 'f8a72eb9f5073559'),
+    (221, 'terminal', 1, 'eeb2b747161cba58', 'f8a72eb9f5073559'),
+    (399, 'terminal', 3, '3314d4bcb3b028b1', 'cf59da6f6ce9b065'),
+    (509, 'terminal', 3, '3a8b41c0101869fe', 'cf59da6f6ce9b065'),
+    (1147, 'terminal', 1, '6d12c2698d60a06e', 'f8a72eb9f5073559'),
+    (1697, 'terminal', 1, 'eeb2b747161cba58', 'f8a72eb9f5073559'),
+    (2027, 'terminal', 1, '6d12c2698d60a06e', 'f8a72eb9f5073559'),
+    (2193, 'terminal', 3, '6557193b6e880148', '7fc945f3fbd228e9'),
+    (2305, 'terminal', 3, '6557193b6e880148', 'cf59da6f6ce9b065'),
+    (2451, 'terminal', 3, '0bb31914388e7550', '7fc945f3fbd228e9'),
+    (2611, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (2721, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (2831, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (2941, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (3119, 'terminal', 3, 'f4769fdf8f8e915f', 'cf59da6f6ce9b065'),
+    (3229, 'terminal', 3, '11ccb90b414a6422', 'cf59da6f6ce9b065'),
+    (3339, 'terminal', 3, '0bb31914388e7550', 'cf59da6f6ce9b065'),
+    (3551, 'terminal', 3, 'f4769fdf8f8e915f', '7fc945f3fbd228e9'),
+    (3661, 'terminal', 3, '11ccb90b414a6422', '7fc945f3fbd228e9'),
+    (3771, 'terminal', 3, '0bb31914388e7550', '7fc945f3fbd228e9'),
+    (3931, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (4057, 'terminal', 3, '2df5b717ddf4d007', 'cf59da6f6ce9b065'),
+    (4219, 'terminal', 3, 'a61bf9cec6226d51', 'cf59da6f6ce9b065'),
+    (4481, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (4591, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (4769, 'terminal', 3, 'a61bf9cec6226d51', 'cf59da6f6ce9b065'),
+    (4981, 'terminal', 3, 'd5c06b7d13c896f1', '7fc945f3fbd228e9'),
+    (5141, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (5369, 'terminal', 3, '7f5adb58c57848e1', '7fc945f3fbd228e9'),
+    (5531, 'terminal', 3, 'a61bf9cec6226d51', '7fc945f3fbd228e9'),
+    (5691, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (5869, 'terminal', 3, 'd5c06b7d13c896f1', 'cf59da6f6ce9b065'),
+    (5979, 'terminal', 3, '75a927562d7859a3', 'cf59da6f6ce9b065'),
+    (6089, 'terminal', 3, '75a927562d7859a3', 'cf59da6f6ce9b065'),
+    (6199, 'terminal', 3, '75a927562d7859a3', 'cf59da6f6ce9b065'),
+    (6309, 'terminal', 3, '75a927562d7859a3', 'cf59da6f6ce9b065'),
+    (6629, 'terminal', 3, '24e0ff74878d60b4', 'cf59da6f6ce9b065'),
+    (7155, 'terminal', 5, 'b4a8c365775fbf0c', 'cf59da6f6ce9b065'),
+    (7507, 'terminal', 1, 'eeb2b747161cba58', 'f8a72eb9f5073559'),
+    (8037, 'terminal', 5, 'ab0b9c1ddad55e6c', '7fc945f3fbd228e9'),
+    (8355, 'terminal', 3, '1e4185b6c2e5a6d3', '7fc945f3fbd228e9'),
+    (8565, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (8743, 'terminal', 3, '3a8b41c0101869fe', 'cf59da6f6ce9b065'),
+    (9225, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (9505, 'terminal', 5, 'd395755121b2f23e', '7fc945f3fbd228e9'),
+    (9665, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (9945, 'terminal', 5, 'c52e4313b3ecc344', '7fc945f3fbd228e9'),
+    (10173, 'terminal', 5, 'ab0b9c1ddad55e6c', 'cf59da6f6ce9b065'),
+    (10435, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (10765, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (11111, 'terminal', 3, 'eb408aeb3a51b21a', 'cf59da6f6ce9b065'),
+    (11645, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (11925, 'terminal', 5, '3cddd171400a3fe0', '7fc945f3fbd228e9'),
+    (12305, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (12585, 'terminal', 5, '989b07307f338a82', '7fc945f3fbd228e9'),
+    (12745, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (13075, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (13523, 'terminal', 3, 'eb408aeb3a51b21a', '7fc945f3fbd228e9'),
+    (13955, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (14285, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (14615, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (14945, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (15071, 'terminal', 3, '399507cd6e6b9991', 'cf59da6f6ce9b065'),
+    (15385, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (15935, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (16061, 'terminal', 3, 'ee99d96ab2ed5d6e', 'cf59da6f6ce9b065'),
+    (16375, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (16603, 'terminal', 3, '24e0ff74878d60b4', '7fc945f3fbd228e9'),
+    (16815, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (16941, 'terminal', 3, 'ee99d96ab2ed5d6e', 'cf59da6f6ce9b065'),
+    (17205, 'terminal', 3, '8994fe35041b8130', '7fc945f3fbd228e9'),
+    (17433, 'terminal', 3, 'ad48f78e31e634a6', 'cf59da6f6ce9b065'),
+    (17593, 'terminal', 3, 'ee99d96ab2ed5d6e', '7fc945f3fbd228e9'),
+    (17805, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (17915, 'terminal', 1, 'eeb2b747161cba58', 'f8a72eb9f5073559'),
+    (18093, 'terminal', 3, 'ad48f78e31e634a6', 'cf59da6f6ce9b065'),
+    (18203, 'terminal', 3, 'bce3c19167ab31c6', 'cf59da6f6ce9b065'),
+    (18635, 'terminal', 5, '8b56f7626cf773a2', '7fc945f3fbd228e9'),
+    (18795, 'terminal', 1, 'eeb2b747161cba58', 'f8a72eb9f5073559'),
+    (18973, 'terminal', 5, '26394c68b999ea13', 'cf59da6f6ce9b065'),
+    (19455, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (19785, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (20013, 'terminal', 5, '9400231b5b9af07e', '7fc945f3fbd228e9'),
+    (20123, 'terminal', 3, '668165911b672636', '7fc945f3fbd228e9'),
+    (20403, 'terminal', 3, '3314d4bcb3b028b1', 'cf59da6f6ce9b065'),
+    (20835, 'terminal', 5, '8b56f7626cf773a2', '7fc945f3fbd228e9'),
+    (20995, 'terminal', 1, 'eeb2b747161cba58', 'f8a72eb9f5073559'),
+    (21173, 'terminal', 5, '26394c68b999ea13', 'cf59da6f6ce9b065'),
+    (21655, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (21985, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (22213, 'terminal', 5, '9400231b5b9af07e', '7fc945f3fbd228e9'),
+    (22323, 'terminal', 3, '668165911b672636', '7fc945f3fbd228e9'),
+    (22603, 'terminal', 3, '3314d4bcb3b028b1', 'cf59da6f6ce9b065'),
+    (23035, 'terminal', 5, '41d86a51d9a54676', '7fc945f3fbd228e9'),
+    (23415, 'terminal', 1, 'eeb2b747161cba58', 'f8a72eb9f5073559'),
+    (23745, 'terminal', 1, 'eeb2b747161cba58', 'f8a72eb9f5073559'),
+    (24295, 'terminal', 1, 'eeb2b747161cba58', 'f8a72eb9f5073559'),
+    (24625, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (24955, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (25065, 'terminal', 1, 'eeb2b747161cba58', 'f8a72eb9f5073559'),
+    (25395, 'terminal', 1, 'eeb2b747161cba58', 'f8a72eb9f5073559'),
+    (25573, 'terminal', 3, '6bc474b49993a158', 'cf59da6f6ce9b065'),
+    (25851, 'terminal', 3, 'eb408aeb3a51b21a', 'cf59da6f6ce9b065'),
+    (26165, 'terminal', 1, 'eeb2b747161cba58', 'f8a72eb9f5073559'),
+    (26495, 'terminal', 1, 'eeb2b747161cba58', 'f8a72eb9f5073559'),
+    (26723, 'terminal', 3, 'ce2f2a8719fa40e8', '7fc945f3fbd228e9'),
+    (26951, 'terminal', 3, 'eb408aeb3a51b21a', 'cf59da6f6ce9b065'),
+    (27113, 'terminal', 5, '3a8620f14a70e072', 'cf59da6f6ce9b065'),
+    (27375, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (27655, 'terminal', 3, 'dc0da3661f266a1c', '7fc945f3fbd228e9'),
+    (27815, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (27993, 'terminal', 3, '3a8b41c0101869fe', 'cf59da6f6ce9b065'),
+    (28205, 'terminal', 3, 'dc0da3661f266a1c', '7fc945f3fbd228e9'),
+    (28365, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (28543, 'terminal', 3, '3a8b41c0101869fe', 'cf59da6f6ce9b065'),
+    (28805, 'terminal', 1, 'eeb2b747161cba58', 'f8a72eb9f5073559'),
+    (29033, 'terminal', 3, '462dffe66090cf95', '7fc945f3fbd228e9'),
+    (29245, 'terminal', 1, 'ca1dc123b0309d4a', 'f8a72eb9f5073559'),
+    (29371, 'terminal', 3, 'c5435e24137811fc', 'cf59da6f6ce9b065'),
+    (29635, 'terminal', 3, 'd2193a1957abb49b', '7fc945f3fbd228e9'),
+]
+
+# Search mode, budget 6.  25123 and 25705 end because a cut that would
+# delete a boundary still in use prunes its branch.
+SEARCH_PINS = [
+    (0, 'terminal', 2, 'acc7e2bc69833a4d', 'c8e6d37c1a91b17b'),
+    (97, 'terminal', 2, 'c99b224b691178b8', '7b2d11d485b6691f'),
+    (291, 'terminal', 4, '06dffa3cc0079f0a', '5235b21fc921bf8e'),
+    (388, 'terminal', 3, '23d5dad8346f0a89', 'c8e6d37c1a91b17b'),
+    (582, 'terminal', 3, '1bc8eb9c3468eb66', 'a3d935ae64d7611f'),
+    (873, 'budget', 6, '01ba4719c80b6fe9', '747fb062e6d80ecf'),
+    (1067, 'terminal', 5, 'ca2b80e10aea52b6', 'e17ef7eb0bddffa2'),
+    (1649, 'terminal', 5, '78543cc8b90bf7fe', '5645a3683aa57915'),
+    (2037, 'terminal', 3, 'f3075eb88d55b32b', '707e7a50d7a5f895'),
+    (5141, 'terminal', 3, '40bb9fc09e062f94', '469f148befa81340'),
+    (6499, 'terminal', 6, '8828ec834520e66d', 'd92a50527a5d72f5'),
+    (6887, 'terminal', 6, '414767ab8cde5924', '5235b21fc921bf8e'),
+    (7566, 'terminal', 5, '98a694b8b51597e5', '069b367e9169b6cc'),
+    (8730, 'budget', 6, '01ba4719c80b6fe9', '0d81196e58f9738e'),
+    (9118, 'budget', 6, '01ba4719c80b6fe9', '70aa133637bf6456'),
+    (12804, 'terminal', 4, 'c8c466336f8eb933', '66d8ed3427e3c952'),
+    (14453, 'terminal', 5, 'cb3ecbd1604507e1', 'e73a76c8f12547c0'),
+    (19400, 'terminal', 4, 'dea4f76eaafecc04', '469f148befa81340'),
+    (24735, 'terminal', 4, '2667d9366adf3cf2', '469f148befa81340'),
+    (28421, 'terminal', 6, 'a52bb3207c931f0a', 'c8e6d37c1a91b17b'),
+    (28809, 'terminal', 3, '484ecc2dd734f74a', '66d8ed3427e3c952'),
+    (25123, 'terminal', 5, 'f4268ff7beb68868', '8dae129283ae028e'),
+    (25705, 'terminal', 6, '030bdc639865e860', '3fb017da62e334b6'),
+]
+
+
+@pytest.fixture(scope="module")
+def corpus_systems():
+    from corpus import iter_corpus
+
+    return list(iter_corpus())
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _pin_row(index, res):
+    return (index, res.status, res.rounds, _digest(render_trace(res.trace)),
+            _digest(res.terminal.canonical_text()))
+
+
+def test_entire_transform_pinned_solution_mode(corpus_systems):
+    for row in SOLUTION_PINS:
+        s = corpus_systems[row[0]]
+        b = from_system(s)
+        _sol, gsol = first_graphical(b, s, bound=1, limit=50)
+        res = entire_transform(b.geneq, budget=50, solution=gsol)
+        assert _pin_row(row[0], res) == row
+
+
+def test_entire_transform_pinned_search_mode(corpus_systems):
+    for row in SEARCH_PINS:
+        ge = from_system(corpus_systems[row[0]]).geneq
+        res = entire_transform(ge, budget=6)
+        assert _pin_row(row[0], res) == row
+        assert replay_trace(ge, res.trace).canonical_text() == res.terminal.canonical_text()

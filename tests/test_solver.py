@@ -10,7 +10,6 @@ from quadeq.solver import (
     GenusResult,
     SolverError,
     default_bound,
-    form_min_genus,
     form_solvable,
     genus_nonorientable,
     genus_orientable,
