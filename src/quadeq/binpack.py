@@ -260,7 +260,6 @@ def default_check_bound(inst: BinPackInstance) -> int:
 def check_equivalence(
     inst: BinPackInstance,
     params: ReductionParams = ReductionParams(),
-    oracle_bound: int | None = None,
     run_oracle: bool = True,
 ) -> EquivalenceReport:
     """Compare exhaustive packing with the equation-side verdicts (Eq ***)."""
@@ -272,7 +271,7 @@ def check_equivalence(
         solver_status = res.status
     else:
         solver_status = "skipped"
-    bound = default_check_bound(inst) if oracle_bound is None else oracle_bound
+    bound = default_check_bound(inst)
 
     witness_ok = False
     if packing is not None:

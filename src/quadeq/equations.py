@@ -256,48 +256,15 @@ class TriangularConstantForm:
 
     original: EquationSystem
     system: EquationSystem
+    triangulation: Triangulation
     triples: tuple[tuple[Generator, Generator, Generator], ...]
     constant_eqs: tuple[tuple[str, Word], ...]  # (var name, constant word)
     trivially_false: bool
 
     def lift(self, assignment: Mapping[str, Word]) -> dict[str, Word]:
         """Extend an original solution to all normal-form variables."""
-        out = dict(assignment)
-        for name, cword in self.constant_eqs:
-            if name not in out:
-                out[name] = cword
-        # chain variables introduced by the inner triangulation are recovered
-        # by re-solving each triple left to right
-        changed = True
-        while changed:
-            changed = False
-            for t in self.triples:
-                vals = []
-                missing = None
-                for g in t:
-                    name = self.system.var_name(g.sym)
-                    if name in out:
-                        v = out[name]
-                        vals.append(v if g.sign > 0 else v.inverse())
-                    else:
-                        if missing is not None:
-                            missing = ...
-                            break
-                        missing = (g, len(vals))
-                        vals.append(None)
-                if missing is None or missing is ...:
-                    continue
-                g, idx = missing
-                before = Word()
-                for v in vals[:idx]:
-                    before = before * v
-                after = Word()
-                for v in vals[idx + 1 :]:
-                    after = after * v
-                img = (before.inverse() * after.inverse())
-                name = self.system.var_name(g.sym)
-                out[name] = img if g.sign > 0 else img.inverse()
-                changed = True
+        out = self.triangulation.lift(assignment)
+        out.update((name, cword) for name, cword in self.constant_eqs if name not in assignment)
         return out
 
 
@@ -357,23 +324,9 @@ def triangular_constant_form(system: EquationSystem) -> TriangularConstantForm:
                 items.append(g)
         while len(items) < 3:
             items.append(fresh_var(Word()))
-        if len(items) == 3:
-            triples.append((items[0], items[1], items[2]))
-            continue
-        # re-triangulate the variable skeleton (constants already abstracted)
-        chain_names = _fresh_names(taken, prefix="x")
-        prev: Generator | None = None
-        n = len(items)
-        for k in range(n - 3):
-            name = next(chain_names)
-            new_vars.append(name)
-            x = Generator(base + len(new_vars) - 1, 1)
-            first = (items[0], items[1]) if k == 0 else (prev.inv(), items[k + 1])  # type: ignore[union-attr]
-            triples.append((first[0], first[1], x))
-            prev = x
-        if prev is None:
-            raise AssertionError("internal: a long skeleton must open a chain")
-        triples.append((prev.inv(), items[n - 2], items[n - 1]))
+        if len(items) != 3:
+            raise AssertionError("internal: a triangulated relator has at most 3 letters")
+        triples.append((items[0], items[1], items[2]))
 
     equations = [Equation(Word(t)) for t in triples]
     sym_of = {n: base + i for i, n in enumerate(new_vars)}
@@ -385,6 +338,7 @@ def triangular_constant_form(system: EquationSystem) -> TriangularConstantForm:
     return TriangularConstantForm(
         original=system,
         system=out,
+        triangulation=tri,
         triples=tuple(triples),
         constant_eqs=tuple(const_eqs),
         trivially_false=trivially_false,

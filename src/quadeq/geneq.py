@@ -22,6 +22,9 @@ from typing import Iterable, Mapping, Sequence
 from .equations import Equation, EquationSystem
 from .words import Generator, Word, substitute
 
+# The search mode of ``entire_transform`` gives up after this many nodes.
+_SEARCH_NODES = 10_000
+
 
 class GenEqError(ValueError):
     pass
@@ -894,12 +897,25 @@ def _entire_round(
     return ge, sol, _terminal(ge)
 
 
+class _OutOfNodes(Exception):
+    pass
+
+
 def _entire_transform_search(ge: GenEq, budget: int) -> EntireTransformResult:
-    """Depth-first tie search: enumerate placements left to right."""
+    """Depth-first tie search: enumerate placements left to right.
+
+    The round budget alone does not bound the search, so it also gives up
+    after ``_SEARCH_NODES`` nodes, with status ``budget``.
+    """
     seen: set[str] = set()
+    nodes = 0
 
     # every call owns ``trace``: branches pass extended copies
     def rec(g: GenEq, trace: list[TraceOp], rounds: int) -> EntireTransformResult | None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > _SEARCH_NODES:
+            raise _OutOfNodes
         g = _drop_matched(g, trace)
         if _terminal(g):
             trace.append(TraceOp("terminal", ()))
@@ -946,7 +962,10 @@ def _entire_transform_search(ge: GenEq, budget: int) -> EntireTransformResult:
         except GenEqError:
             return None
 
-    out = rec(ge, [], 0)
+    try:
+        out = rec(ge, [], 0)
+    except _OutOfNodes:
+        out = None
     if out is not None:
         return out
     return EntireTransformResult(ge, [], budget, "budget")

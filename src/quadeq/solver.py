@@ -49,7 +49,7 @@ from .standardize import (
     StandardForm,
     standardize,
 )
-from .words import Generator, Word, substitute
+from .words import Generator, Word, replay, substitute
 
 
 class SolverError(ValueError):
@@ -278,10 +278,6 @@ class SolveResult:
     bound_used: int
     detail: str = ""
 
-    @property
-    def satisfiable(self) -> bool:
-        return self.status == "sat"
-
 
 def default_bound(form: StandardForm) -> int:
     """The cited minimal-solution bounds: 2s orientable, 12 s^4 otherwise."""
@@ -429,14 +425,9 @@ def solve_quadratic(
         for name, w in back.items():
             assignment[system.var_sym(name)] = w
 
-    # free variables and eliminated ones
-    for name in system.variables:
-        sym = system.var_sym(name)
-        if sym not in assignment and sym not in {s for s, _ in elim}:
-            assignment[sym] = Word()
-    for sym, expr in reversed(elim):
-        assignment[sym] = substitute(expr, assignment)
-
+    # eliminated variables follow from later material; free ones are 1
+    assignment = replay([{sym: expr} for sym, expr in reversed(elim)], assignment,
+                        system.var_syms)
     witness = {system.var_name(s): w for s, w in assignment.items()}
     if not system.check(witness):
         raise AssertionError("internal: witness failed verification")
@@ -503,16 +494,13 @@ def genus_nonorientable(
 
 def tuple_genus(
     coefficients: Sequence[Word], kind: str, gens: tuple[str, ...],
-    cutoff: int | None = None,
 ) -> int | None:
-    """Least solvable genus, or None up to the cutoff.
+    """Least solvable genus, or None when no diagram exists.
 
-    Cutoff defaults to total coefficient length / 2 + 1; the diagram model
+    The search stops at total coefficient length / 2 + 1; the diagram model
     never needs more (costs are bounded by the letter count), and for
-    non-orientable forms the search starts at 1.
+    non-orientable forms it starts at 1.
     """
-    s = sum(len(c) for c in coefficients)
-    if cutoff is None:
-        cutoff = s // 2 + 1
+    cutoff = sum(len(c) for c in coefficients) // 2 + 1
     diag = CancellationDiagrams(_normalized_discs(_tuple_form(coefficients, 0, kind)), kind)
     return diag.min_genus(cutoff, 0 if kind == ORIENTABLE else 1)

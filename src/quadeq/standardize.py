@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .equations import EquationSystem, Equation
-from .words import Generator, Word, substitute
+from .words import Generator, Word, replay, substitute
 
 ORIENTABLE = "orientable"
 NONORIENTABLE = "nonorientable"
@@ -99,54 +99,29 @@ class Normalization:
 
     ``to_original`` evaluates a solution of the standard-form system back to
     the input equation's variables; ``to_standard`` pushes an input solution
-    onto the standard form.  Both directions are exact (substitution records).
+    onto the standard form.  Both directions are exact: they replay the
+    normalizer's recorded moves, each a substitution and its inverse.
     """
 
     original: EquationSystem
     form: StandardForm
     system: EquationSystem  # the standard equation over canonical names
-    _fwd: dict[int, Word]          # original var sym -> word over final internal syms
-    _bwd: dict[int, Word]          # internal var sym -> word over original var syms
+    _moves: list[tuple[dict[int, Word], dict[int, Word]]]  # (mapping, inverse)
     _out_names: dict[int, str]     # final internal sym -> canonical output name
 
     def to_original(self, assignment: Mapping[str, Word]) -> dict[str, Word]:
-        by_sym: dict[int, Word] = {}
         name_to_out = {n: s for s, n in self._out_names.items()}
-        for name, w in assignment.items():
+        for name in assignment:
             if name not in name_to_out:
                 raise StandardizeError(f"unknown standard-form variable {name!r}")
-            # translate the value (over gens + output vars) to internal syms
-            out_sys = self.system
-            conv = []
-            for g in w:
-                if g.sym < out_sys.n_constants:
-                    conv.append(g)
-                else:
-                    conv.append(Generator(name_to_out[out_sys.var_name(g.sym)], g.sign))
-            by_sym[name_to_out[name]] = Word(conv)
-        out: dict[str, Word] = {}
-        for name in self.original.variables:
-            sym = self.original.var_sym(name)
-            expr = self._fwd[sym]
-            out[name] = substitute(expr, by_sym)
-        # variables that vanished entirely default to the identity
-        for name, w in out.items():
-            if any(g.sym >= self.original.n_constants for g in w):
-                out[name] = substitute(w, {g.sym: Word() for g in w
-                                           if g.sym >= self.original.n_constants})
-        return out
+        by_sym = {name_to_out[n]: w for n, w in assignment.items()}
+        values = replay([m for m, _ in reversed(self._moves)], by_sym, self.original.var_syms)
+        return {n: values[self.original.var_sym(n)] for n in self.original.variables}
 
     def to_standard(self, assignment: Mapping[str, Word]) -> dict[str, Word]:
         by_sym = {self.original.var_sym(n): w for n, w in assignment.items()}
-        out: dict[str, Word] = {}
-        for sym, name in self._out_names.items():
-            expr = self._bwd[sym]
-            val = substitute(expr, by_sym)
-            if any(g.sym >= self.original.n_constants for g in val):
-                val = substitute(val, {g.sym: Word() for g in val
-                                       if g.sym >= self.original.n_constants})
-            out[name] = val
-        return out
+        values = replay([inv for _, inv in self._moves], by_sym, self.original.var_syms)
+        return {name: values[sym] for sym, name in self._out_names.items()}
 
 
 class _Normalizer:
@@ -160,11 +135,9 @@ class _Normalizer:
                 counts[g.sym] = counts.get(g.sym, 0) + 1
         if any(c != 2 for c in counts.values()):
             raise StandardizeError("equation is not quadratic")
-        self.sys = system
         self.nc = system.n_constants
         self.word = rel
-        self.fwd = {s: Word((Generator(s, 1),)) for s in system.var_syms}
-        self.bwd = {s: Word((Generator(s, 1),)) for s in system.var_syms}
+        self.moves: list[tuple[dict[int, Word], dict[int, Word]]] = []
         self.steps = 0
         self._cyclic_reduce()
 
@@ -182,14 +155,10 @@ class _Normalizer:
         self.word = w
 
     def subst(self, mapping: dict[int, Word], inverse: dict[int, Word]):
-        """Apply an invertible substitution; update word and transport maps."""
+        """Apply an invertible substitution to the word and record it."""
         self._tick()
         self.word = substitute(self.word, mapping)
-        self.fwd = {s: substitute(w, mapping) for s, w in self.fwd.items()}
-        new_bwd = dict(self.bwd)
-        for sym, inv_img in inverse.items():
-            new_bwd[sym] = substitute(inv_img, self.bwd)
-        self.bwd = new_bwd
+        self.moves.append((mapping, inverse))
         self._cyclic_reduce()
 
     def subst1(self, sym: int, image: Word, inverse_image: Word):
@@ -622,7 +591,6 @@ def standardize(system: EquationSystem) -> Normalization:
         original=system,
         form=form,
         system=out_sys,
-        _fwd=nz.fwd,
-        _bwd=nz.bwd,
+        _moves=nz.moves,
         _out_names=out_names,
     )

@@ -86,10 +86,6 @@ class Alphabet:
                 letters.append(Generator(self.index(n), 1))
         return Word(letters)
 
-    def spell(self, g: Generator) -> str:
-        name = self.names[g.sym]
-        return name if g.sign > 0 else name + "^-1"
-
     def format(self, w: "Word | CyclicWord") -> str:
         """Render a word with collapsed powers, ``1`` for the empty word."""
         if isinstance(w, CyclicWord):
@@ -200,9 +196,6 @@ class Word:
 
     def key(self) -> tuple:
         return (len(self._letters), tuple(g.key for g in self._letters))
-
-    def exponent_sum(self, sym: int) -> int:
-        return sum(g.sign for g in self._letters if g.sym == sym)
 
     def symbols(self) -> set[int]:
         return {g.sym for g in self._letters}
@@ -429,3 +422,23 @@ def substitute(
         else:
             out.extend(img.letters if g.sign > 0 else img.inverse().letters)
     return Word(out)
+
+
+def replay(
+    steps: Iterable[Mapping[int, Word]],
+    values: Mapping[int, Word],
+    variables: Iterable[int],
+) -> dict[int, Word]:
+    """Values of ``variables`` after the simultaneous substitutions
+    ``steps``, in order: a step sets each of its symbols to its image,
+    evaluated at the values before the step.
+
+    An unassigned variable, or a variable letter inside a value, counts as
+    the identity, so every variable ends as a word over the other symbols.
+    """
+    out = dict.fromkeys(variables, Word())
+    varset = set(out)
+    out.update(values)
+    for step in steps:
+        out.update({s: substitute(img, out) for s, img in step.items()})
+    return {s: Word(g for g in w if g.sym not in varset) for s, w in out.items()}

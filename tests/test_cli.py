@@ -211,6 +211,14 @@ def test_geneq_trace_search_prunes_bad_cut(tmp_path, capsys, text, rounds):
     assert out.split("bounds ", 1)[1] == out2.split("bounds ", 1)[1]
 
 
+def test_geneq_trace_search_node_budget(tmp_path, capsys):
+    # corpus system 679: the tie search runs out of nodes long before rounds
+    f = write(tmp_path, "s.txt", "gens: a b\nvars: x y\nx a b^2 x^-1 = 1\ny^2 = 1\n")
+    code, out, _ = run(capsys, "geneq-trace", f)
+    assert code == 3
+    assert "status: budget" in out
+
+
 def test_compute_l(capsys):
     code, out, _ = run(None or capsys, "compute-L", "--q", "1", "--delta", "1",
                        "--alphabet", "2")

@@ -1,15 +1,17 @@
+import hashlib
+import random
+
 import pytest
 
 from quadeq.equations import (
     Equation,
     EquationError,
-    EquationSystem,
     parse_system,
     triangular_constant_form,
     triangulate,
 )
 from quadeq.parsing import parse_word
-from quadeq.words import Word, substitute
+from quadeq.words import Generator, Word
 
 
 def sys_of(text):
@@ -150,3 +152,63 @@ def test_tcf_trivially_false():
     s = sys_of("gens: a\nvars: x\na a = 1\nx x^-1 a^0 = 1")
     f = triangular_constant_form(s)
     assert f.trivially_false
+
+
+# Every 1000th corpus system with a seeded random assignment of its variables
+# (not a solution as a rule): (corpus index, digest of the lifted assignment),
+# the digest taken as in test_solver.py's pinned corpus solutions.
+LIFT_PINS = [
+    (0, '8423fd9c9db4725e'),
+    (1000, 'd88ea0c02270b0f8'),
+    (2000, '1afa869807f7c0f2'),
+    (3000, '16648296c6a5b0c3'),
+    (4000, 'cb16d7dd55ce806d'),
+    (5000, '30953ba4ad653912'),
+    (6000, 'd02d217117465274'),
+    (7000, 'a7f1a7fec94a3fdc'),
+    (8000, '3369bbc9edaa0f6a'),
+    (9000, '20e2dc95d84a17c8'),
+    (10000, '12dc983fb31c2dc6'),
+    (11000, 'a42aa4f26915ecfe'),
+    (12000, '10ed53a6228066ba'),
+    (13000, '1763653851170ec8'),
+    (14000, 'a4756a2771f2979b'),
+    (15000, 'c20c4cc39c309ce3'),
+    (16000, 'a1d19721f4919b3c'),
+    (17000, 'deef249cd04bb365'),
+    (18000, '7bb9310eafabc09c'),
+    (19000, 'fd7641066b245318'),
+    (20000, '352a2c67c4fb0047'),
+    (21000, '6b1ddc373f12f85d'),
+    (22000, 'aa9185c36d5b2587'),
+    (23000, '9343ca491608ef8b'),
+    (24000, '0e7d63141f84855e'),
+    (25000, '41b20261afb04779'),
+    (26000, '38bf86c6c13fe8cf'),
+    (27000, '190c8d938e02098c'),
+    (28000, '08014b6317867399'),
+    (29000, '32aacfa078230a6e'),
+]
+
+
+def _random_word(rng, n_gens, length):
+    letters = []
+    while len(letters) < length:
+        g = Generator(rng.randrange(n_gens), rng.choice((1, -1)))
+        if not letters or letters[-1] != g.inv():
+            letters.append(g)
+    return Word(letters)
+
+
+def test_tcf_lift_pinned_corpus():
+    from corpus import iter_corpus
+
+    systems = list(iter_corpus())
+    for i, pinned in LIFT_PINS:
+        s = systems[i]
+        f = triangular_constant_form(s)
+        rng = random.Random(i)
+        sol = {n: _random_word(rng, len(s.gens), rng.randint(0, 3)) for n in s.variables}
+        lifted = f.lift(sol)
+        text = "; ".join(f"{n} = {f.system.format_word(w)}" for n, w in sorted(lifted.items()))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == pinned, i

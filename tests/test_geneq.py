@@ -10,10 +10,8 @@ from quadeq.geneq import (
     GenEqSolution,
     entire_transform,
     et1_cut,
-    et2_transfer,
     et3_remove_matched,
     et4_remove_lone,
-    et5_connect,
     et5_insert,
     from_system,
     parse_trace,
@@ -21,7 +19,7 @@ from quadeq.geneq import (
     replay_trace,
 )
 from quadeq.oracle import SearchBound, enumerate_solutions
-from quadeq.words import Alphabet, Generator, Word
+from quadeq.words import Alphabet, Generator
 
 AL = Alphabet(("a", "b"))
 
@@ -95,13 +93,6 @@ def test_solution_rejects_bad():
 
 
 # --- elementary transformations --------------------------------------------------------
-
-
-def tiny_geneq():
-    # two items, dual pair covering [1,3] vs itself shifted: build by hand
-    bases = (
-        Base_ := None,
-    )
 
 
 def test_et3_matched_removal():

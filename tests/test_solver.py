@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from quadeq.binpack import build_equation, exhaustive_pack, sweep_instances
 from quadeq.equations import parse_system
-from quadeq.oracle import SearchBound, enumerate_solutions, is_satisfiable
+from quadeq.oracle import SearchBound, is_satisfiable
 from quadeq.solver import (
     CancellationDiagrams,
     GenusResult,
@@ -125,6 +126,13 @@ def test_solve_unsat_square():
 def test_solve_coupled_system():
     r = solve_text("gens: a b\nvars: x y\nx a = y\ny^-1 x^-1 = a")
     # y = x a; second: a^-1 x^-1 x^-1 = a  =>  x^2 = a^-2, x = a^-1, y = 1
+    assert r.status == "sat"
+
+
+def test_solve_chained_eliminations():
+    # y is eliminated first, as (a z)^-1, and z second: the witness must
+    # evaluate z before y
+    r = solve_text("gens: a b\nvars: x y z w\ny a z = 1\ny^-1 x^2 = 1\nz^-1 a^-1 w^2 = 1")
     assert r.status == "sat"
 
 
@@ -360,3 +368,158 @@ def test_crosscap_absorption_systems(eq):
     assert res.status == ("sat" if is_satisfiable(s, SearchBound(2)) else "unsat")
     if res.status == "sat":
         assert s.check(res.witness)
+
+
+# Every 10th corpus system: (corpus index, status, witness digest) for each
+# one that is not unsat; the digest is the first 16 hex digits of the sha256
+# of the witness rendered as sorted ``name = word`` entries joined by "; ".
+# Every other sampled system is unsat.
+SOLVE_PINS = [
+    (60, 'sat', '0db4f1196d49a3f3'), (770, 'sat', '6352153fcd381243'), (830, 'sat', 'edfa2809e1e656ba'),
+    (880, 'sat', '6352153fcd381243'), (940, 'sat', '230e6b47dd017583'), (1160, 'sat', '4af9f1ab97a0146f'),
+    (1210, 'sat', '582b1d4124eeaca1'), (1380, 'sat', '04b9d747246d01ce'), (1430, 'sat', '6352153fcd381243'),
+    (1490, 'sat', 'edfa2809e1e656ba'), (1600, 'sat', '230e6b47dd017583'), (1710, 'sat', '04b9d747246d01ce'),
+    (1760, 'sat', 'a21602a31e8cd63e'), (1820, 'sat', '04b9d747246d01ce'), (1870, 'sat', 'eafdaa263741b9cd'),
+    (1930, 'sat', 'edfa2809e1e656ba'), (2040, 'sat', 'c0b0d98ca6c305e8'), (2190, 'sat', '42e8fa3b34633ab1'),
+    (2250, 'sat', 'e404cad769020a16'), (6410, 'sat', 'd6737c49d98fd21b'), (6460, 'sat', '265457fa01de9d46'),
+    (6670, 'sat', 'd92bf6d23ff11b96'), (7100, 'sat', '1375de62fce40871'), (7260, 'sat', '46b945daa7be5b96'),
+    (7410, 'sat', '8bffb9a8a45d7949'), (7470, 'sat', '9d6ae314904acd32'), (7520, 'sat', '09532307b211ee33'),
+    (7730, 'sat', '35591d1b0ca56495'), (7890, 'sat', '304d2b055224f82e'), (8040, 'sat', '8bffb9a8a45d7949'),
+    (8100, 'sat', 'fed838cf4c444d53'), (8150, 'sat', '34e630c1c33c0be0'), (8360, 'sat', '9ea426dccce26c00'),
+    (8400, 'sat', 'fe70446bf5a7275d'), (8460, 'sat', '381c59dde38ce6a4'), (8510, 'sat', 'fe70446bf5a7275d'),
+    (8570, 'sat', '9aa47c98c10c7404'), (8620, 'sat', 'fe70446bf5a7275d'), (8680, 'sat', '381c59dde38ce6a4'),
+    (8730, 'sat', 'fe70446bf5a7275d'), (8840, 'sat', 'fe70446bf5a7275d'), (8900, 'sat', '9aa47c98c10c7404'),
+    (8950, 'sat', 'fe70446bf5a7275d'), (9010, 'sat', '9aa47c98c10c7404'), (9060, 'sat', 'fe70446bf5a7275d'),
+    (9120, 'sat', '9aa47c98c10c7404'), (9170, 'sat', 'fe70446bf5a7275d'), (9230, 'sat', 'f7ac39de4da2b4d0'),
+    (9280, 'sat', 'fe70446bf5a7275d'), (9340, 'sat', '192a296e4e56b520'), (9390, 'sat', 'fe70446bf5a7275d'),
+    (9450, 'sat', '9aa47c98c10c7404'), (9500, 'sat', 'fe70446bf5a7275d'), (9560, 'sat', '381c59dde38ce6a4'),
+    (9610, 'sat', 'fe70446bf5a7275d'), (9670, 'sat', '9aa47c98c10c7404'), (9720, 'sat', 'fe70446bf5a7275d'),
+    (9780, 'sat', '9aa47c98c10c7404'), (9830, 'sat', 'fe70446bf5a7275d'), (9890, 'sat', '9aa47c98c10c7404'),
+    (9940, 'sat', 'fe70446bf5a7275d'), (10000, 'sat', '294a2e1e5b5305e4'), (10050, 'sat', 'fe70446bf5a7275d'),
+    (10110, 'sat', '6f6138fc966a4828'), (10160, 'sat', 'fe70446bf5a7275d'), (10220, 'sat', '294a2e1e5b5305e4'),
+    (10270, 'sat', 'fe70446bf5a7275d'), (10330, 'sat', '9aa47c98c10c7404'), (10380, 'sat', 'fe70446bf5a7275d'),
+    (10440, 'sat', '9aa47c98c10c7404'), (10490, 'sat', 'fe70446bf5a7275d'), (10600, 'sat', 'fe70446bf5a7275d'),
+    (10660, 'sat', '265457fa01de9d46'), (10710, 'sat', 'fe70446bf5a7275d'), (10820, 'sat', 'fe70446bf5a7275d'),
+    (10880, 'sat', 'd92bf6d23ff11b96'), (10930, 'sat', 'fe70446bf5a7275d'), (10990, 'sat', '265457fa01de9d46'),
+    (11040, 'sat', 'fe70446bf5a7275d'), (11100, 'sat', 'd92bf6d23ff11b96'), (11150, 'sat', 'fe70446bf5a7275d'),
+    (11260, 'sat', 'fe70446bf5a7275d'), (11370, 'sat', 'fe70446bf5a7275d'), (11480, 'sat', 'fe70446bf5a7275d'),
+    (11540, 'sat', '42e8fa3b34633ab1'), (11590, 'sat', 'fe70446bf5a7275d'), (11650, 'sat', '7fb37ac8ce3153ec'),
+    (11700, 'sat', 'fe70446bf5a7275d'), (11760, 'sat', 'e137d8b66dd9391f'), (11810, 'sat', 'fe70446bf5a7275d'),
+    (11920, 'sat', 'fe70446bf5a7275d'), (11980, 'sat', 'd92bf6d23ff11b96'), (12030, 'sat', 'fe70446bf5a7275d'),
+    (12090, 'sat', 'e734a382cd42ae96'), (12140, 'sat', 'fe70446bf5a7275d'), (12250, 'sat', 'fe70446bf5a7275d'),
+    (12360, 'sat', 'fe70446bf5a7275d'), (12420, 'sat', '265457fa01de9d46'), (12470, 'sat', 'fe70446bf5a7275d'),
+    (12530, 'sat', '42e8fa3b34633ab1'), (12580, 'sat', 'fe70446bf5a7275d'), (12640, 'sat', 'ae6f56de4fbf79fc'),
+    (12690, 'sat', 'fe70446bf5a7275d'), (12750, 'sat', '343b15807200be84'), (12800, 'sat', 'fe70446bf5a7275d'),
+    (12910, 'sat', 'fe70446bf5a7275d'), (12970, 'sat', 'e734a382cd42ae96'), (13020, 'sat', 'fe70446bf5a7275d'),
+    (13080, 'sat', '42e8fa3b34633ab1'), (13130, 'sat', 'fe70446bf5a7275d'), (13190, 'sat', 'e734a382cd42ae96'),
+    (13240, 'sat', 'fe70446bf5a7275d'), (13300, 'sat', '9aa47c98c10c7404'), (13350, 'sat', 'fe70446bf5a7275d'),
+    (13410, 'sat', '294a2e1e5b5305e4'), (13460, 'sat', 'fe70446bf5a7275d'), (13520, 'sat', '9aa47c98c10c7404'),
+    (13570, 'sat', 'fe70446bf5a7275d'), (13680, 'sat', 'fe70446bf5a7275d'), (13740, 'sat', '9aa47c98c10c7404'),
+    (13790, 'sat', 'fe70446bf5a7275d'), (13850, 'sat', 'e734a382cd42ae96'), (13900, 'sat', 'fe70446bf5a7275d'),
+    (13960, 'sat', 'e734a382cd42ae96'), (14010, 'sat', 'fe70446bf5a7275d'), (14070, 'sat', '9aa47c98c10c7404'),
+    (14120, 'sat', 'fe70446bf5a7275d'), (14180, 'sat', 'f7ac39de4da2b4d0'), (14230, 'sat', 'fe70446bf5a7275d'),
+    (14290, 'sat', '9aa47c98c10c7404'), (14340, 'sat', 'fe70446bf5a7275d'), (14400, 'sat', '9aa47c98c10c7404'),
+    (14450, 'sat', 'fe70446bf5a7275d'), (14510, 'sat', '294a2e1e5b5305e4'), (14560, 'sat', 'fe70446bf5a7275d'),
+    (14620, 'sat', '4d4b67b844d688ca'), (14670, 'sat', 'fe70446bf5a7275d'), (14730, 'sat', '4d4b67b844d688ca'),
+    (14780, 'sat', 'fe70446bf5a7275d'), (14840, 'sat', '294a2e1e5b5305e4'), (14890, 'sat', 'fe70446bf5a7275d'),
+    (14950, 'sat', '42e8fa3b34633ab1'), (15000, 'sat', 'fe70446bf5a7275d'), (15060, 'sat', '294a2e1e5b5305e4'),
+    (15110, 'sat', 'fe70446bf5a7275d'), (15170, 'sat', '294a2e1e5b5305e4'), (15220, 'sat', 'fe70446bf5a7275d'),
+    (15280, 'sat', '4d4b67b844d688ca'), (15330, 'sat', 'fe70446bf5a7275d'), (15390, 'sat', '265457fa01de9d46'),
+    (15440, 'sat', 'fe70446bf5a7275d'), (15550, 'sat', 'fe70446bf5a7275d'), (15610, 'sat', '18baa11cec8bb78f'),
+    (15660, 'sat', 'fe70446bf5a7275d'), (15720, 'sat', '265457fa01de9d46'), (15770, 'sat', 'fe70446bf5a7275d'),
+    (15830, 'sat', 'd92bf6d23ff11b96'), (15880, 'sat', 'fe70446bf5a7275d'), (15940, 'sat', '343b15807200be84'),
+    (15990, 'sat', 'fe70446bf5a7275d'), (16050, 'sat', 'd92bf6d23ff11b96'), (16100, 'sat', 'fe70446bf5a7275d'),
+    (16160, 'sat', 'd92bf6d23ff11b96'), (16210, 'sat', 'fe70446bf5a7275d'), (16270, 'sat', '294a2e1e5b5305e4'),
+    (16320, 'sat', 'fe70446bf5a7275d'), (16380, 'sat', 'd92bf6d23ff11b96'), (16430, 'sat', 'fe70446bf5a7275d'),
+    (16490, 'sat', 'c8f70b1bcf73828a'), (16540, 'sat', 'fe70446bf5a7275d'), (16600, 'sat', 'd92bf6d23ff11b96'),
+    (16650, 'sat', 'fe70446bf5a7275d'), (16710, 'sat', 'd92bf6d23ff11b96'), (16760, 'sat', 'fe70446bf5a7275d'),
+    (16820, 'sat', 'e734a382cd42ae96'), (16870, 'sat', 'fe70446bf5a7275d'), (16930, 'sat', '391adf7c221c1c8a'),
+    (16980, 'sat', 'fe70446bf5a7275d'), (17040, 'sat', '381c59dde38ce6a4'), (17090, 'sat', 'fe70446bf5a7275d'),
+    (17150, 'sat', 'd92bf6d23ff11b96'), (17200, 'sat', 'fe70446bf5a7275d'), (17260, 'sat', 'd92bf6d23ff11b96'),
+    (17310, 'sat', 'fe70446bf5a7275d'), (17370, 'sat', '294a2e1e5b5305e4'), (17420, 'sat', 'fe70446bf5a7275d'),
+    (17480, 'sat', 'd92bf6d23ff11b96'), (17530, 'sat', 'fe70446bf5a7275d'), (17590, 'sat', 'd92bf6d23ff11b96'),
+    (17640, 'sat', 'fe70446bf5a7275d'), (17700, 'sat', '265457fa01de9d46'), (17750, 'sat', 'fe70446bf5a7275d'),
+    (17810, 'sat', '265457fa01de9d46'), (17860, 'sat', 'fe70446bf5a7275d'), (17920, 'sat', 'ae6f56de4fbf79fc'),
+    (17970, 'sat', 'fe70446bf5a7275d'), (18030, 'sat', '294a2e1e5b5305e4'), (18080, 'sat', 'fe70446bf5a7275d'),
+    (18140, 'sat', 'd92bf6d23ff11b96'), (18190, 'sat', 'fe70446bf5a7275d'), (18300, 'sat', 'fe70446bf5a7275d'),
+    (18410, 'sat', 'fe70446bf5a7275d'), (18520, 'sat', 'fe70446bf5a7275d'), (18580, 'sat', '265457fa01de9d46'),
+    (18630, 'sat', 'fe70446bf5a7275d'), (18690, 'sat', '7fb37ac8ce3153ec'), (18740, 'sat', 'fe70446bf5a7275d'),
+    (18800, 'sat', 'e137d8b66dd9391f'), (18850, 'sat', 'fe70446bf5a7275d'), (18910, 'sat', '859d3c7463d881d1'),
+    (18960, 'sat', 'fe70446bf5a7275d'), (19020, 'sat', 'd92bf6d23ff11b96'), (19070, 'sat', 'fe70446bf5a7275d'),
+    (19130, 'sat', '265457fa01de9d46'), (19180, 'sat', 'fe70446bf5a7275d'), (19290, 'sat', 'fe70446bf5a7275d'),
+    (19400, 'sat', 'fe70446bf5a7275d'), (19510, 'sat', 'fe70446bf5a7275d'), (19620, 'sat', 'fe70446bf5a7275d'),
+    (19680, 'sat', '18baa11cec8bb78f'), (19730, 'sat', 'fe70446bf5a7275d'), (19790, 'sat', '7fb37ac8ce3153ec'),
+    (19840, 'sat', 'fe70446bf5a7275d'), (19900, 'sat', '265457fa01de9d46'), (19950, 'sat', 'fe70446bf5a7275d'),
+    (20010, 'sat', '391adf7c221c1c8a'), (20060, 'sat', 'fe70446bf5a7275d'), (20120, 'sat', 'ae6f56de4fbf79fc'),
+    (20170, 'sat', 'fe70446bf5a7275d'), (20230, 'sat', 'e734a382cd42ae96'), (20280, 'sat', 'fe70446bf5a7275d'),
+    (20390, 'sat', 'fe70446bf5a7275d'), (20500, 'sat', 'fe70446bf5a7275d'), (20560, 'sat', 'f4013f88f955b99c'),
+    (20610, 'sat', 'fe70446bf5a7275d'), (20670, 'sat', 'e734a382cd42ae96'), (20720, 'sat', 'fe70446bf5a7275d'),
+    (20780, 'sat', '42e8fa3b34633ab1'), (20830, 'sat', 'fe70446bf5a7275d'), (20890, 'sat', '7fb37ac8ce3153ec'),
+    (20940, 'sat', 'fe70446bf5a7275d'), (21000, 'sat', 'f7ac39de4da2b4d0'), (21050, 'sat', 'fe70446bf5a7275d'),
+    (21110, 'sat', '391adf7c221c1c8a'), (21160, 'sat', 'fe70446bf5a7275d'), (21220, 'sat', '9aa47c98c10c7404'),
+    (21270, 'sat', 'fe70446bf5a7275d'), (21330, 'sat', '294a2e1e5b5305e4'), (21380, 'sat', 'fe70446bf5a7275d'),
+    (21440, 'sat', '9aa47c98c10c7404'), (21490, 'sat', 'fe70446bf5a7275d'), (21600, 'sat', 'fe70446bf5a7275d'),
+    (21660, 'sat', 'e734a382cd42ae96'), (21710, 'sat', 'fe70446bf5a7275d'), (21770, 'sat', '391adf7c221c1c8a'),
+    (21820, 'sat', 'fe70446bf5a7275d'), (21930, 'sat', 'fe70446bf5a7275d'), (21990, 'sat', '7fb37ac8ce3153ec'),
+    (22040, 'sat', 'fe70446bf5a7275d'), (22100, 'sat', '294a2e1e5b5305e4'), (22150, 'sat', 'fe70446bf5a7275d'),
+    (22210, 'sat', '859d3c7463d881d1'), (22260, 'sat', 'fe70446bf5a7275d'), (22320, 'sat', '9aa47c98c10c7404'),
+    (22370, 'sat', 'fe70446bf5a7275d'), (22430, 'sat', '294a2e1e5b5305e4'), (22480, 'sat', 'fe70446bf5a7275d'),
+    (22540, 'sat', '9aa47c98c10c7404'), (22590, 'sat', 'fe70446bf5a7275d'), (22700, 'sat', 'fe70446bf5a7275d'),
+    (22810, 'sat', 'fe70446bf5a7275d'), (22920, 'sat', 'fe70446bf5a7275d'), (22980, 'sat', '265457fa01de9d46'),
+    (23030, 'sat', 'fe70446bf5a7275d'), (23090, 'sat', '35e895acd07e304b'), (23140, 'sat', 'fe70446bf5a7275d'),
+    (23250, 'sat', 'fe70446bf5a7275d'), (23310, 'sat', 'e734a382cd42ae96'), (23360, 'sat', 'fe70446bf5a7275d'),
+    (23420, 'sat', '9aa47c98c10c7404'), (23470, 'sat', 'fe70446bf5a7275d'), (23530, 'sat', '294a2e1e5b5305e4'),
+    (23580, 'sat', 'fe70446bf5a7275d'), (23690, 'sat', 'fe70446bf5a7275d'), (23800, 'sat', 'fe70446bf5a7275d'),
+    (23910, 'sat', 'fe70446bf5a7275d'), (24020, 'sat', 'fe70446bf5a7275d'), (24080, 'sat', '4d4b67b844d688ca'),
+    (24130, 'sat', 'fe70446bf5a7275d'), (24190, 'sat', '391adf7c221c1c8a'), (24240, 'sat', 'fe70446bf5a7275d'),
+    (24300, 'sat', 'c081ad3b67fcbf85'), (24350, 'sat', 'fe70446bf5a7275d'), (24410, 'sat', '9fbb234173450ef1'),
+    (24460, 'sat', 'fe70446bf5a7275d'), (24520, 'sat', '42e8fa3b34633ab1'), (24570, 'sat', 'fe70446bf5a7275d'),
+    (24630, 'sat', 'e734a382cd42ae96'), (24680, 'sat', 'fe70446bf5a7275d'), (24790, 'sat', 'fe70446bf5a7275d'),
+    (24850, 'sat', '859d3c7463d881d1'), (24900, 'sat', 'fe70446bf5a7275d'), (24960, 'sat', 'e734a382cd42ae96'),
+    (25010, 'sat', 'fe70446bf5a7275d'), (25070, 'sat', 'd92bf6d23ff11b96'), (25120, 'sat', 'fe70446bf5a7275d'),
+    (25180, 'sat', '343b15807200be84'), (25230, 'sat', 'fe70446bf5a7275d'), (25290, 'sat', 'd92bf6d23ff11b96'),
+    (25340, 'sat', 'fe70446bf5a7275d'), (25400, 'sat', '192a296e4e56b520'), (25450, 'sat', 'fe70446bf5a7275d'),
+    (25510, 'sat', '391adf7c221c1c8a'), (25560, 'sat', 'fe70446bf5a7275d'), (25620, 'sat', 'd92bf6d23ff11b96'),
+    (25670, 'sat', 'fe70446bf5a7275d'), (25730, 'sat', '294a2e1e5b5305e4'), (25780, 'sat', 'fe70446bf5a7275d'),
+    (25840, 'sat', '4d4b67b844d688ca'), (25890, 'sat', 'fe70446bf5a7275d'), (25950, 'sat', '859d3c7463d881d1'),
+    (26000, 'sat', 'fe70446bf5a7275d'), (26060, 'sat', '859d3c7463d881d1'), (26110, 'sat', 'fe70446bf5a7275d'),
+    (26170, 'sat', '3c5abdbd553e22e6'), (26220, 'sat', 'fe70446bf5a7275d'), (26330, 'sat', 'fe70446bf5a7275d'),
+    (26390, 'sat', 'd92bf6d23ff11b96'), (26440, 'sat', 'fe70446bf5a7275d'), (26500, 'sat', 'c8f70b1bcf73828a'),
+    (26550, 'sat', 'fe70446bf5a7275d'), (26610, 'sat', 'e734a382cd42ae96'), (26660, 'sat', 'fe70446bf5a7275d'),
+    (26720, 'sat', 'd92bf6d23ff11b96'), (26770, 'sat', 'fe70446bf5a7275d'), (26830, 'sat', '294a2e1e5b5305e4'),
+    (26880, 'sat', 'fe70446bf5a7275d'), (26940, 'sat', '4d4b67b844d688ca'), (26990, 'sat', 'fe70446bf5a7275d'),
+    (27100, 'sat', 'fe70446bf5a7275d'), (27160, 'sat', 'f4013f88f955b99c'), (27210, 'sat', 'fe70446bf5a7275d'),
+    (27320, 'sat', 'fe70446bf5a7275d'), (27380, 'sat', 'e734a382cd42ae96'), (27430, 'sat', 'fe70446bf5a7275d'),
+    (27490, 'sat', '265457fa01de9d46'), (27540, 'sat', 'fe70446bf5a7275d'), (27600, 'sat', '9fbb234173450ef1'),
+    (27650, 'sat', 'fe70446bf5a7275d'), (27710, 'sat', 'ae6f56de4fbf79fc'), (27760, 'sat', 'fe70446bf5a7275d'),
+    (27820, 'sat', '265457fa01de9d46'), (27870, 'sat', 'fe70446bf5a7275d'), (27930, 'sat', '8c198ba5115a98aa'),
+    (27980, 'sat', 'fe70446bf5a7275d'), (28040, 'sat', '294a2e1e5b5305e4'), (28090, 'sat', 'fe70446bf5a7275d'),
+    (28150, 'sat', 'e734a382cd42ae96'), (28200, 'sat', 'fe70446bf5a7275d'), (28260, 'sat', 'ae6f56de4fbf79fc'),
+    (28310, 'sat', 'fe70446bf5a7275d'), (28370, 'sat', '294a2e1e5b5305e4'), (28420, 'sat', 'fe70446bf5a7275d'),
+    (28480, 'sat', 'ae6f56de4fbf79fc'), (28530, 'sat', 'fe70446bf5a7275d'), (28590, 'sat', '265457fa01de9d46'),
+    (28640, 'sat', 'fe70446bf5a7275d'), (28700, 'sat', '391adf7c221c1c8a'), (28750, 'sat', 'fe70446bf5a7275d'),
+    (28810, 'sat', 'ae6f56de4fbf79fc'), (28860, 'sat', 'fe70446bf5a7275d'), (28920, 'sat', '294a2e1e5b5305e4'),
+    (28970, 'sat', 'fe70446bf5a7275d'), (29030, 'sat', '8c198ba5115a98aa'), (29080, 'sat', 'fe70446bf5a7275d'),
+    (29140, 'sat', '8c198ba5115a98aa'), (29190, 'sat', 'fe70446bf5a7275d'), (29250, 'sat', 'f4013f88f955b99c'),
+    (29300, 'sat', 'fe70446bf5a7275d'), (29360, 'sat', '343b15807200be84'), (29410, 'sat', 'fe70446bf5a7275d'),
+    (29470, 'sat', '294a2e1e5b5305e4'), (29520, 'sat', 'fe70446bf5a7275d'), (29580, 'sat', 'ae6f56de4fbf79fc'),
+    (29630, 'sat', 'fe70446bf5a7275d'),
+]
+
+
+def _witness_digest(system, witness):
+    text = "; ".join(f"{n} = {system.alphabet.format(w)}" for n, w in sorted(witness.items()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_solve_quadratic_pinned_corpus():
+    from corpus import iter_corpus
+
+    pins = {row[0]: row for row in SOLVE_PINS}
+    systems = list(iter_corpus())
+    for i in range(0, len(systems), 10):
+        res = solve_quadratic(systems[i])
+        if i in pins:
+            assert (i, res.status, _witness_digest(systems[i], res.witness)) == pins[i]
+        else:
+            assert res.status == "unsat", i

@@ -125,6 +125,24 @@ def test_transport_roundtrip(seed):
     _ = found
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_transport_inverts_any_assignment(seed):
+    # the moves are automorphisms, so the transports invert each other on
+    # every assignment, solution or not; a variable that vanishes from the
+    # standard form comes back as 1, so that direction needs none to vanish
+    rng = random.Random(seed)
+    system = random_quadratic_equation(rng)
+    if not system.is_quadratic():
+        return
+    nz = standardize(system)
+    words = [system.alphabet.word(*w) for w in ((), ("a",), ("b", "-a"), ("a", "a", "b"))]
+    u = {n: rng.choice(words) for n in nz.system.variables}
+    assert nz.to_standard(nz.to_original(u)) == u
+    if len(nz.system.variables) == len(system.variables):
+        v = {n: rng.choice(words) for n in system.variables}
+        assert nz.to_original(nz.to_standard(v)) == v
+
+
 @pytest.mark.parametrize("seed", range(40, 60))
 def test_standardize_deterministic(seed):
     rng = random.Random(seed)

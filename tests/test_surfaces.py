@@ -5,7 +5,6 @@ import pytest
 from quadeq.surfaces import (
     NONORIENTABLE,
     ORIENTABLE,
-    AugmentResult,
     JointExtension,
     MultiForm,
     NotQuadraticError,
