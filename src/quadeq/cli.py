@@ -3,7 +3,8 @@
 Output is line-oriented ``key: value`` text (deterministic: identical inputs
 and flags produce byte-identical output; timing appears only with --timing).
 ``--json`` emits one JSON document instead.  Exit codes: 0 verdict reached,
-2 bad input, 3 bound exceeded / inconclusive.
+2 bad input, 3 bound exceeded / inconclusive, 4 internal error (any other
+exception; ``internal error: <message>`` goes to stderr).
 
 File formats
 ------------
@@ -55,6 +56,7 @@ from .words import Alphabet, AlphabetError, Word
 EXIT_OK = 0
 EXIT_BADINPUT = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 class Report:
@@ -282,7 +284,7 @@ def cmd_schema(args) -> int:
             ws = [parse_word(p, al) for p in parts]
             triples.append(sc.CTriple(*ws))
         choice = sc.CTripleChoice(tuple(triples), args.l_param)
-        choice.check_products(lambda w: len(w) == 0)
+        choice.check_products()
     else:
         choice = sc.trivial_choice(n, args.l_param)
     out = sc.build_schema(form, choice, quasi_lambda=args.lam, quasi_mu=args.mu)
@@ -517,6 +519,9 @@ def main(argv: list[str] | None = None) -> int:
         gq.GenEqError,
     ) as e:
         return _fail(str(e))
+    except Exception as e:  # a bug, not bad input: no traceback, its own code
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -55,10 +55,6 @@ class Base:
     def alpha(self) -> int:
         return self.lo if self.eps == 1 else self.hi
 
-    @property
-    def beta(self) -> int:
-        return self.hi if self.eps == 1 else self.lo
-
     def covers_item(self, j: int) -> bool:
         return self.lo <= j < self.hi
 
@@ -905,18 +901,23 @@ def _entire_transform_search(ge: GenEq, budget: int) -> EntireTransformResult:
     """Depth-first tie search: enumerate placements left to right.
 
     The round budget alone does not bound the search, so it also gives up
-    after ``_SEARCH_NODES`` nodes, with status ``budget``.
+    after ``_SEARCH_NODES`` nodes.  A search that finds no terminal equation
+    returns the deepest branch it reached (the first to complete the most
+    rounds), with status ``budget``.
     """
     seen: set[str] = set()
     nodes = 0
+    deepest = EntireTransformResult(ge, [], -1, "budget")
 
     # every call owns ``trace``: branches pass extended copies
     def rec(g: GenEq, trace: list[TraceOp], rounds: int) -> EntireTransformResult | None:
-        nonlocal nodes
+        nonlocal nodes, deepest
         nodes += 1
         if nodes > _SEARCH_NODES:
             raise _OutOfNodes
         g = _drop_matched(g, trace)
+        if rounds > deepest.rounds:
+            deepest = EntireTransformResult(g, list(trace), rounds, "budget")
         if _terminal(g):
             trace.append(TraceOp("terminal", ()))
             return EntireTransformResult(g, trace, rounds, "terminal")
@@ -966,6 +967,4 @@ def _entire_transform_search(ge: GenEq, budget: int) -> EntireTransformResult:
         out = rec(ge, [], 0)
     except _OutOfNodes:
         out = None
-    if out is not None:
-        return out
-    return EntireTransformResult(ge, [], budget, "budget")
+    return deepest if out is None else out

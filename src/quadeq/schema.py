@@ -24,7 +24,7 @@ decimal size of L, expanding the integer only on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .equations import Equation, EquationSystem, TriangularConstantForm
 from .words import Generator, Word, substitute
@@ -64,10 +64,10 @@ class CTripleChoice:
                         f"{self.length_bound}"
                     )
 
-    def check_products(self, is_trivial: Callable[[Word], bool]) -> None:
-        """Certify c1 c2 c3 = 1 in the target (free target: reduction)."""
+    def check_products(self) -> None:
+        """Certify c1 c2 c3 = 1 in the free target: the product reduces to 1."""
         for i, t in enumerate(self.triples):
-            if not is_trivial(t.c1 * t.c2 * t.c3):
+            if len(t.c1 * t.c2 * t.c3):
                 raise SchemaError(f"triple #{i+1} does not multiply to 1")
 
 
@@ -97,17 +97,16 @@ class SchemaOutput:
 def build_schema(
     form: TriangularConstantForm,
     choice: CTripleChoice,
-    reps: Callable[[Word], Word] | None = None,
     quasi_lambda: int = 1,
     quasi_mu: int = 0,
 ) -> SchemaOutput:
     """Emit the corner-variable system for a triangular+constant form.
 
-    ``reps`` maps each constant word to its representative (identity for the
-    free-group target).  Signed occurrences extend the matching equations:
-    when the two occurrences of a variable carry opposite signs the right
-    side is inverted, which is sound for the free target where
-    rep(g^-1) = rep(g)^-1.
+    The target is free, so each constant word is its own representative.
+    Signed occurrences extend the matching equations: when the two
+    occurrences of a variable carry opposite signs the right side is
+    inverted, which is sound because a representative's inverse is the
+    inverse word.
 
     Asserts the size bound |S_i| <= |S| (4 + 2 L + lambda |S| + mu) on every
     call, with L the choice's length bound.
@@ -119,9 +118,6 @@ def build_schema(
         raise SchemaError(
             f"need {len(triples)} candidate triples, got {len(choice.triples)}"
         )
-    if reps is None:
-        reps = lambda w: w  # noqa: E731 - free-group target: geodesics as-is
-
     src = form.system
     const_of: dict[int, Word] = {}
     for name, w in form.constant_eqs:
@@ -158,7 +154,7 @@ def build_schema(
         expr = side(j, k)
         images[name] = expr if sign > 0 else expr.inverse()
         if sym in const_of:
-            rep = reps(const_of[sym])
+            rep = const_of[sym]
             target = rep if sign > 0 else rep.inverse()
             equations.append(Equation(side(j, k), target))
         for (j2, k2, sign2) in occ[1:]:
@@ -169,7 +165,7 @@ def build_schema(
     for name, cword in form.constant_eqs:
         if name not in images:
             # the variable occurs only in its constant equation
-            images[name] = reps(cword)
+            images[name] = cword
 
     out = EquationSystem(src.gens, tuple(var_names), tuple(equations))
 

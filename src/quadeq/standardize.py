@@ -6,12 +6,20 @@ Standard forms over F(A) with coefficients C_1..C_{m-1}, C:
     non-orientable:  x_1^2 ... x_g^2       z_1^-1 C_1 z_1 ... z_{m-1}^-1 C_{m-1} z_{m-1} C = 1
 
 The normalizer applies invertible substitutions (plus rotations, which do not
-touch solutions) to the equation word:
+touch solutions) to the equation word, in four phases that run once each:
 
-* square collection:   A x B x C        -> A x^2 B^-1 C        via x -> x B^-1
-* handle collection:   x A y B x^-1 C y^-1 D -> (CB) x y x^-1 y^-1 (AD)
-* block slides:        D Z E            -> Z D E               via z -> D^-1 z D
-* crosscap absorption: w^2 x y x^-1 y^-1    -> w^2 y'^2 x'^2   (seven moves)
+1. square collection: every same-sign pair becomes a square,
+   A x B x C -> A x^2 B^-1 C via x -> x B^-1;
+2. handle collection: every linked opposite-sign pair becomes a handle,
+   x A y B x^-1 C y^-1 D -> (CB) x y x^-1 y^-1 (AD);
+3. crosscap absorption: while squares and handles both occur,
+   w^2 x y x^-1 y^-1 -> w^2 y'^2 x'^2 (seven moves);
+4. assembly: slide the squares or handles to the front,
+   D Z E -> Z D E via z -> D^-1 z D; the open pairs left are nested or side
+   by side, so some pair has a constant gap K; the least such variable is
+   flipped to x^-1 K x and slid behind the prefix via x -> x D, until no pair
+   is left.  Flips and slides create no square and no linked pair, so no
+   earlier phase has to run again.
 
 Each substitution is recorded, so solutions transport in both directions;
 every variable occurring in the input occurs exactly twice (quadraticity) and
@@ -245,20 +253,6 @@ class _Normalizer:
             i += 1
         return squares, handles, spans
 
-    def conj_blocks(self) -> list[tuple[int, int, int]]:
-        """Closed conjugated-coefficient blocks x^-1 K x: (sym, start, end)."""
-        out = []
-        w = self.word
-        for s in self.var_syms_present():
-            occ = self.occurrences(s)
-            if len(occ) != 2:
-                continue
-            i, j = occ
-            if w[i].sign == -1 and w[j].sign == 1 and w[i].sym == w[j].sym:
-                if all(self.nc > w[k].sym for k in range(i + 1, j)):
-                    out.append((s, i, j + 1))
-        return out
-
     # --- phases -----------------------------------------------------------------
 
     def collect_squares(self):
@@ -393,98 +387,34 @@ class _Normalizer:
             self.flip(p)
             self.flip(q)
 
-    def collect_coefficients(self):
-        while True:
-            _, _, spans = self.blocks()
-            conj = {s for s, _i, _j in self.conj_blocks()}
-            open_vars = [
-                s for s in self.var_syms_present() if s not in spans and s not in conj
-            ]
-            if not open_vars:
-                return
-            # innermost open pair: no open-variable letters strictly inside
-            target = None
-            for s in open_vars:
-                i, j = self.occurrences(s)
-                inner_ok = True
-                for k in range(i + 1, j):
-                    g = self.word[k]
-                    if g.sym >= self.nc and g.sym in open_vars:
-                        inner_ok = False
-                        break
-                if inner_ok:
-                    target = s
-                    break
-            if target is None:
-                raise AssertionError("internal: open pairs must nest after handle collection")
-            s = target
-            # vacate closed blocks from the interior by sliding them to front
-            while True:
-                occ = self.occurrences(s)
-                if len(occ) != 2:
-                    break  # the pair cancelled away mid-slide
-                i, j = occ
-                _, _, spans = self.blocks()
-                conj_list = self.conj_blocks()
-                moved = False
-                for cs, ci, cj in conj_list:
-                    if i < ci and cj <= j:
-                        self.slide_conj_block(cs, self.segment(0, ci))
-                        moved = True
-                        break
-                if moved:
-                    continue
-                for bs, (bi, bj) in sorted(spans.items(), key=lambda kv: kv[1][0]):
-                    if i < bi and bj <= j:
-                        blockvars = {
-                            t for t, sp in spans.items() if sp == (bi, bj)
-                        }
-                        self.conjugate_block(blockvars, self.segment(0, bi))
-                        moved = True
-                        break
-                if not moved:
-                    break
-            occ = self.occurrences(s)
-            if len(occ) != 2:
-                continue  # the pair cancelled away; variable became free
-            i, j = occ
-            if any(self.word[k].sym >= self.nc for k in range(i + 1, j)):
-                raise AssertionError("internal: a square's gap must be constant")
-            if self.word[i].sign == 1:
-                self.flip(s)
+    def assemble(self) -> tuple[StandardForm, list[int]]:
+        """Place every block at the prefix; return the form and its layout.
 
-    def assemble(self) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, Word]], Word]:
-        """Slide blocks into canonical order; return the final layout."""
+        Squares or handles go first, in order of their least variable.  The
+        open pairs left are then nested or side by side, so some pair has a
+        constant gap; the least such variable is flipped to x^-1 K x and slid
+        behind the prefix, until none is left.  The layout lists the
+        variables in the order of the form's canonical names.
+        """
         squares, handles, _ = self.blocks()
-        conj = self.conj_blocks()
-        kind_nonor = bool(squares)
         if squares and handles:
             raise AssertionError("internal: mixed blocks must be absorbed first")
 
-        ordered_vars: list[int] = []
+        layout: list[int] = []
         prefix_len = 0
-
-        def slide_to(pos_from: int, pos_to_len: int, syms: set[int]):
-            d = self.segment(pos_to_len, pos_from)
-            self.conjugate_block(syms, d)
-
-        if kind_nonor:
-            order = sorted(s for s, _ in squares)
-            for s in order:
+        if squares:
+            for s in sorted(s for s, _ in squares):
                 if self.word[self.occurrences(s)[0]].sign == -1:
                     self.flip(s)
                 i = self.occurrences(s)[0]
-                slide_to(i, prefix_len, {s})
+                self.conjugate_block({s}, self.segment(prefix_len, i))
                 prefix_len += 2
-                ordered_vars.append(s)
-            genus_vars = [(s, -1) for s in order]
+                layout.append(s)
         else:
-            order = sorted(handles, key=lambda h: min(h[0], h[1]))
-            genus_vars = []
-            for p, q, _ in order:
+            for p, q, _ in sorted(handles, key=lambda h: min(h[0], h[1])):
                 _, hs, _ = self.blocks()
                 pos = [h[2] for h in hs if {h[0], h[1]} == {p, q}][0]
-                slide_to(pos, prefix_len, {p, q})
+                self.conjugate_block({p, q}, self.segment(prefix_len, pos))
                 # normalize to the commutator shape x^-1 y^-1 x y
                 p = self.word[prefix_len].sym
                 q = self.word[prefix_len + 1].sym
@@ -493,16 +423,16 @@ class _Normalizer:
                 if self.word[prefix_len + 1].sign == 1:
                     self.flip(q)
                 prefix_len += 4
-                ordered_vars += [p, q]
-                genus_vars.append((p, q))
+                layout += [p, q]
+        kind = NONORIENTABLE if squares else ORIENTABLE
+        genus = len(squares) if squares else len(handles)
 
-        coeff_list: list[tuple[int, Word]] = []
-        placed: set[int] = set(ordered_vars)
+        coefficients: list[Word] = []
         while True:
             # re-scan every round: slides can cancel or re-expose pairs
             pending = []
             for s in self.var_syms_present():
-                if s in placed:
+                if s in layout:
                     continue
                 occ = self.occurrences(s)
                 if len(occ) != 2:
@@ -520,15 +450,14 @@ class _Normalizer:
             i2, j2 = self.occurrences(s)
             if i2 != prefix_len:
                 raise AssertionError("internal: a slid block must start at the prefix")
-            coeff_list.append((s, self.segment(i2 + 1, j2)))
+            coefficients.append(self.segment(i2 + 1, j2))
             prefix_len = j2 + 1
-            ordered_vars.append(s)
-            placed.add(s)
+            layout.append(s)
 
         tail = self.segment(prefix_len, len(self.word))
         if any(g.sym >= self.nc for g in tail):
             raise AssertionError("internal: tail must be constant")
-        return ordered_vars, genus_vars, coeff_list, tail
+        return StandardForm(kind, genus, tuple(coefficients), tail), layout
 
 
 def standardize(system: EquationSystem) -> Normalization:
@@ -542,39 +471,12 @@ def standardize(system: EquationSystem) -> Normalization:
     nz.collect_squares()
     nz.collect_handles()
     nz.absorb_handles_into_squares()
-    nz.collect_coefficients()
-    # a late square can appear if coefficient collection freed something: rerun
-    for _ in range(3):
-        squares, handles, _ = nz.blocks()
-        if handles and squares:
-            nz.absorb_handles_into_squares()
-        else:
-            break
-    ordered, genus_vars, coeff_list, tail = nz.assemble()
-
-    squares, handles, _ = nz.blocks()
-    kind = NONORIENTABLE if squares else ORIENTABLE
-    genus = len(squares) if squares else len(handles)
-    form = StandardForm(
-        kind=kind,
-        genus=genus,
-        coefficients=tuple(k for _s, k in coeff_list),
-        tail=tail,
-    )
+    form, layout = nz.assemble()
     out_sys = form.system(system.gens)
 
     # canonical names for the surviving internal variables, in layout order
     genus_names, conj_names = form.variable_names(system.gens)
-    out_names: dict[int, str] = {}
-    if kind == ORIENTABLE:
-        for i, (p, q) in enumerate(genus_vars):
-            out_names[p] = genus_names[2 * i]
-            out_names[q] = genus_names[2 * i + 1]
-    else:
-        for i, (s, _) in enumerate(genus_vars):
-            out_names[s] = genus_names[i]
-    for j, (s, _k) in enumerate(coeff_list):
-        out_names[s] = conj_names[j]
+    out_names = dict(zip(layout, genus_names + conj_names))
 
     # sanity: rebuilding the final word from the form matches the normalizer
     rebuilt = out_sys.equations[0].relator()

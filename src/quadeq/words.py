@@ -293,10 +293,6 @@ class CyclicWord:
     def __iter__(self) -> Iterator[Generator]:
         return iter(self.representative)
 
-    def rotations(self) -> list[Word]:
-        w = self.representative
-        return [Word._raw(w.letters[i:] + w.letters[:i]) for i in range(max(1, len(w)))]
-
 
 def cyclic_normalize(w: Word) -> CyclicWord:
     """Canonical cyclic word of w: cyclically reduce, then least rotation."""

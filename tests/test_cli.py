@@ -214,9 +214,29 @@ def test_geneq_trace_search_prunes_bad_cut(tmp_path, capsys, text, rounds):
 def test_geneq_trace_search_node_budget(tmp_path, capsys):
     # corpus system 679: the tie search runs out of nodes long before rounds
     f = write(tmp_path, "s.txt", "gens: a b\nvars: x y\nx a b^2 x^-1 = 1\ny^2 = 1\n")
-    code, out, _ = run(capsys, "geneq-trace", f)
+    tr = str(tmp_path / "trace.txt")
+    code, out, _ = run(capsys, "geneq-trace", f, "--trace-out", tr)
     assert code == 3
     assert "status: budget" in out
+    # it reports the deepest branch it reached, not the untouched input
+    rounds = int(out.split("rounds: ", 1)[1].split()[0])
+    assert 0 < rounds < 100
+    code2, out2, _ = run(capsys, "geneq-trace", f, "--replay", tr)
+    assert code2 == 0
+    assert out.split("bounds ", 1)[1] == out2.split("bounds ", 1)[1]
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a bug inside the library is reported on stderr with its own exit code
+    def broken(*args, **kwargs):
+        raise AssertionError("internal: x")
+
+    monkeypatch.setattr("quadeq.solver.solve_quadratic", broken)
+    f = write(tmp_path, "eq.txt", SOLVABLE)
+    code, out, err = run(capsys, "solve", f)
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: internal: x\n"
 
 
 def test_compute_l(capsys):

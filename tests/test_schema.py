@@ -87,12 +87,12 @@ def test_choice_validation():
     good = CTripleChoice(
         tuple(CTriple(AL.word("a"), AL.word("-a"), Word()) for _ in f.triples), 4
     )
-    good.check_products(lambda w: len(w) == 0)
+    good.check_products()
     bad = CTripleChoice(
         tuple(CTriple(AL.word("a"), AL.word("a"), Word()) for _ in f.triples), 4
     )
     with pytest.raises(SchemaError):
-        bad.check_products(lambda w: len(w) == 0)
+        bad.check_products()
 
 
 def test_wrong_triple_count():

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import quadeq
@@ -34,4 +35,41 @@ def test_no_unused_imports():
     paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     paths += sorted(Path(__file__).parent.glob("*.py"))
     found = [entry for path in paths for entry in _unused_imports(path)]
+    assert found == []
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Names a file uses: identifiers, attributes, imports and the words of
+    its non-docstring string literals (``getattr`` and monkeypatch targets)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    docstrings = {
+        id(n.value) for n in ast.walk(tree)
+        if isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant)
+    }
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name.split(".")[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in docstrings:
+            names.update(re.findall(r"\w+", n.value))
+    return names
+
+
+def test_no_unreferenced_definitions():
+    # a function, method or class of the package that nothing names is dead
+    root = Path(__file__).resolve().parent.parent
+    paths = [p for d in ("src", "tests", "perfbench") for p in sorted((root / d).rglob("*.py"))]
+    used = set().union(*(_referenced_names(p) for p in paths))
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                dunder = n.name.startswith("__") and n.name.endswith("__")
+                if not dunder and n.name not in used:
+                    found.append(f"{path.name}:{n.lineno} {n.name}")
     assert found == []

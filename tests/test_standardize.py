@@ -153,3 +153,39 @@ def test_standardize_deterministic(seed):
     nz2 = standardize(system)
     assert nz1.form == nz2.form
     assert nz1.system.render() == nz2.system.render()
+
+
+# --- nested coefficient pairs ---------------------------------------------------------
+# Assembly places every open pair: the innermost pair has a constant gap K
+# and becomes z^-1 K z behind the prefix, which empties its parent's gap.
+
+
+@pytest.mark.parametrize("vars_,eq,kind,genus,coefficients,tail", [
+    # three deep: z inside y inside x
+    ("x y z", "x a y b^-1 z b a^-1 z^-1 y^-1 b x^-1 b^-1",
+     ORIENTABLE, 0, ("a b", "b a^-1", "b^-1"), "b^-1"),
+    # the same depth beside a side-by-side pair w
+    ("x y z w", "w a^-1 w^-1 a^-1 x a^-1 y a b z a z^-1 b^-1 y^-1 b^-1 x^-1 a b",
+     ORIENTABLE, 0, ("a", "a", "a^-1", "a^-1 b^-1"), "b"),
+    # next to a handle
+    ("x y z u v", "[u,v] x b a^-1 y b^-1 z a^-1 z^-1 a^-1 y^-1 a x^-1 a^2",
+     ORIENTABLE, 1, ("a^-1", "b", "b^-1 a^-1"), "a^2"),
+    # a handle inside the nest
+    ("x y z u v", "x a^-1 y [u,v] z b^-1 z^-1 a b y^-1 a^-1 x^-1 a",
+     ORIENTABLE, 1, ("a b", "a^-2", "b^-1"), "a"),
+    # a square inside the nest
+    ("x y z u", "x a y b a^-1 u^2 a^2 z b^-1 z^-1 a b y^-1 b^-1 x^-1 a^-1",
+     NONORIENTABLE, 1, ("a b^-1", "b a^2 b", "b^-1"), "a^-1"),
+])
+def test_nested_coefficient_pairs(vars_, eq, kind, genus, coefficients, tail):
+    system = parse_system(f"gens: a b\nvars: {vars_}\n{eq} = 1")
+    nz = standardize(system)
+    al = system.alphabet
+    assert (nz.form.kind, nz.form.genus) == (kind, genus)
+    assert sorted(al.format(c) for c in nz.form.coefficients) == sorted(coefficients)
+    assert al.format(nz.form.tail) == tail
+    found = 0
+    for sol in enumerate_solutions(nz.system, SearchBound(1), limit=4):
+        assert system.check(nz.to_original(sol)), (eq, sol)
+        found += 1
+    assert found > 0
