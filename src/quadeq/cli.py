@@ -3,8 +3,13 @@
 Output is line-oriented ``key: value`` text (deterministic: identical inputs
 and flags produce byte-identical output; timing appears only with --timing).
 ``--json`` emits one JSON document instead.  Exit codes: 0 verdict reached,
-2 bad input, 3 bound exceeded / inconclusive, 4 internal error (any other
-exception; ``internal error: <message>`` goes to stderr).
+2 bad input or flags (an ``error:`` line on stderr), 3 bound exceeded /
+inconclusive, 4 internal error (any other exception; ``internal error:
+<message>`` goes to stderr), 5 the geneq-trace search pruned every branch
+before any budget ran out (status ``exhausted``).
+
+``surface`` lists one ``component`` line per connected component, ordered
+by the component's least face index.
 
 File formats
 ------------
@@ -47,7 +52,7 @@ from . import geneq as gq
 from . import schema as sc
 from . import solver as sv
 from . import surfaces as sf
-from .equations import EquationError, EquationSystem, parse_system, triangulate, triangular_constant_form
+from .equations import EquationError, EquationSystem, header_lines, parse_system, triangulate, triangular_constant_form
 from .oracle import SearchBound, enumerate_solutions
 from .parsing import WordSyntaxError, parse_word
 from .standardize import StandardizeError, standardize
@@ -57,6 +62,7 @@ EXIT_OK = 0
 EXIT_BADINPUT = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
+EXIT_EXHAUSTED = 5
 
 
 class Report:
@@ -102,16 +108,27 @@ def _fail(msg: str) -> int:
     return EXIT_BADINPUT
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _items(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need comma-separated integers, got {text!r}") from None
+
+
 def _read_words(text: str, header: str, noun: str) -> tuple[Alphabet, list[Word]]:
     """A ``<header>:`` line naming the alphabet, then one ``noun`` word per line."""
     alphabet: Alphabet | None = None
     words: list[Word] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith(f"{header}:"):
-            alphabet = Alphabet(tuple(line[len(header) + 1:].split()))
+    for lineno, found, line in header_lines(text, (f"{header}:",)):
+        if found:
+            alphabet = Alphabet(tuple(line.split()))
             continue
         if alphabet is None:
             raise EquationError(f"line {lineno}: {noun}s before {header}: header")
@@ -274,10 +291,7 @@ def cmd_schema(args) -> int:
         ct_text = _read(args.ctriples)
         al = Alphabet(system.gens)
         triples = []
-        for lineno, raw in enumerate(ct_text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, _, line in header_lines(ct_text):
             parts = line.split(";")
             if len(parts) != 3:
                 return _fail(f"c-triple line {lineno}: need three ';'-separated words")
@@ -300,8 +314,7 @@ def cmd_schema(args) -> int:
 
 
 def cmd_reduce_binpack(args) -> int:
-    items = tuple(int(t) for t in args.items.split(","))
-    inst = bp.BinPackInstance(items, args.bins, args.cap)
+    inst = bp.BinPackInstance(args.items, args.bins, args.cap)
     params = bp.ReductionParams(scale=args.scale, power=args.power)
     system = bp.build_equation(inst, params, free_form=args.free_form)
     sys.stdout.write(system.render())
@@ -311,12 +324,10 @@ def cmd_reduce_binpack(args) -> int:
 def cmd_check_equivalence(args) -> int:
     rep = Report("check-equivalence")
     params = bp.ReductionParams()
-    if args.items:
-        instances = [
-            bp.BinPackInstance(
-                tuple(int(t) for t in args.items.split(",")), args.bins, args.cap
-            )
-        ]
+    if args.items is not None:
+        if args.bins is None or args.cap is None:
+            return _fail("--items needs --bins and --cap")
+        instances = [bp.BinPackInstance(args.items, args.bins, args.cap)]
     else:
         instances = bp.sweep_instances(args.max_items, args.max_cap, args.max_bins)
     rep.add("instances", len(instances))
@@ -375,6 +386,8 @@ def cmd_geneq_trace(args) -> int:
         rep.add("trace_path", args.trace_out)
     rep.emit(args)
     sys.stdout.write(res.terminal.canonical_text())
+    if res.status == "exhausted":
+        return EXIT_EXHAUSTED
     return EXIT_OK if res.status == "terminal" else EXIT_INCONCLUSIVE
 
 
@@ -415,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="bounded exhaustive enumeration")
     sp.add_argument("file")
-    sp.add_argument("--max-len", type=int, default=2)
-    sp.add_argument("--total", type=int, default=None)
+    sp.add_argument("--max-len", type=_nonnegative, default=2)
+    sp.add_argument("--total", type=_nonnegative, default=None)
     sp.add_argument("--limit", type=int, default=10)
     common(sp)
     sp.set_defaults(fn=cmd_oracle)
@@ -457,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_schema)
 
     sp = sub.add_parser("reduce-binpack", help="emit the packing equation")
-    sp.add_argument("--items", required=True, help="comma separated sizes")
+    sp.add_argument("--items", type=_items, required=True, help="comma separated sizes")
     sp.add_argument("--bins", type=int, required=True)
     sp.add_argument("--cap", type=int, required=True)
     sp.add_argument("--free-form", action="store_true")
@@ -467,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_reduce_binpack)
 
     sp = sub.add_parser("check-equivalence", help="packing vs equation sweep")
-    sp.add_argument("--items", default=None)
+    sp.add_argument("--items", type=_items, default=None)
     sp.add_argument("--bins", type=int, default=None)
     sp.add_argument("--cap", type=int, default=None)
     sp.add_argument("--max-items", type=int, default=3)
@@ -479,10 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("geneq-trace", help="entire transformation with trace")
     sp.add_argument("file")
-    sp.add_argument("--budget", type=int, default=100)
+    sp.add_argument("--budget", type=_nonnegative, default=100)
     sp.add_argument("--solve-first", action="store_true",
                     help="drive the rewriting with an oracle witness")
-    sp.add_argument("--max-len", type=int, default=2)
+    sp.add_argument("--max-len", type=_nonnegative, default=2)
     sp.add_argument("--trace-out", default=None)
     sp.add_argument("--replay", default=None)
     common(sp)

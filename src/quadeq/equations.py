@@ -9,7 +9,7 @@ generalized-equation construction can see both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .parsing import WordSyntaxError, parse_word
 from .words import Alphabet, Generator, Word, substitute
@@ -117,6 +117,22 @@ class EquationSystem:
         return "\n".join(lines) + "\n"
 
 
+def header_lines(text: str, prefixes: tuple[str, ...] = ()) -> Iterator[tuple[int, str | None, str]]:
+    """``(lineno, name, rest)`` for each ``<name>: rest`` line whose start is
+    one of ``prefixes`` (such as ``"gens:"``), ``(lineno, None, line)`` for
+    any other line that is not blank once its ``#`` comment is cut; lines
+    count from 1."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        if line.startswith(prefixes):
+            name, _, rest = line.partition(":")
+            yield lineno, name, rest
+        else:
+            yield lineno, None, line
+
+
 def parse_system(text: str) -> EquationSystem:
     """Parse the system file format: ``gens:``/``vars:`` headers, then one
     ``<word> = 1`` or ``<word> = <word>`` per line."""
@@ -124,16 +140,13 @@ def parse_system(text: str) -> EquationSystem:
     variables: tuple[str, ...] = ()
     equations: list[Equation] = []
     alphabet: Alphabet | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("gens:"):
-            gens = tuple(line[len("gens:") :].split())
+    for lineno, header, line in header_lines(text, ("gens:", "vars:")):
+        if header == "gens":
+            gens = tuple(line.split())
             alphabet = None
             continue
-        if line.startswith("vars:"):
-            variables = tuple(line[len("vars:") :].split())
+        if header == "vars":
+            variables = tuple(line.split())
             alphabet = None
             continue
         if gens is None:

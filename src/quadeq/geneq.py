@@ -16,10 +16,11 @@ the first item is pinned by a constant base.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
-from .equations import Equation, EquationSystem
+from .equations import Equation, EquationSystem, header_lines
 from .words import Generator, Word, substitute
 
 # The search mode of ``entire_transform`` gives up after this many nodes.
@@ -569,16 +570,12 @@ class TraceOp:
     def render(self) -> str:
         return " ".join([self.op] + [str(a) for a in self.args])
 
-    @classmethod
-    def parse(cls, line: str) -> "TraceOp":
-        parts = line.split()
-        if not parts:
-            raise GenEqError("empty trace line")
-        op = parts[0]
-        args: list = []
-        for tok in parts[1:]:
-            args.append(int(tok) if tok.lstrip("-").isdigit() else tok)
-        return cls(op, tuple(args))
+
+# the arguments of each trace op: INT a boundary or item, NAME a base
+_TRACE_ARGS = {
+    "contract": "INT", "match": "NAME", "tie": "NAME INT INT", "insert": "INT",
+    "transfer": "NAME NAME", "cutdrop": "NAME INT", "dropall": "NAME", "terminal": "",
+}
 
 
 def contract_item(ge: GenEq, j: int) -> GenEq:
@@ -623,14 +620,11 @@ def apply_trace_op(ge: GenEq, op: TraceOp) -> GenEq:
     if op.op == "match":
         return et3_remove_matched(ge, op.args[0])
     if op.op == "tie":
-        name, p, q = op.args
-        return et5_connect(ge, name, p, q)
+        return et5_connect(ge, *op.args)
     if op.op == "insert":
-        (after,) = op.args
-        return et5_insert(ge, after)
+        return et5_insert(ge, *op.args)
     if op.op == "transfer":
-        carrier, name = op.args
-        return et2_transfer(ge, carrier, name)
+        return et2_transfer(ge, *op.args)
     if op.op == "cutdrop":
         name, j = op.args
         ge = et1_cut(ge, name, j)
@@ -662,11 +656,20 @@ def render_trace(trace: Sequence[TraceOp]) -> str:
 
 
 def parse_trace(text: str) -> list[TraceOp]:
+    """Read the format ``render_trace`` writes; every line must be a known op
+    with arguments of the right count and types."""
     out = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            out.append(TraceOp.parse(line))
+    for lineno, _, line in header_lines(text):
+        op, *toks = line.split()
+        if op not in _TRACE_ARGS:
+            raise GenEqError(f"trace line {lineno}: unknown op {op!r}")
+        kinds = _TRACE_ARGS[op].split()
+        if len(toks) != len(kinds) or any(
+            (re.fullmatch(r"-?[0-9]+", t) is not None) != (k == "INT") for k, t in zip(kinds, toks)
+        ):
+            usage = " ".join([op, *kinds])
+            raise GenEqError(f"trace line {lineno}: expected '{usage}', got '{line}'")
+        out.append(TraceOp(op, tuple(int(t) if k == "INT" else t for k, t in zip(kinds, toks))))
     return out
 
 
@@ -675,7 +678,7 @@ class EntireTransformResult:
     terminal: GenEq
     trace: list[TraceOp]
     rounds: int
-    status: str  # "terminal" | "budget" | "repeat"
+    status: str  # "terminal" | "budget" | "repeat" | "exhausted"
     solution: GenEqSolution | None = None
 
 
@@ -903,15 +906,17 @@ def _entire_transform_search(ge: GenEq, budget: int) -> EntireTransformResult:
     The round budget alone does not bound the search, so it also gives up
     after ``_SEARCH_NODES`` nodes.  A search that finds no terminal equation
     returns the deepest branch it reached (the first to complete the most
-    rounds), with status ``budget``.
+    rounds), with status ``budget`` when the round or node budget cut the
+    tree and ``exhausted`` when every branch was pruned.
     """
     seen: set[str] = set()
     nodes = 0
+    cut = False
     deepest = EntireTransformResult(ge, [], -1, "budget")
 
     # every call owns ``trace``: branches pass extended copies
     def rec(g: GenEq, trace: list[TraceOp], rounds: int) -> EntireTransformResult | None:
-        nonlocal nodes, deepest
+        nonlocal nodes, cut, deepest
         nodes += 1
         if nodes > _SEARCH_NODES:
             raise _OutOfNodes
@@ -922,6 +927,7 @@ def _entire_transform_search(ge: GenEq, budget: int) -> EntireTransformResult:
             trace.append(TraceOp("terminal", ()))
             return EntireTransformResult(g, trace, rounds, "terminal")
         if rounds >= budget:
+            cut = True
             return None
         key = g.canonical_text()
         if key in seen:
@@ -964,7 +970,6 @@ def _entire_transform_search(ge: GenEq, budget: int) -> EntireTransformResult:
             return None
 
     try:
-        out = rec(ge, [], 0)
+        return rec(ge, [], 0) or replace(deepest, status="budget" if cut else "exhausted")
     except _OutOfNodes:
-        out = None
-    return deepest if out is None else out
+        return deepest

@@ -7,6 +7,12 @@ builds that cell complex (half-edge style), computes Euler characteristic,
 orientability and genus per component, and implements the vertex machinery:
 girths, extensions by free-factor words, augmentation, joint extensions and
 multi-form genus accounting.
+
+One routine knows the gluing rule: the step of the vertex-link walk
+(``SurfaceComplex._cross``).  The complex walks the link from each corner not
+yet placed, in (face, pos) order; each orbit is one vertex and its girth, so
+vertices are numbered by their least corner.  Components come from one
+2-colouring of the faces over shared edges, listed by their least face.
 """
 
 from __future__ import annotations
@@ -112,22 +118,6 @@ class GluedSurface:
         return ORIENTABLE if self.orientable else NONORIENTABLE
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        if p != x:
-            self.parent[x] = p = self.find(p)
-        return p
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
-
 @dataclass(frozen=True)
 class GirthCorner:
     """One corner of the vertex link: the word slot between two darts.
@@ -156,7 +146,11 @@ class Girth:
 
 
 class SurfaceComplex:
-    """The identified cell complex of a quadratic set."""
+    """The identified cell complex of a quadratic set.
+
+    Corner (f, i) sits before letter i of face f: the tail of dart (f, i) and
+    the head of dart (f, i - 1) meet there.
+    """
 
     def __init__(self, qset: QuadraticSet):
         self.qset = qset
@@ -174,35 +168,41 @@ class SurfaceComplex:
             self.partner[(f1, i1)] = (f2, i2)
             self.partner[(f2, i2)] = (f1, i1)
 
-        # corner identification.  corner (f,i) sits before letter i; the
-        # tail of dart (f,i) and the head of dart (f,i-1) meet there.
-        uf = _UnionFind()
+        # in (face, pos) order, so each walk starts at its least corner
+        self._vertex: dict[tuple[int, int], int] = {}
+        self._girths: list[Girth] = []
         for f, letters in enumerate(self.faces):
-            n = len(letters)
-            for i in range(n):
-                uf.find((f, i))
-        for (f, i), (f2, i2) in self.partner.items():
-            if (f, i) > (f2, i2):
-                continue
-            g, g2 = self.faces[f][i], self.faces[f2][i2]
-            n, n2 = len(self.faces[f]), len(self.faces[f2])
-            if g.sign == -g2.sign:
-                uf.union((f, i), (f2, (i2 + 1) % n2))          # tail ~ head
-                uf.union((f, (i + 1) % n), (f2, i2))           # head ~ tail
-            else:
-                uf.union((f, i), (f2, i2))                     # tail ~ tail
-                uf.union((f, (i + 1) % n), (f2, (i2 + 1) % n2))  # head ~ head
-        self._corner_uf = uf
-        roots = sorted({uf.find((f, i)) for f, ls in enumerate(self.faces) for i in range(len(ls))})
-        self._vertex_of_root = {r: v for v, r in enumerate(roots)}
+            for i in range(len(letters)):
+                if (f, i) not in self._vertex:
+                    self._girths.append(self._walk(f, i))
 
-        # face components via shared edges
-        cuf = _UnionFind()
-        for f in range(len(self.faces)):
-            cuf.find(f)
-        for (f, _i), (f2, _i2) in self.partner.items():
-            cuf.union(f, f2)
-        self._comp_uf = cuf
+    def _cross(self, f: int, i: int, rev: bool) -> tuple[tuple[int, int], bool]:
+        """The corner after (f, i) on its vertex link, and whether the walk
+        then runs in reverse.  It leaves across dart i (dart i - 1 in
+        reverse).  Across an inverse pair it keeps its direction and lands
+        after the partner letter; across a same-sign pair it turns and lands
+        before it."""
+        d = i if not rev else (i - 1) % len(self.faces[f])
+        f2, i2 = self.partner[(f, d)]
+        rev2 = rev != (self.faces[f][d].sign == self.faces[f2][i2].sign)
+        return (f2, i2 if rev2 else (i2 + 1) % len(self.faces[f2])), rev2
+
+    def _walk(self, f: int, i: int) -> Girth:
+        v = len(self._girths)
+        corners: list[GirthCorner] = []
+        state = ((f, i), False)
+        while True:
+            (cf, ci), rev = state
+            if (cf, ci) in self._vertex:
+                raise AssertionError("internal: the vertex link visits a corner twice")
+            self._vertex[(cf, ci)] = v
+            letters = self.faces[cf]
+            into, out = letters[ci - 1].inv(), letters[ci]
+            entry, exit_ = (out, into) if rev else (into, out)
+            corners.append(GirthCorner(cf, ci, entry, exit_, rev))
+            state = self._cross(cf, ci, rev)
+            if state == ((f, i), False):
+                return Girth(vertex=v, corners=tuple(corners))
 
     # --- counting -----------------------------------------------------------
 
@@ -216,63 +216,40 @@ class SurfaceComplex:
 
     @property
     def vertex_count(self) -> int:
-        return len(self._vertex_of_root)
+        return len(self._girths)
 
     def vertex_of(self, face: int, pos: int) -> int:
-        return self._vertex_of_root[self._corner_uf.find((face, pos))]
+        return self._vertex[(face, pos)]
 
     def vertices(self) -> list[int]:
-        return sorted(self._vertex_of_root.values())
-
-    def _component_faces(self) -> dict[int, list[int]]:
-        comps: dict[int, list[int]] = {}
-        for f in range(len(self.faces)):
-            comps.setdefault(self._comp_uf.find(f), []).append(f)
-        return comps
-
-    def _orientable(self, face_group: Sequence[int]) -> bool:
-        colors: dict[int, int] = {}
-        for start in face_group:
-            if start in colors:
-                continue
-            colors[start] = 1
-            stack = [start]
-            while stack:
-                f = stack.pop()
-                for i, g in enumerate(self.faces[f]):
-                    f2, i2 = self.partner[(f, i)]
-                    g2 = self.faces[f2][i2]
-                    want = -g.sign * g2.sign * colors[f]
-                    if f2 not in colors:
-                        colors[f2] = want
-                        stack.append(f2)
-                    elif colors[f2] != want:
-                        return False
-        return True
+        return list(range(len(self._girths)))
 
     def summary(self) -> GluedSurface:
+        """Counts and components, by one 2-colouring of the faces: a face is
+        flipped against a neighbour when the link walk turns between them."""
+        flipped: dict[int, bool] = {}
         comps = []
-        for _root, face_group in sorted(self._component_faces().items()):
-            fset = set(face_group)
-            vset = {
-                self.vertex_of(f, i)
-                for f in face_group
-                for i in range(len(self.faces[f]))
-            }
-            eset = {
-                self.faces[f][i].sym for f in face_group for i in range(len(self.faces[f]))
-            }
-            v, e, fc = len(vset), len(eset), len(face_group)
-            chi = v - e + fc
-            comps.append(
-                Component(
-                    faces=tuple(sorted(fset)),
-                    vertex_count=v,
-                    edge_count=e,
-                    chi=chi,
-                    orientable=self._orientable(face_group),
-                )
-            )
+        for start in range(len(self.faces)):
+            if start in flipped:
+                continue
+            flipped[start] = False
+            faces, stack, orientable = [start], [start], True
+            while stack:
+                f = stack.pop()
+                for i in range(len(self.faces[f])):
+                    (f2, _), turned = self._cross(f, i, False)
+                    want = flipped[f] != turned
+                    if f2 not in flipped:
+                        flipped[f2] = want
+                        faces.append(f2)
+                        stack.append(f2)
+                    elif flipped[f2] != want:
+                        orientable = False
+            faces.sort()
+            corners = [(f, i) for f in faces for i in range(len(self.faces[f]))]
+            v = len({self._vertex[c] for c in corners})
+            e = len(corners) // 2
+            comps.append(Component(tuple(faces), v, e, v - e + len(faces), orientable))
         return GluedSurface(
             vertex_count=self.vertex_count,
             edge_count=self.edge_count,
@@ -282,69 +259,12 @@ class SurfaceComplex:
 
     # --- vertex links ---------------------------------------------------------
 
-    def _corners_of(self, vertex: int) -> list[tuple[int, int]]:
-        out = []
-        for f, letters in enumerate(self.faces):
-            for i in range(len(letters)):
-                if self.vertex_of(f, i) == vertex:
-                    out.append((f, i))
-        return out
-
     def girth(self, vertex: int) -> Girth:
-        """Corners around a vertex in cyclic walk order, with reversal flags.
-
-        Walking around the vertex alternates corners and edge-ends; crossing
-        a same-sign glued edge flips the traversal direction, which is what
-        the ``reversed_`` flag records.
-        """
-        corners = self._corners_of(vertex)
-        if not corners:
+        """Corners around a vertex in link-walk order, from its least corner;
+        ``reversed_`` records that the walk has turned an odd number of times."""
+        if not 0 <= vertex < len(self._girths):
             raise SurfaceError(f"no such vertex {vertex}")
-        start = min(corners)
-        walk: list[GirthCorner] = []
-        state = (start, False)  # (corner, entered_via_out_end)
-        seen = set()
-        while True:
-            (f, i), rev = state
-            if ((f, i), rev) in seen:
-                break
-            seen.add(((f, i), rev))
-            n = len(self.faces[f])
-            in_dart = (f, (i - 1) % n)
-            out_dart = (f, i)
-            in_letter = self.faces[f][in_dart[1]]
-            out_letter = self.faces[f][i]
-            if not rev:
-                entry, exit_ = in_letter.inv(), out_letter
-            else:
-                entry, exit_ = out_letter, in_letter.inv()
-            walk.append(
-                GirthCorner(face=f, pos=i, entry=entry, exit_=exit_, reversed_=rev)
-            )
-            # leave the corner by crossing the dart on the exit side
-            dart = out_dart if not rev else in_dart
-            f2, i2 = self.partner[dart]
-            g, g2 = self.faces[dart[0]][dart[1]], self.faces[f2][i2]
-            n2 = len(self.faces[f2])
-            if not rev:
-                # leaving via the tail of out_dart
-                if g.sign == -g2.sign:
-                    state = ((f2, (i2 + 1) % n2), False)   # arrive at head
-                else:
-                    state = ((f2, i2), True)               # arrive at tail
-            else:
-                # leaving via the head of in_dart
-                if g.sign == -g2.sign:
-                    state = ((f2, i2), True)
-                else:
-                    state = ((f2, (i2 + 1) % n2), False)
-            if state[0] == start and state[1] is False:
-                break
-        if len(walk) != len(corners):
-            raise SurfaceError(
-                f"vertex walk visited {len(walk)} corners, expected {len(corners)}"
-            )
-        return Girth(vertex=vertex, corners=tuple(walk))
+        return self._girths[vertex]
 
 
 def build_complex(words: Iterable[CyclicWord | Word]) -> SurfaceComplex:
@@ -429,19 +349,17 @@ def extend_vertex(
         raise SurfaceError(
             f"vertex degree is {girth.degree}, got {len(psis)} extension elements"
         )
-    inserts: dict[int, list[tuple[int, Word]]] = {}
-    for corner, psi in zip(girth.corners, psis):
-        inserts.setdefault(corner.face, []).append((corner.pos, shift_word(psi, factor_offset)))
+    # the link walk places each corner once, so each slot gets one insert
+    inserts = {
+        (c.face, c.pos): shift_word(psi, factor_offset).letters
+        for c, psi in zip(girth.corners, psis)
+    }
     out: list[Word] = []
     for f, letters in enumerate(complex_.faces):
         pieces: list[Generator] = []
-        by_pos: dict[int, list[Word]] = {}
-        for pos, w in inserts.get(f, []):
-            by_pos.setdefault(pos, []).append(w)
-        for i in range(len(letters)):
-            for w in by_pos.get(i, []):
-                pieces.extend(w.letters)
-            pieces.append(letters[i])
+        for i, g in enumerate(letters):
+            pieces.extend(inserts.get((f, i), ()))
+            pieces.append(g)
         out.append(Word(pieces))
     return out
 

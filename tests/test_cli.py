@@ -226,6 +226,59 @@ def test_geneq_trace_search_node_budget(tmp_path, capsys):
     assert out.split("bounds ", 1)[1] == out2.split("bounds ", 1)[1]
 
 
+def test_geneq_trace_search_exhausted(tmp_path, capsys):
+    # corpus system 873: every branch is pruned after one round, no budget ran out
+    f = write(tmp_path, "s.txt", "gens: a b\nvars: x y\nx a x = 1\ny^2 = 1\n")
+    tr = str(tmp_path / "trace.txt")
+    code, out, _ = run(capsys, "geneq-trace", f, "--trace-out", tr)
+    assert code == 5
+    assert "status: exhausted" in out and "rounds: 1" in out
+    code2, out2, _ = run(capsys, "geneq-trace", f, "--replay", tr)
+    assert code2 == 0
+    assert out.split("bounds ", 1)[1] == out2.split("bounds ", 1)[1]
+
+
+@pytest.mark.parametrize("argv,trace,message", [
+    (["geneq-trace", "{sys}", "--replay", "{trace}"], "tie s1\n",
+     "error: trace line 1: expected 'tie NAME INT INT', got 'tie s1'"),
+    (["geneq-trace", "{sys}", "--replay", "{trace}"], "contract\n",
+     "error: trace line 1: expected 'contract INT', got 'contract'"),
+    (["geneq-trace", "{sys}", "--replay", "{trace}"], "contract x\n",
+     "error: trace line 1: expected 'contract INT', got 'contract x'"),
+    (["geneq-trace", "{sys}", "--replay", "{trace}"], "insert 1 2\n",
+     "error: trace line 1: expected 'insert INT', got 'insert 1 2'"),
+    (["geneq-trace", "{sys}", "--replay", "{trace}"], "# a comment\n\ntransfer s1\n",
+     "error: trace line 3: expected 'transfer NAME NAME', got 'transfer s1'"),
+    (["geneq-trace", "{sys}", "--replay", "{trace}"], "tie 1 1 3\n",
+     "error: trace line 1: expected 'tie NAME INT INT', got 'tie 1 1 3'"),
+    (["geneq-trace", "{sys}", "--replay", "{trace}"], "frobnicate 1\n",
+     "error: trace line 1: unknown op 'frobnicate'"),
+    (["geneq-trace", "{sys}", "--budget", "-1"], None,
+     "error: argument --budget: must be >= 0, got -1"),
+    (["reduce-binpack", "--items", "a,1", "--bins", "1", "--cap", "2"], None,
+     "error: argument --items: need comma-separated integers, got 'a,1'"),
+    (["check-equivalence", "--items", "a,1", "--bins", "1", "--cap", "2"], None,
+     "error: argument --items: need comma-separated integers, got 'a,1'"),
+    (["check-equivalence", "--items", "1"], None,
+     "error: --items needs --bins and --cap"),
+    (["oracle", "{sys}", "--max-len", "-1"], None,
+     "error: argument --max-len: must be >= 0, got -1"),
+])
+def test_bad_input_exit_code(tmp_path, capsys, argv, trace, message):
+    # malformed trace lines and flags are bad input, not internal errors
+    paths = {
+        "sys": write(tmp_path, "s.txt", "gens: a b\nvars: x y\nx a x = 1\ny^2 = 1\n"),
+        "trace": write(tmp_path, "t.txt", trace or ""),
+    }
+    try:
+        code = main([a.format(**paths) for a in argv])
+    except SystemExit as e:  # argparse rejects the flag
+        code = e.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err.splitlines()[-1]
+
+
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     # a bug inside the library is reported on stderr with its own exit code
     def broken(*args, **kwargs):

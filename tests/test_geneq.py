@@ -431,15 +431,18 @@ SOLUTION_PINS = [
 ]
 
 # Search mode, budget 6.  25123 and 25705 end because a cut that would
-# delete a boundary still in use prunes its branch.  A ``budget`` row pins
-# the deepest branch the search reached.
+# delete a boundary still in use prunes its branch.  An ``exhausted`` row pins
+# the deepest branch the search reached: every branch was pruned before the
+# round budget or the node cap was hit (these three rows read ``budget``
+# until the search told the two endings apart; rounds and digests did not
+# change).
 SEARCH_PINS = [
     (0, 'terminal', 2, 'acc7e2bc69833a4d', 'c8e6d37c1a91b17b'),
     (97, 'terminal', 2, 'c99b224b691178b8', '7b2d11d485b6691f'),
     (291, 'terminal', 4, '06dffa3cc0079f0a', '5235b21fc921bf8e'),
     (388, 'terminal', 3, '23d5dad8346f0a89', 'c8e6d37c1a91b17b'),
     (582, 'terminal', 3, '1bc8eb9c3468eb66', 'a3d935ae64d7611f'),
-    (873, 'budget', 1, 'feab6b6b147904f1', 'd870b1fd3c553fc1'),
+    (873, 'exhausted', 1, 'feab6b6b147904f1', 'd870b1fd3c553fc1'),
     (1067, 'terminal', 5, 'ca2b80e10aea52b6', 'e17ef7eb0bddffa2'),
     (1649, 'terminal', 5, '78543cc8b90bf7fe', '5645a3683aa57915'),
     (2037, 'terminal', 3, 'f3075eb88d55b32b', '707e7a50d7a5f895'),
@@ -447,8 +450,8 @@ SEARCH_PINS = [
     (6499, 'terminal', 6, '8828ec834520e66d', 'd92a50527a5d72f5'),
     (6887, 'terminal', 6, '414767ab8cde5924', '5235b21fc921bf8e'),
     (7566, 'terminal', 5, '98a694b8b51597e5', '069b367e9169b6cc'),
-    (8730, 'budget', 1, '959f2a54671ebc4c', 'de01db878fe60441'),
-    (9118, 'budget', 1, 'feab6b6b147904f1', '93ec13a4d735a31b'),
+    (8730, 'exhausted', 1, '959f2a54671ebc4c', 'de01db878fe60441'),
+    (9118, 'exhausted', 1, 'feab6b6b147904f1', '93ec13a4d735a31b'),
     (12804, 'terminal', 4, 'c8c466336f8eb933', '66d8ed3427e3c952'),
     (14453, 'terminal', 5, 'cb3ecbd1604507e1', 'e73a76c8f12547c0'),
     (19400, 'terminal', 4, 'dea4f76eaafecc04', '469f148befa81340'),

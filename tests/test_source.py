@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import quadeq
@@ -73,3 +76,19 @@ def test_no_unreferenced_definitions():
                 if not dunder and n.name not in used:
                     found.append(f"{path.name}:{n.lineno} {n.name}")
     assert found == []
+
+
+# the modules the benchmark imports; its setup_s times their import
+SOLVE_PATH = ("words", "parsing", "equations", "oracle", "standardize", "solver")
+
+
+def test_solve_path_imports():
+    # importing surfaces.py into the solve path once raised setup_s by 27-33 %
+    code = (
+        f"import sys\nfor m in {SOLVE_PATH!r}: __import__('quadeq.' + m)\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('quadeq.'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == sorted(f"quadeq.{m}" for m in SOLVE_PATH)

@@ -385,6 +385,63 @@ def test_genus_formula_matches_gluing(case):
         checked += 1
 
 
+# --- the vertex-link walk -------------------------------------------------------------
+
+def _random_complexes(seed, count):
+    """Seeded random quadratic sets of both kinds: 1-7 edges, 1-4 faces."""
+    rng = random.Random(seed)
+    for k in range(count):
+        orientable = k % 2 == 0
+        n_edges = rng.randint(1, 7)
+        # a a^-1 alone is not cyclically reduced, so one orientable edge needs two faces
+        n_words = rng.randint(2 if orientable and n_edges == 1 else 1, min(4, 2 * n_edges))
+        yield build_complex(_random_quadratic_set(rng, n_edges, n_words, orientable))
+
+
+def test_link_walk_places_every_corner_once():
+    for cx in _random_complexes(11, 400):
+        girths = [cx.girth(v) for v in cx.vertices()]
+        corners = [(c.face, c.pos) for g in girths for c in g.corners]
+        assert sorted(corners) == [(f, i) for f, w in enumerate(cx.faces) for i in range(len(w))]
+        assert sum(g.degree for g in girths) == sum(len(w) for w in cx.faces)
+        for g in girths:
+            assert all(cx.vertex_of(c.face, c.pos) == g.vertex for c in g.corners)
+
+
+def test_link_walk_steps_cross_glued_edges():
+    # consecutive girth corners: the walk leaves the first across the dart on
+    # its exit side and enters the next across that dart's glued partner,
+    # turning exactly when the two letters have the same sign
+    for cx in _random_complexes(12, 400):
+        for v in cx.vertices():
+            corners = cx.girth(v).corners
+            assert not corners[0].reversed_
+            for c, nxt in zip(corners, corners[1:] + corners[:1]):
+                n, n2 = len(cx.faces[c.face]), len(cx.faces[nxt.face])
+                out = (c.face, (c.pos - 1) % n if c.reversed_ else c.pos)
+                into = (nxt.face, nxt.pos if nxt.reversed_ else (nxt.pos - 1) % n2)
+                g, h = cx.faces[out[0]][out[1]], cx.faces[into[0]][into[1]]
+                assert out != into and g.sym == h.sym
+                assert nxt.reversed_ == (c.reversed_ != (g.sign == h.sign))
+                assert c.exit_ == nxt.entry
+
+
+def test_vertices_and_components_numbered_by_least_corner_and_face():
+    for cx in _random_complexes(13, 400):
+        least = [min((c.face, c.pos) for c in cx.girth(v).corners) for v in cx.vertices()]
+        assert all(a < b for a, b in zip(least, least[1:]))
+        comps = cx.summary().components
+        assert all(a.faces[0] < b.faces[0] for a, b in zip(comps, comps[1:]))
+        assert sorted(f for c in comps for f in c.faces) == list(range(len(cx.faces)))
+        for comp in comps:
+            corners = [(f, i) for f in comp.faces for i in range(len(cx.faces[f]))]
+            v = len({cx.vertex_of(f, i) for f, i in corners})
+            e = len({cx.faces[f][i].sym for f, i in corners})
+            assert (comp.vertex_count, comp.edge_count) == (v, e)
+            assert comp.chi == v - e + len(comp.faces)
+            assert not comp.orientable or comp.chi % 2 == 0
+
+
 # --- joint extensions / multi-forms -------------------------------------------------
 
 def test_joint_extension_validation():
