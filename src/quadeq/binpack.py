@@ -188,7 +188,7 @@ def packing_to_witness(
         if sum(inst.items[j] for j in b) != inst.capacity:
             raise BinPackError("packing is not exact: some bin misses capacity")
 
-    gens, u, v = _uv(params, free_form)
+    _, u, v = _uv(params, free_form)
 
     # derived order: bins first, items ascending inside each bin
     terms: list[tuple[int, Word]] = []  # (item index, conjugator)

@@ -115,6 +115,13 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _items(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.split(","))
@@ -421,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="decide a quadratic system")
     sp.add_argument("file")
-    sp.add_argument("--bound", type=int, default=None,
+    sp.add_argument("--bound", type=_nonnegative, default=None,
                     help="witness search cap (default: the cited bounds)")
     common(sp)
     sp.set_defaults(fn=cmd_solve)
@@ -430,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--max-len", type=_nonnegative, default=2)
     sp.add_argument("--total", type=_nonnegative, default=None)
-    sp.add_argument("--limit", type=int, default=10)
+    sp.add_argument("--limit", type=_positive, default=10)
     common(sp)
     sp.set_defaults(fn=cmd_oracle)
 

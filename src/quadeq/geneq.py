@@ -12,13 +12,17 @@ solution set through explicit carriers.  The entire transformation repeatedly
 ties all boundaries of the longest base starting at 1, transfers everything
 it covers onto its dual, and deletes the consumed prefix, terminating when
 the first item is pinned by a constant base.
+
+Two helpers hold the bookkeeping: ``_renumber`` is the only code that moves
+boundaries (insertion, contraction, deleting a prefix) and ``_drop_pair`` the
+only code that removes a dual pair with its ties.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .equations import Equation, EquationSystem, header_lines
 from .words import Generator, Word, substitute
@@ -193,10 +197,7 @@ class GenEqSolution:
             if self.value(b) != self.value(geneq.dual_of(b.name)):
                 return False
         for c in geneq.constant_bases():
-            w = Word()
-            for j in range(c.lo, c.hi):
-                w = w * self.items[j]
-            if w != Word((c.label,)):
+            if self.value(c) != Word((c.label,)):
                 return False
         for p, name, q in geneq.connections:
             b = geneq.base(name)
@@ -214,6 +215,8 @@ class GenEqBuild:
     system: EquationSystem
     # variable occurrence positions: var sym -> list of (item index, sign)
     var_slots: dict[int, list[tuple[int, int]]]
+    # the letter each item reads: equation letters, then the constant twins
+    letters: dict[int, Generator]
 
     def push(self, assignment: Mapping[str, Word]) -> GenEqSolution:
         """System solution -> generalized-equation solution.
@@ -223,7 +226,7 @@ class GenEqBuild:
         """
         amap = {self.system.var_sym(n): w for n, w in assignment.items()}
         items: dict[int, Word] = {}
-        for j, letter in self._letters().items():
+        for j, letter in self.letters.items():
             if letter.sym < self.system.n_constants:
                 items[j] = Word((letter,))
             else:
@@ -242,21 +245,6 @@ class GenEqBuild:
             v = sol.items[j]
             out[self.system.var_name(sym)] = v if sign > 0 else v.inverse()
         return out
-
-    def _letters(self) -> dict[int, Generator]:
-        letters: dict[int, Generator] = {}
-        pos = 1
-        for eq in self.system.equations:
-            for g in tuple(eq.lhs) + tuple(eq.rhs):
-                letters[pos] = g
-                pos += 1
-        # constant twins
-        for eq in self.system.equations:
-            for g in tuple(eq.lhs) + tuple(eq.rhs):
-                if g.sym < self.system.n_constants:
-                    letters[pos] = Generator(g.sym, 1)
-                    pos += 1
-        return letters
 
 
 def _halves(w: Word) -> tuple[Word, Word]:
@@ -334,6 +322,7 @@ def from_system(system: EquationSystem) -> GenEqBuild:
     twin_pos: dict[int, int] = {}
     for p, g in twins:
         twin_pos[p] = pos
+        letter_at[pos] = Generator(g.sym, 1)
         pos += 1
     nbound = pos
 
@@ -347,16 +336,14 @@ def from_system(system: EquationSystem) -> GenEqBuild:
         if g.sym >= nc:
             var_slots.setdefault(g.sym, []).append((p, g.sign))
     vcount = 0
-    for sym, slots in sorted(var_slots.items()):
+    for _, slots in sorted(var_slots.items()):
         for k in range(len(slots) - 1):
             vcount += 1
             (p1, s1), (p2, s2) = slots[k], slots[k + 1]
             bases.append(Base(f"v{vcount}", p1, p1 + 1, s1, dual=f"v{vcount}*"))
             bases.append(Base(f"v{vcount}*", p2, p2 + 1, s2, dual=f"v{vcount}"))
 
-    ccount = 0
-    for p, g in twins:
-        ccount += 1
+    for ccount, (p, g) in enumerate(twins, 1):
         t = twin_pos[p]
         bases.append(Base(f"c{ccount}", p, p + 1, g.sign, dual=f"c{ccount}*"))
         bases.append(Base(f"c{ccount}*", t, t + 1, 1, dual=f"c{ccount}"))
@@ -369,23 +356,49 @@ def from_system(system: EquationSystem) -> GenEqBuild:
         connections=(),
         rho=rho,
     )
-    return GenEqBuild(geneq=ge, system=norm, var_slots=var_slots)
+    return GenEqBuild(geneq=ge, system=norm, var_slots=var_slots, letters=letter_at)
 
 
 # --- elementary transformations --------------------------------------------------------
 
 
 def _replace_base(ge: GenEq, *remove: str, add: Sequence[Base] = (),
-                  connections: Iterable[tuple[int, str, int]] | None = None,
-                  nbound: int | None = None, rho: int | None = None) -> GenEq:
+                  connections: Iterable[tuple[int, str, int]] | None = None) -> GenEq:
     keep = tuple(b for b in ge.bases if b.name not in remove) + tuple(add)
     return GenEq(
         gens=ge.gens,
-        nbound=ge.nbound if nbound is None else nbound,
+        nbound=ge.nbound,
         bases=keep,
         connections=tuple(connections) if connections is not None else ge.connections,
-        rho=ge.rho if rho is None else rho,
+        rho=ge.rho,
     )
+
+
+def _renumber(ge: GenEq, mv: Callable[[int], int], nbound: int,
+              drop: Collection[str] = ()) -> GenEq:
+    """Map every base end, every tie and rho through ``mv``.  The bases named
+    in ``drop`` go with their ties, and ties that coincide are kept once."""
+    conns: list[tuple[int, str, int]] = []
+    for p, n, q in ge.connections:
+        c = (mv(p), n, mv(q))
+        if n not in drop and c not in conns:
+            conns.append(c)
+    return GenEq(
+        gens=ge.gens,
+        nbound=nbound,
+        bases=tuple(
+            replace(b, lo=mv(b.lo), hi=mv(b.hi)) for b in ge.bases if b.name not in drop
+        ),
+        connections=tuple(conns),
+        rho=mv(ge.rho),
+    )
+
+
+def _drop_pair(ge: GenEq, name: str) -> GenEq:
+    """Remove base ``name``, its dual and their ties."""
+    pair = (name, ge.base(name).dual)
+    conns = [c for c in ge.connections if c[1] not in pair]
+    return _replace_base(ge, *pair, connections=conns)
 
 
 def _oriented_parts(b: Base, p: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -421,12 +434,12 @@ def et1_cut(ge: GenEq, name: str, p: int) -> GenEq:
         if nn == name:
             if (pp, qq) == (p, q):
                 continue
-            part, dpart = (n1, m1) if _within(_oriented_parts(b, p)[0], pp) else (n2, m2)
+            part = n1 if _within(bp, pp) else n2
             conns.append((pp, part, qq))
         elif nn == d.name:
             if (qq, pp) == (p, q):
                 continue
-            part = m1 if _within(_oriented_parts(d, q)[0], pp) else m2
+            part = m1 if _within(dp, pp) else m2
             conns.append((pp, part, qq))
         else:
             conns.append((pp, nn, qq))
@@ -483,8 +496,7 @@ def et3_remove_matched(ge: GenEq, name: str) -> GenEq:
     d = ge.dual_of(name)
     if (b.lo, b.hi, b.eps) != (d.lo, d.hi, d.eps):
         raise GenEqError(f"{name} and {d.name} are not a matched pair")
-    conns = [c for c in ge.connections if c[1] not in (b.name, d.name)]
-    return _replace_base(ge, b.name, d.name, connections=conns)
+    return _drop_pair(ge, name)
 
 
 def _shift_down(ge: GenEq, cut: int, amount: int) -> GenEq:
@@ -497,17 +509,7 @@ def _shift_down(ge: GenEq, cut: int, amount: int) -> GenEq:
             raise GenEqError("reference into deleted boundaries")
         return x - amount
 
-    bases = []
-    for b in ge.bases:
-        bases.append(replace(b, lo=mv(b.lo), hi=mv(b.hi)))
-    conns = [(mv(p), n, mv(q)) for p, n, q in ge.connections]
-    return GenEq(
-        gens=ge.gens,
-        nbound=ge.nbound - amount,
-        bases=tuple(bases),
-        connections=tuple(conns),
-        rho=mv(ge.rho),
-    )
+    return _renumber(ge, mv, ge.nbound - amount)
 
 
 def et4_remove_lone(ge: GenEq, name: str) -> GenEq:
@@ -515,18 +517,13 @@ def et4_remove_lone(ge: GenEq, name: str) -> GenEq:
     b = ge.base(name)
     if b.dual is None:
         raise GenEqError("constant bases are not removed this way")
-    d = ge.dual_of(name)
     for other in ge.bases:
         if other.name in (b.name,):
             continue
         for j in range(b.lo + 1, b.hi):
             if other.on(j):
                 raise GenEqError(f"{name} intersects {other.name}")
-    conns = [c for c in ge.connections if c[1] not in (b.name, d.name)]
-    ge2 = _replace_base(ge, b.name, d.name, connections=conns)
-    if b.hi - b.lo > 1:
-        ge2 = _shift_down(ge2, b.lo + 1, b.hi - b.lo - 1)
-    return ge2
+    return _shift_down(_drop_pair(ge, name), b.lo + 1, b.hi - b.lo - 1)
 
 
 def et5_connect(ge: GenEq, name: str, p: int, q: int) -> GenEq:
@@ -546,18 +543,7 @@ def et5_insert(ge: GenEq, after: int) -> GenEq:
     if not (1 <= after < ge.nbound):
         raise GenEqError("insertion point must split an existing item")
 
-    def mv(x: int) -> int:
-        return x if x <= after else x + 1
-
-    bases = [replace(b, lo=mv(b.lo), hi=mv(b.hi)) for b in ge.bases]
-    conns = [(mv(p), n, mv(q)) for p, n, q in ge.connections]
-    return GenEq(
-        gens=ge.gens,
-        nbound=ge.nbound + 1,
-        bases=tuple(bases),
-        connections=tuple(conns),
-        rho=mv(ge.rho),
-    )
+    return _renumber(ge, lambda x: x if x <= after else x + 1, ge.nbound + 1)
 
 # --- the entire transformation -----------------------------------------------------
 
@@ -587,31 +573,8 @@ def contract_item(ge: GenEq, j: int) -> GenEq:
     def mv(x: int) -> int:
         return x if x <= j else x - 1
 
-    dead: set[str] = set()
-    for b in ge.bases:
-        if mv(b.lo) == mv(b.hi):
-            dead.add(b.name)
-            if b.dual is not None:
-                dead.add(b.dual)
-    bases = [
-        replace(b, lo=mv(b.lo), hi=mv(b.hi))
-        for b in ge.bases
-        if b.name not in dead
-    ]
-    conns = []
-    for p, n, q in ge.connections:
-        if n in dead:
-            continue
-        c = (mv(p), n, mv(q))
-        if c not in conns:
-            conns.append(c)
-    return GenEq(
-        gens=ge.gens,
-        nbound=ge.nbound - 1,
-        bases=tuple(bases),
-        connections=tuple(conns),
-        rho=mv(ge.rho),
-    )
+    dead = {n for b in ge.bases if mv(b.lo) == mv(b.hi) for n in (b.name, b.dual) if n}
+    return _renumber(ge, mv, ge.nbound - 1, drop=dead)
 
 
 def apply_trace_op(ge: GenEq, op: TraceOp) -> GenEq:
@@ -627,19 +590,10 @@ def apply_trace_op(ge: GenEq, op: TraceOp) -> GenEq:
         return et2_transfer(ge, *op.args)
     if op.op == "cutdrop":
         name, j = op.args
-        ge = et1_cut(ge, name, j)
-        pre = f"{name}.1"
-        d1 = ge.dual_of(pre).name
-        conns = [c for c in ge.connections if c[1] not in (pre, d1)]
-        ge = _replace_base(ge, pre, d1, connections=conns)
-        return _shift_down(ge, 1, j - 1)
+        return _shift_down(_drop_pair(et1_cut(ge, name, j), f"{name}.1"), 1, j - 1)
     if op.op == "dropall":
         (name,) = op.args
-        d = ge.dual_of(name).name
-        conns = [c for c in ge.connections if c[1] not in (name, d)]
-        b = ge.base(name)
-        ge = _replace_base(ge, name, d, connections=conns)
-        return _shift_down(ge, 1, b.hi - 1)
+        return _shift_down(_drop_pair(ge, name), 1, ge.base(name).hi - 1)
     if op.op == "terminal":
         return ge
     raise GenEqError(f"unknown trace op {op.op!r}")
@@ -714,36 +668,30 @@ def _tie_with_solution(
     target = sol.offset(b, p)
     # walk the dual's span in oriented order accumulating item lengths
     order = range(d.lo, d.hi) if d.eps == 1 else range(d.hi - 1, d.lo - 1, -1)
-    acc = 0
-    start = d.lo if d.eps == 1 else d.hi
-    if target == 0:
-        ge2 = et5_connect(ge, name, p, start)
-        trace.append(TraceOp("tie", (name, p, start)))
-        return ge2, sol
+    q, acc = d.alpha, 0
     for j in order:
+        if acc == target:
+            break
         step = len(sol.items[j])
-        if acc + step < target:
-            acc += step
-            continue
-        if acc + step == target:
-            q = (j + 1) if d.eps == 1 else j
-            ge2 = et5_connect(ge, name, p, q)
-            trace.append(TraceOp("tie", (name, p, q)))
-            return ge2, sol
-        # strictly inside item j: split it
-        if d.eps == 1:
-            left = target - acc
-        else:
-            left = step - (target - acc)
-        trace.append(TraceOp("insert", (j,)))
-        ge2 = et5_insert(ge, j)
-        sol2 = _solution_insert(sol, j, left)
-        q = j + 1
-        pp = p if p <= j else p + 1
-        ge2 = et5_connect(ge2, name, pp, q)
-        trace.append(TraceOp("tie", (name, pp, q)))
-        return ge2, sol2
-    raise GenEqError(f"offset {target} exceeds the dual span of {name}")
+        if acc + step > target:
+            # strictly inside item j: split it
+            left = target - acc if d.eps == 1 else step - (target - acc)
+            return _insert_tie(ge, name, p, j, trace), _solution_insert(sol, j, left)
+        acc += step
+        q = j + 1 if d.eps == 1 else j
+    if acc != target:
+        raise GenEqError(f"offset {target} exceeds the dual span of {name}")
+    ge = et5_connect(ge, name, p, q)
+    trace.append(TraceOp("tie", (name, p, q)))
+    return ge, sol
+
+
+def _insert_tie(ge: GenEq, name: str, p: int, j: int, trace: list[TraceOp]) -> GenEq:
+    """Split item h_j and tie boundary p on base ``name`` to the new boundary."""
+    pp = p if p <= j else p + 1
+    ge = et5_connect(et5_insert(ge, j), name, pp, j + 1)
+    trace.extend([TraceOp("insert", (j,)), TraceOp("tie", (name, pp, j + 1))])
+    return ge
 
 
 def entire_transform(
@@ -951,14 +899,8 @@ def _entire_transform_search(ge: GenEq, budget: int) -> EntireTransformResult:
                 if out is not None:
                     return out
             for j in range(d.lo, d.hi):
-                g2 = et5_insert(g, j)
-                pp = p if p <= j else p + 1
-                g2 = et5_connect(g2, mu.name, pp, j + 1)
-                out = rec(
-                    g2,
-                    trace + [TraceOp("insert", (j,)), TraceOp("tie", (mu.name, pp, j + 1))],
-                    rounds,
-                )
+                branch = list(trace)
+                out = rec(_insert_tie(g, mu.name, p, j, branch), branch, rounds)
                 if out is not None:
                     return out
             return None

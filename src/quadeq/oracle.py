@@ -96,11 +96,9 @@ def _solve_last(relator: Word, sym: int, limit: int) -> list[Word] | None:
         return [w] if len(w) <= limit else []
     signs = {s for _, s in occ}
     if len(signs) == 1:
-        # z^(n*s) equals a known word after bringing constants to one side:
-        # handle the simplest shape  A z^s B z^s C ... only when the word is
-        # literally (X z^s)^n X' ... too ad hoc; support the pure-power case
-        # relator == U * z^(s*n-ish) pattern via n-th root on the closed form.
-        # General case: give up (caller enumerates).
+        # same sign throughout: the two-occurrence case u z^s M z^s v = 1
+        # is solved through the unique square root of u^-1 v^-1 M; more
+        # occurrences are left to the caller's enumeration
         if len(occ) == 2:
             (i, s), (j, _) = occ
             u = relator.subword(0, i)

@@ -94,7 +94,7 @@ def _parse_word(toks: _Tokens, alphabet: Alphabet, stop: set[str]) -> Word:
         tok = toks.peek()
         if tok is None:
             return out
-        kind, value, pos = tok
+        kind, value, _ = tok
         if kind == "punct" and value in stop:
             return out
         atom = _parse_atom(toks, alphabet)

@@ -163,7 +163,7 @@ class SurfaceComplex:
             for i, g in enumerate(letters):
                 occ.setdefault(g.sym, []).append((f, i))
         self.partner: dict[tuple[int, int], tuple[int, int]] = {}
-        for sym, positions in occ.items():
+        for positions in occ.values():
             (f1, i1), (f2, i2) = positions
             self.partner[(f1, i1)] = (f2, i2)
             self.partner[(f2, i2)] = (f1, i1)

@@ -228,16 +228,7 @@ def commutator(x: Word, y: Word) -> Word:
 
 def is_proper_power(w: Word) -> bool:
     """True if w == v^k for some k >= 2 (w taken literally, not cyclically)."""
-    n = len(w)
-    if n == 0:
-        return True
-    for d in range(1, n // 2 + 1):
-        if n % d:
-            continue
-        root = w.subword(0, d)
-        if all(w.letters[i * d : (i + 1) * d] == root.letters for i in range(n // d)):
-            return True
-    return False
+    return len(w) == 0 or root_of(w)[1] >= 2
 
 
 def root_of(w: Word) -> tuple[Word, int]:
@@ -368,7 +359,7 @@ def u_decompose(w: Word, u: Word) -> UDecomposition:
         raise ValueError("u must be nonempty")
     if not u.is_cyclically_reduced():
         raise ValueError("u must be cyclically reduced")
-    if is_proper_power(u) and len(u) > 0:
+    if is_proper_power(u):
         raise ValueError("u must not be a proper power")
 
     p = len(u)

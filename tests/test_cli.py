@@ -263,6 +263,12 @@ def test_geneq_trace_search_exhausted(tmp_path, capsys):
      "error: --items needs --bins and --cap"),
     (["oracle", "{sys}", "--max-len", "-1"], None,
      "error: argument --max-len: must be >= 0, got -1"),
+    (["oracle", "{sys}", "--limit", "0"], None,
+     "error: argument --limit: must be >= 1, got 0"),
+    (["oracle", "{sys}", "--limit", "-1"], None,
+     "error: argument --limit: must be >= 1, got -1"),
+    (["solve", "{sys}", "--bound", "-1"], None,
+     "error: argument --bound: must be >= 0, got -1"),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, argv, trace, message):
     # malformed trace lines and flags are bad input, not internal errors

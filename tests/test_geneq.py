@@ -8,6 +8,7 @@ from quadeq.geneq import (
     GenEq,
     GenEqError,
     GenEqSolution,
+    contract_item,
     entire_transform,
     et1_cut,
     et3_remove_matched,
@@ -486,6 +487,30 @@ def test_entire_transform_pinned_solution_mode(corpus_systems):
         _sol, gsol = first_graphical(b, s, bound=1, limit=50)
         res = entire_transform(b.geneq, budget=50, solution=gsol)
         assert _pin_row(row[0], res) == row
+
+
+# solution-mode runs of five rounds: their intermediate states carry ties
+RENUMBER_RUNS = (7155, 8037, 9505, 9945, 10173, 11925, 12585, 18635, 18973)
+
+
+def test_insert_then_contract_is_identity_on_traced_states(corpus_systems):
+    # every state a pinned run passes through, split and merged at each item
+    states = {}
+    for index in RENUMBER_RUNS:
+        s = corpus_systems[index]
+        b = from_system(s)
+        _sol, gsol = first_graphical(b, s, bound=1, limit=50)
+        trace = entire_transform(b.geneq, budget=50, solution=gsol).trace
+        for k in range(len(trace) + 1):
+            ge = replay_trace(b.geneq, trace[:k])
+            states[ge.canonical_text()] = ge
+    checks = 0
+    for text, ge in states.items():
+        for j in ge.items():
+            assert contract_item(et5_insert(ge, j), j + 1).canonical_text() == text
+            checks += 1
+    assert checks >= 900
+    assert sum(1 for ge in states.values() if ge.connections) >= 100
 
 
 def test_entire_transform_pinned_search_mode(corpus_systems):

@@ -41,6 +41,50 @@ def test_no_unused_imports():
     assert found == []
 
 
+def _functions(node: ast.AST, prefix: str = ""):
+    """(qualified name, node) of every function under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def _unused_locals(path: Path) -> list[str]:
+    """Names a function binds in its own scope (assignments, loop and
+    unpacking targets) that nothing in it, nested scopes included, reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for qualname, fn in _functions(tree, path.stem + "."):
+        stored, declared = set(), set()
+        todo = list(fn.body)
+        while todo:
+            n = todo.pop()
+            if isinstance(n, (ast.Global, ast.Nonlocal)):
+                declared.update(n.names)
+            elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                stored.add(n.id)
+            if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+                todo.extend(ast.iter_child_nodes(n))
+        # ``x += 1`` reads x
+        read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                and not isinstance(n.ctx, ast.Store)}
+        read |= {n.target.id for n in ast.walk(fn)
+                 if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+        found += [f"{qualname}: {name}" for name in sorted(stored)
+                  if name not in read and name not in declared and not name.startswith("_")]
+    return found
+
+
+def test_no_unused_locals():
+    # a local that is assigned and never read is dead code or a lost result
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in _unused_locals(path)]
+    assert found == []
+
+
 def _referenced_names(path: Path) -> set[str]:
     """Names a file uses: identifiers, attributes, imports and the words of
     its non-docstring string literals (``getattr`` and monkeypatch targets)."""
