@@ -103,6 +103,18 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+class _CannotWrite(OSError):
+    pass
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise _CannotWrite(path) from e
+
+
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_BADINPUT
@@ -253,6 +265,8 @@ def cmd_surface(args) -> int:
     alphabet, words = _read_words(text, "edges", "word")
     q = sf.classify(words)
     surf = sf.glue(q)
+    if args.dot:
+        _write(args.dot, _dot_export(words, alphabet))
     rep.add("kind", q.kind)
     rep.add("vertices", surf.vertex_count)
     rep.add("edges", surf.edge_count)
@@ -267,9 +281,6 @@ def cmd_surface(args) -> int:
         )
     rep.add("genus", surf.genus)
     rep.emit(args)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(_dot_export(words, alphabet))
     return EXIT_OK
 
 
@@ -388,8 +399,7 @@ def cmd_geneq_trace(args) -> int:
     rep.add("boundaries", res.terminal.nbound)
     rep.add("bases", len(res.terminal.bases))
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(gq.render_trace(res.trace))
+        _write(args.trace_out, gq.render_trace(res.trace))
         rep.add("trace_path", args.trace_out)
     rep.emit(args)
     sys.stdout.write(res.terminal.canonical_text())
@@ -471,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--ctriples", default=None, help="candidate triple file")
     sp.add_argument("--l-param", type=int, default=4)
-    sp.add_argument("--lam", type=int, default=1)
-    sp.add_argument("--mu", type=int, default=0)
+    sp.add_argument("--lam", type=_nonnegative, default=1)
+    sp.add_argument("--mu", type=_nonnegative, default=0)
     common(sp)
     sp.set_defaults(fn=cmd_schema)
 
@@ -490,9 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--items", type=_items, default=None)
     sp.add_argument("--bins", type=int, default=None)
     sp.add_argument("--cap", type=int, default=None)
-    sp.add_argument("--max-items", type=int, default=3)
-    sp.add_argument("--max-cap", type=int, default=2)
-    sp.add_argument("--max-bins", type=int, default=2)
+    sp.add_argument("--max-items", type=_positive, default=3)
+    sp.add_argument("--max-cap", type=_positive, default=2)
+    sp.add_argument("--max-bins", type=_positive, default=2)
     sp.add_argument("--no-oracle", action="store_true")
     common(sp)
     sp.set_defaults(fn=cmd_check_equivalence)
@@ -524,6 +534,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except _CannotWrite as e:
+        return _fail(f"cannot write {e}")
     except FileNotFoundError as e:
         return _fail(f"cannot read {e.filename}")
     except (

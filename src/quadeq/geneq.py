@@ -13,14 +13,17 @@ ties all boundaries of the longest base starting at 1, transfers everything
 it covers onto its dual, and deletes the consumed prefix, terminating when
 the first item is pinned by a constant base.
 
-Two helpers hold the bookkeeping: ``_renumber`` is the only code that moves
-boundaries (insertion, contraction, deleting a prefix) and ``_drop_pair`` the
-only code that removes a dual pair with its ties.
+A solution is one letter tuple cut at an offset for every boundary.  Each
+boundary move is one map, stated once (``_cut`` deletes boundaries, ``_merge``
+contracts an item, ``_split`` makes room for a boundary): ``_renumber`` applies
+it to the equation and ``GenEqSolution.moved`` to the solution.
+``_drop_pair`` is the only code that removes a dual pair with its ties.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
@@ -55,10 +58,6 @@ class Base:
             raise GenEqError(f"base {self.name}: bad sign")
         if (self.dual is None) != (self.label is not None):
             raise GenEqError(f"base {self.name}: constant bases carry labels")
-
-    @property
-    def alpha(self) -> int:
-        return self.lo if self.eps == 1 else self.hi
 
     def covers_item(self, j: int) -> bool:
         return self.lo <= j < self.hi
@@ -154,39 +153,46 @@ class GenEq:
 # --- solutions ---------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenEqSolution:
-    """Item values.  Solutions are graphical: the concatenation along any
-    base must be reduced as written (no cancellation), the classical
-    convention that makes boundary positions meaningful."""
+    """Item values: item h_j is ``letters[at[j]:at[j+1]]``, so ``at`` holds
+    the offset of every boundary (``at[0] == at[1] == 0`` pads the index).
+    Solutions are graphical: the concatenation along any base must be reduced
+    as written (no cancellation), the classical convention that makes
+    boundary positions meaningful."""
 
-    items: dict[int, Word]
+    letters: tuple[Generator, ...]
+    at: tuple[int, ...]
+
+    def item(self, j: int) -> Word:
+        return Word(self.letters[self.at[j] : self.at[j + 1]])
 
     def value(self, b: Base) -> Word:
-        w = Word()
-        for j in range(b.lo, b.hi):
-            w = w * self.items[j]
+        w = Word(self.letters[self.at[b.lo] : self.at[b.hi]])
         return w if b.eps == 1 else w.inverse()
 
-    def span_graphical(self, b: Base) -> bool:
-        letters: list[Generator] = []
-        total = 0
-        for j in range(b.lo, b.hi):
-            letters.extend(self.items[j].letters)
-            total += len(self.items[j])
-        return len(Word(letters)) == total
-
     def offset(self, b: Base, p: int) -> int:
-        if b.eps == 1:
-            return sum(len(self.items[j]) for j in range(b.lo, p))
-        return sum(len(self.items[j]) for j in range(p, b.hi))
+        return self.at[p] - self.at[b.lo] if b.eps == 1 else self.at[b.hi] - self.at[p]
+
+    def moved(self, mv: Callable[[int], int | None], new: int | None = None) -> GenEqSolution:
+        """The solution after the boundary map ``mv``: kept boundaries keep
+        their positions, the boundary ``mv`` makes room for sits at ``new``,
+        and letters before the first or past the last boundary are dropped.
+        A merged item must be empty."""
+        at = [new] * (mv(len(self.at) - 1) + 1)
+        for x, a in enumerate(self.at):
+            if mv(x) is not None:
+                at[mv(x)] = a
+        at[0] = at[1]
+        return GenEqSolution(self.letters[at[1] : at[-1]], tuple(a - at[1] for a in at))
 
     def verify(self, geneq: GenEq) -> bool:
-        for j in geneq.items():
-            if j not in self.items:
-                return False
+        at = self.at
+        if len(at) != geneq.nbound + 1 or list(at) != sorted(at) or at[-1] != len(self.letters):
+            return False
         for b in geneq.bases:
-            if not self.span_graphical(b):
+            span = self.letters[at[b.lo] : at[b.hi]]
+            if len(Word(span)) != len(span):
                 return False
         seen = set()
         for b in geneq.nonconstant_bases():
@@ -213,8 +219,6 @@ class GenEqSolution:
 class GenEqBuild:
     geneq: GenEq
     system: EquationSystem
-    # variable occurrence positions: var sym -> list of (item index, sign)
-    var_slots: dict[int, list[tuple[int, int]]]
     # the letter each item reads: equation letters, then the constant twins
     letters: dict[int, Generator]
 
@@ -225,25 +229,28 @@ class GenEqBuild:
         equation side: such solutions have no graphical interval reading.
         """
         amap = {self.system.var_sym(n): w for n, w in assignment.items()}
-        items: dict[int, Word] = {}
-        for j, letter in self.letters.items():
+        letters: list[Generator] = []
+        at = [0, 0]
+        for letter in self.letters.values():
             if letter.sym < self.system.n_constants:
-                items[j] = Word((letter,))
+                letters.append(letter)
             else:
                 v = amap[letter.sym]
-                items[j] = v if letter.sign > 0 else v.inverse()
-        sol = GenEqSolution(items)
+                letters.extend((v if letter.sign > 0 else v.inverse()).letters)
+            at.append(len(letters))
+        sol = GenEqSolution(tuple(letters), tuple(at))
         if not sol.verify(self.geneq):
             raise GenEqError("assignment does not read graphically on the intervals")
         return sol
 
     def pull(self, sol: GenEqSolution) -> dict[str, Word]:
-        """Generalized-equation solution -> system assignment."""
+        """Generalized-equation solution -> system assignment, read off each
+        variable's first item."""
         out: dict[str, Word] = {}
-        for sym, slots in self.var_slots.items():
-            j, sign = slots[0]
-            v = sol.items[j]
-            out[self.system.var_name(sym)] = v if sign > 0 else v.inverse()
+        for j, g in self.letters.items():
+            if g.sym >= self.system.n_constants:
+                v = sol.item(j)
+                out.setdefault(self.system.var_name(g.sym), v if g.sign > 0 else v.inverse())
         return out
 
 
@@ -330,13 +337,13 @@ def from_system(system: EquationSystem) -> GenEqBuild:
         bases.append(Base(f"s{e+1}", l0, l1, 1, dual=f"s{e+1}*"))
         bases.append(Base(f"s{e+1}*", r0, r1, 1, dual=f"s{e+1}"))
 
-    var_slots: dict[int, list[tuple[int, int]]] = {}
+    occurrences: dict[int, list[tuple[int, int]]] = {}
     for p in range(1, rho):
         g = letter_at[p]
         if g.sym >= nc:
-            var_slots.setdefault(g.sym, []).append((p, g.sign))
+            occurrences.setdefault(g.sym, []).append((p, g.sign))
     vcount = 0
-    for _, slots in sorted(var_slots.items()):
+    for _, slots in sorted(occurrences.items()):
         for k in range(len(slots) - 1):
             vcount += 1
             (p1, s1), (p2, s2) = slots[k], slots[k + 1]
@@ -356,7 +363,7 @@ def from_system(system: EquationSystem) -> GenEqBuild:
         connections=(),
         rho=rho,
     )
-    return GenEqBuild(geneq=ge, system=norm, var_slots=var_slots, letters=letter_at)
+    return GenEqBuild(geneq=ge, system=norm, letters=letter_at)
 
 
 # --- elementary transformations --------------------------------------------------------
@@ -374,23 +381,45 @@ def _replace_base(ge: GenEq, *remove: str, add: Sequence[Base] = (),
     )
 
 
-def _renumber(ge: GenEq, mv: Callable[[int], int], nbound: int,
-              drop: Collection[str] = ()) -> GenEq:
-    """Map every base end, every tie and rho through ``mv``.  The bases named
-    in ``drop`` go with their ties, and ties that coincide are kept once."""
+def _cut(cut: int, amount: int) -> Callable[[int], int | None]:
+    """Delete boundaries cut..cut+amount-1 and renumber the rest down."""
+    return lambda x: x if x < cut else None if x < cut + amount else x - amount
+
+
+def _merge(j: int) -> Callable[[int], int]:
+    """Contract item h_j: boundary j+1 merges into j."""
+    return lambda x: x if x <= j else x - 1
+
+
+def _split(after: int) -> Callable[[int], int]:
+    """Make room for one boundary right after ``after`` (splitting h_after)."""
+    return lambda x: x if x <= after else x + 1
+
+
+def _renumber(ge: GenEq, mv: Callable[[int], int | None], drop: Collection[str] = ()) -> GenEq:
+    """Map every base end, every tie, rho and the last boundary through one
+    of the maps above.  The bases named in ``drop`` go with their ties, and
+    ties that coincide are kept once."""
+
+    def to(x: int) -> int:
+        y = mv(x)
+        if y is None:
+            raise GenEqError("reference into deleted boundaries")
+        return y
+
     conns: list[tuple[int, str, int]] = []
     for p, n, q in ge.connections:
-        c = (mv(p), n, mv(q))
+        c = (to(p), n, to(q))
         if n not in drop and c not in conns:
             conns.append(c)
     return GenEq(
         gens=ge.gens,
-        nbound=nbound,
+        nbound=to(ge.nbound),
         bases=tuple(
-            replace(b, lo=mv(b.lo), hi=mv(b.hi)) for b in ge.bases if b.name not in drop
+            replace(b, lo=to(b.lo), hi=to(b.hi)) for b in ge.bases if b.name not in drop
         ),
         connections=tuple(conns),
-        rho=mv(ge.rho),
+        rho=to(ge.rho),
     )
 
 
@@ -499,19 +528,6 @@ def et3_remove_matched(ge: GenEq, name: str) -> GenEq:
     return _drop_pair(ge, name)
 
 
-def _shift_down(ge: GenEq, cut: int, amount: int) -> GenEq:
-    """Remove boundaries cut..cut+amount-1, renumber the rest down."""
-
-    def mv(x: int) -> int:
-        if x < cut:
-            return x
-        if x < cut + amount:
-            raise GenEqError("reference into deleted boundaries")
-        return x - amount
-
-    return _renumber(ge, mv, ge.nbound - amount)
-
-
 def et4_remove_lone(ge: GenEq, name: str) -> GenEq:
     """Remove a pair whose base intersects nothing, merging its span."""
     b = ge.base(name)
@@ -523,7 +539,7 @@ def et4_remove_lone(ge: GenEq, name: str) -> GenEq:
         for j in range(b.lo + 1, b.hi):
             if other.on(j):
                 raise GenEqError(f"{name} intersects {other.name}")
-    return _shift_down(_drop_pair(ge, name), b.lo + 1, b.hi - b.lo - 1)
+    return _renumber(_drop_pair(ge, name), _cut(b.lo + 1, b.hi - b.lo - 1))
 
 
 def et5_connect(ge: GenEq, name: str, p: int, q: int) -> GenEq:
@@ -542,8 +558,7 @@ def et5_insert(ge: GenEq, after: int) -> GenEq:
     """Insert a new boundary right after ``after`` (splitting item h_after)."""
     if not (1 <= after < ge.nbound):
         raise GenEqError("insertion point must split an existing item")
-
-    return _renumber(ge, lambda x: x if x <= after else x + 1, ge.nbound + 1)
+    return _renumber(ge, _split(after))
 
 # --- the entire transformation -----------------------------------------------------
 
@@ -569,12 +584,9 @@ def contract_item(ge: GenEq, j: int) -> GenEq:
     length are removed together with their duals."""
     if not (1 <= j < ge.nbound):
         raise GenEqError(f"no item {j}")
-
-    def mv(x: int) -> int:
-        return x if x <= j else x - 1
-
+    mv = _merge(j)
     dead = {n for b in ge.bases if mv(b.lo) == mv(b.hi) for n in (b.name, b.dual) if n}
-    return _renumber(ge, mv, ge.nbound - 1, drop=dead)
+    return _renumber(ge, mv, drop=dead)
 
 
 def apply_trace_op(ge: GenEq, op: TraceOp) -> GenEq:
@@ -590,10 +602,10 @@ def apply_trace_op(ge: GenEq, op: TraceOp) -> GenEq:
         return et2_transfer(ge, *op.args)
     if op.op == "cutdrop":
         name, j = op.args
-        return _shift_down(_drop_pair(et1_cut(ge, name, j), f"{name}.1"), 1, j - 1)
+        return _renumber(_drop_pair(et1_cut(ge, name, j), f"{name}.1"), _cut(1, j - 1))
     if op.op == "dropall":
         (name,) = op.args
-        return _shift_down(_drop_pair(ge, name), 1, ge.base(name).hi - 1)
+        return _renumber(_drop_pair(ge, name), _cut(1, ge.base(name).hi - 1))
     if op.op == "terminal":
         return ge
     raise GenEqError(f"unknown trace op {op.op!r}")
@@ -636,51 +648,18 @@ class EntireTransformResult:
     solution: GenEqSolution | None = None
 
 
-def _solution_drop(sol: GenEqSolution, cut: int, amount: int) -> GenEqSolution:
-    items = {}
-    for j, w in sol.items.items():
-        if j < cut:
-            items[j] = w
-        elif j >= cut + amount:
-            items[j - amount] = w
-    return GenEqSolution(items)
-
-
-def _solution_insert(sol: GenEqSolution, after: int, left_len: int) -> GenEqSolution:
-    items = {}
-    for j, w in sol.items.items():
-        if j < after:
-            items[j] = w
-        elif j == after:
-            items[j] = w.subword(0, left_len)
-            items[j + 1] = w.subword(left_len, len(w))
-        else:
-            items[j + 1] = w
-    return GenEqSolution(items)
-
-
 def _tie_with_solution(
     ge: GenEq, sol: GenEqSolution, name: str, p: int, trace: list[TraceOp]
 ) -> tuple[GenEq, GenEqSolution]:
-    """Tie boundary p on base ``name`` at the position its solution dictates."""
-    b = ge.base(name)
+    """Tie boundary p on base ``name`` to the boundary at the same oriented
+    offset on the dual, or split the one item that holds that position."""
     d = ge.dual_of(name)
-    target = sol.offset(b, p)
-    # walk the dual's span in oriented order accumulating item lengths
-    order = range(d.lo, d.hi) if d.eps == 1 else range(d.hi - 1, d.lo - 1, -1)
-    q, acc = d.alpha, 0
-    for j in order:
-        if acc == target:
-            break
-        step = len(sol.items[j])
-        if acc + step > target:
-            # strictly inside item j: split it
-            left = target - acc if d.eps == 1 else step - (target - acc)
-            return _insert_tie(ge, name, p, j, trace), _solution_insert(sol, j, left)
-        acc += step
-        q = j + 1 if d.eps == 1 else j
-    if acc != target:
-        raise GenEqError(f"offset {target} exceeds the dual span of {name}")
+    target = sol.offset(ge.base(name), p)
+    pos = sol.at[d.lo] + target if d.eps == 1 else sol.at[d.hi] - target
+    # offsets increase strictly once empty items are contracted
+    q = bisect_right(sol.at, pos, d.lo, d.hi + 1) - 1
+    if sol.at[q] < pos:
+        return _insert_tie(ge, name, p, q, trace), sol.moved(_split(q), pos)
     ge = et5_connect(ge, name, p, q)
     trace.append(TraceOp("tie", (name, p, q)))
     return ge, sol
@@ -688,7 +667,7 @@ def _tie_with_solution(
 
 def _insert_tie(ge: GenEq, name: str, p: int, j: int, trace: list[TraceOp]) -> GenEq:
     """Split item h_j and tie boundary p on base ``name`` to the new boundary."""
-    pp = p if p <= j else p + 1
+    pp = _split(j)(p)
     ge = et5_connect(et5_insert(ge, j), name, pp, j + 1)
     trace.extend([TraceOp("insert", (j,)), TraceOp("tie", (name, pp, j + 1))])
     return ge
@@ -724,13 +703,12 @@ def entire_transform(
     # positive-solution reduction: contract items the solution leaves empty,
     # so every boundary offset is strictly increasing afterwards
     while True:
-        empty = [j for j in ge.items() if len(sol.items[j]) == 0]
-        if not empty:
+        j = next((j for j in ge.items() if sol.at[j] == sol.at[j + 1]), None)
+        if j is None:
             break
-        j = empty[0]
         ge = contract_item(ge, j)
         trace.append(TraceOp("contract", (j,)))
-        sol = _solution_drop(sol, j, 1)
+        sol = sol.moved(_merge(j))
     if not sol.verify(ge):
         raise AssertionError("internal: solution lost during contraction")
 
@@ -813,16 +791,13 @@ def _finish_round(
     j = next((item for item in range(1, mu_now.hi) if ge.coverage(item) >= 2), None)
     if j == 1:
         raise UnsupportedCase("no progress: item 1 is still doubly covered")
-    if j is None:
-        # nothing else lives under mu: remove the pair and its span
-        op, dropped = TraceOp("dropall", (mu,)), mu_now.hi - 1
-    else:
-        op, dropped = TraceOp("cutdrop", (mu, j)), j - 1
+    # with nothing else under mu, remove the pair and its span
+    op = TraceOp("dropall", (mu,)) if j is None else TraceOp("cutdrop", (mu, j))
     trace.append(op)
-    ge = apply_trace_op(ge, op)
+    new = apply_trace_op(ge, op)
     if sol is not None:
-        sol = _solution_drop(sol, 1, dropped)
-    return ge, sol
+        sol = sol.moved(_cut(1, ge.nbound - new.nbound))
+    return new, sol
 
 
 def _entire_round(

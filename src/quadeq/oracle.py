@@ -40,9 +40,10 @@ class SearchBound:
 
 
 @lru_cache(maxsize=None)
-def _words_up_to(n_gens: int, max_len: int) -> tuple[Word, ...]:
+def reduced_words(n_gens: int, max_len: int) -> tuple[Word, ...]:
     """All reduced words over symbols 0..n_gens-1 of length <= max_len,
-    in length-lex order (letter order: sym asc, positive before negative)."""
+    in length-lex order (letter order: sym asc, positive before negative).
+    Cached: callers share the returned tuple."""
     letters = [Generator(s, sign) for s in range(n_gens) for sign in (1, -1)]
     out: list[Word] = [Word()]
     frontier: list[Word] = [Word()]
@@ -57,11 +58,6 @@ def _words_up_to(n_gens: int, max_len: int) -> tuple[Word, ...]:
         out.extend(nxt)
         frontier = nxt
     return tuple(out)
-
-
-def reduced_words(n_gens: int, max_len: int) -> tuple[Word, ...]:
-    """Public view of the length-lex word enumeration (cached)."""
-    return _words_up_to(n_gens, max_len)
 
 
 def _abelian_prune(partial: Word, unassigned: set[int], limit: int, n_const: int) -> bool:
@@ -179,7 +175,7 @@ def enumerate_solutions(
     var_names = list(system.variables)
     var_syms = [system.var_sym(n) for n in var_names]
     relators = system.relators()
-    words = _words_up_to(n_const, bound.per_var)
+    words = reduced_words(n_const, bound.per_var)
     emitted = 0
 
     def total_len(assign: dict[int, Word]) -> int:

@@ -113,6 +113,8 @@ def build_schema(
     """
     if form.trivially_false:
         raise SchemaError("the triangular form is trivially unsolvable")
+    if quasi_lambda < 0 or quasi_mu < 0:
+        raise SchemaError("need quasi_lambda >= 0 and quasi_mu >= 0")
     triples = form.triples
     if len(choice.triples) != len(triples):
         raise SchemaError(

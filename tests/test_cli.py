@@ -269,6 +269,16 @@ def test_geneq_trace_search_exhausted(tmp_path, capsys):
      "error: argument --limit: must be >= 1, got -1"),
     (["solve", "{sys}", "--bound", "-1"], None,
      "error: argument --bound: must be >= 0, got -1"),
+    (["schema", "{sys}", "--lam", "-1"], None,
+     "error: argument --lam: must be >= 0, got -1"),
+    (["schema", "{sys}", "--mu", "-100"], None,
+     "error: argument --mu: must be >= 0, got -100"),
+    (["check-equivalence", "--max-items", "-1"], None,
+     "error: argument --max-items: must be >= 1, got -1"),
+    (["check-equivalence", "--max-cap", "0"], None,
+     "error: argument --max-cap: must be >= 1, got 0"),
+    (["check-equivalence", "--max-bins", "0"], None,
+     "error: argument --max-bins: must be >= 1, got 0"),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, argv, trace, message):
     # malformed trace lines and flags are bad input, not internal errors
@@ -283,6 +293,24 @@ def test_bad_input_exit_code(tmp_path, capsys, argv, trace, message):
     err = capsys.readouterr().err
     assert code == 2
     assert message in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["surface", "{q}", "--dot", "{missing}/g.dot"],
+    ["geneq-trace", "{sys}", "--trace-out", "{missing}/t.txt"],
+])
+def test_unwritable_output_file(tmp_path, capsys, argv):
+    # an output path that cannot be written is bad input, reported before the report
+    paths = {
+        "q": write(tmp_path, "q.txt", "edges: a\na a\n"),
+        "sys": write(tmp_path, "s.txt", "gens: a b\nvars: x\nx = a\n"),
+        "missing": str(tmp_path / "missing"),
+    }
+    argv = [a.format(**paths) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {argv[-1]}\n"
 
 
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -88,9 +88,26 @@ def test_solution_rejects_bad():
     b = from_system(s)
     good = b.push({"x": AL.word("a")})
     assert good.verify(b.geneq)
-    bad = GenEqSolution(dict(good.items))
-    bad.items[1] = AL.word("b")
+    bad = GenEqSolution(AL.word("b").letters + good.letters[1:], good.at)
     assert not bad.verify(b.geneq)
+
+
+def test_solution_moved_under_each_boundary_map():
+    from quadeq.geneq import _cut, _merge, _split
+
+    # items h_1..h_4 = a, 1, b a, b^-1 on boundaries 1..5
+    sol = GenEqSolution(AL.word("a", "b", "a", "-b").letters, (0, 0, 1, 1, 3, 4))
+
+    def items(s):
+        return [AL.format(s.item(j)) for j in range(1, len(s.at) - 1)]
+
+    assert items(sol) == ["a", "1", "b a", "b^-1"]
+    assert items(sol.moved(_merge(2))) == ["a", "b a", "b^-1"]
+    assert items(sol.moved(_split(3), 2)) == ["a", "1", "b", "a", "b^-1"]
+    assert items(sol.moved(_cut(4, 1))) == ["a", "1", "b a b^-1"]
+    dropped = sol.moved(_cut(1, 2))
+    assert items(dropped) == ["b a", "b^-1"]
+    assert dropped == GenEqSolution(AL.word("b", "a", "-b").letters, (0, 0, 2, 3))
 
 
 # --- elementary transformations --------------------------------------------------------
@@ -189,7 +206,9 @@ def et_solution_sets(ge, max_len=1):
     items = list(ge.items())
     sols = []
     for combo in itertools.product(words, repeat=len(items)):
-        sol = GenEqSolution({j: w for j, w in zip(items, combo)})
+        sol = GenEqSolution(
+            sum((w.letters for w in combo), ()), (0, *itertools.accumulate(map(len, combo), initial=0))
+        )
         if sol.verify(ge):
             sols.append(tuple(w.letters for w in combo))
     return set(sols)
@@ -519,3 +538,26 @@ def test_entire_transform_pinned_search_mode(corpus_systems):
         res = entire_transform(ge, budget=6)
         assert _pin_row(row[0], res) == row
         assert replay_trace(ge, res.trace).canonical_text() == res.terminal.canonical_text()
+
+
+def test_pull_inverts_push_on_corpus_stride(corpus_systems):
+    pushed = 0
+    for s in corpus_systems[::17]:
+        try:
+            b = from_system(s)
+        except GenEqError:
+            continue
+        occurring = {
+            b.system.var_name(g.sym)
+            for eq in b.system.equations
+            for g in (*eq.lhs, *eq.rhs)
+            if g.sym >= b.system.n_constants
+        }
+        for sol in enumerate_solutions(s, SearchBound(1), limit=50):
+            try:
+                gsol = b.push(sol)
+            except GenEqError:
+                continue
+            assert b.pull(gsol) == {n: sol[n] for n in occurring}
+            pushed += 1
+    assert pushed >= 250

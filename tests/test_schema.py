@@ -43,6 +43,15 @@ def test_bound_digits_small():
     assert b.digits == len(str(1 << 5050))
 
 
+def test_schema_rejects_negative_parameters():
+    f = triangular_constant_form(parse_system("gens: a b\nvars: x y z\nx y z = 1"))
+    choice = trivial_choice(len(f.triples), 4)
+    with pytest.raises(SchemaError):
+        build_schema(f, choice, quasi_lambda=-5)
+    with pytest.raises(SchemaError):
+        build_schema(f, choice, quasi_mu=-1)
+
+
 def test_bound_validation():
     with pytest.raises(SchemaError):
         candidate_length_bound(0, 0, 1)
