@@ -4,7 +4,8 @@ Submodules:
 
 * ``words``      -- alphabets, reduced words, cyclic words, U-decompositions
 * ``parsing``    -- the word literal grammar
-* ``equations``  -- equation systems, triangulation, triangular+constant form
+* ``equations``  -- equation systems and their file format
+* ``triangular`` -- chain triangulation, triangular+constant form
 * ``oracle``     -- bounded exhaustive solver (ground truth for everything)
 * ``standardize``-- normalization of a quadratic equation to standard form
 * ``solver``     -- decision procedure + witnesses, genus of tuples
@@ -26,7 +27,7 @@ from .words import (
     substitute,
     u_decompose,
 )
-from .equations import Equation, EquationSystem, parse_system, triangulate
+from .equations import Equation, EquationSystem, parse_system
 from .oracle import SearchBound, enumerate_solutions, min_solution_stats
 
 __all__ = [
@@ -44,6 +45,5 @@ __all__ = [
     "parse_system",
     "reduce",
     "substitute",
-    "triangulate",
     "u_decompose",
 ]

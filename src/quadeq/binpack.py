@@ -234,12 +234,12 @@ class EquivalenceReport:
     agree: bool
 
 
-# solve_quadratic finds sat witnesses by bounded search over words (meeting in
-# the middle for these genus-0 forms), exponential in the witness length;
-# beyond this letter count the sweep skips the solver and relies on exhaustive
-# packing, the oracle and constructive witnesses.  The diagram search is not
-# the limit: it decides every instance of sweep_instances(4, 4, 3), up to 46
-# letters.
+# Beyond this letter count the sweep skips the solver and relies on exhaustive
+# packing, the oracle and constructive witnesses.  The cap dates from witness
+# search over words, exponential in the witness length; witnesses of these
+# genus-0 forms are now built from the diagram when no conjugators of length
+# <= 1 solve them, and the diagram search decides every instance of
+# sweep_instances(4, 4, 3), up to 46 letters.
 SOLVER_LETTER_CAP = 30
 
 

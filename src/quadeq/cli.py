@@ -52,10 +52,11 @@ from . import geneq as gq
 from . import schema as sc
 from . import solver as sv
 from . import surfaces as sf
-from .equations import EquationError, EquationSystem, header_lines, parse_system, triangulate, triangular_constant_form
+from .equations import EquationError, EquationSystem, header_lines, parse_system
 from .oracle import SearchBound, enumerate_solutions
 from .parsing import WordSyntaxError, parse_word
 from .standardize import StandardizeError, standardize
+from .triangular import triangular_constant_form, triangulate
 from .words import Alphabet, AlphabetError, Word
 
 EXIT_OK = 0
@@ -96,15 +97,22 @@ class Report:
                 print(f"{k}: {v}")
 
 
-def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+class _CannotRead(OSError):
+    pass
 
 
 class _CannotWrite(OSError):
     pass
+
+
+def _read(path: str) -> str:
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise _CannotRead(path) from e
 
 
 def _write(path: str, text: str) -> None:
@@ -439,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="decide a quadratic system")
     sp.add_argument("file")
     sp.add_argument("--bound", type=_nonnegative, default=None,
-                    help="witness search cap (default: the cited bounds)")
+                    help="cap of the oracle's witness search, which only non-orientable "
+                         "equations need (default: the cited bounds)")
     common(sp)
     sp.set_defaults(fn=cmd_solve)
 
@@ -534,10 +543,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except _CannotRead as e:
+        return _fail(f"cannot read {e}")
     except _CannotWrite as e:
         return _fail(f"cannot write {e}")
-    except FileNotFoundError as e:
-        return _fail(f"cannot read {e.filename}")
     except (
         WordSyntaxError,
         EquationError,

@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .equations import Equation, EquationSystem, TriangularConstantForm
+from .equations import Equation, EquationSystem
+from .triangular import TriangularConstantForm
 from .words import Generator, Word, substitute
 
 

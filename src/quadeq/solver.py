@@ -28,10 +28,23 @@ component.  Its cost in handles/crosscaps is exact:
                           non-orientable genus k                      -> k
 
 The equation is solvable at genus g iff some diagram has total cost <= g.
-SAT answers carry witnesses found by bounded search on the standard form
-(meeting in the middle for genus-0 orientable forms) and transported back;
 UNSAT is a complete verdict (there are finitely many diagrams), so it is not
 bound-limited.
+
+The diagram the search finds is the certificate of a SAT answer: the search
+keeps the gluing it chose at each state of its path, and
+``CancellationDiagrams.certificate`` replays them on letters that carry
+their positions, which gives the pairs of glued letters.  An orientable
+form's witness is built from those pairs (``_built_witness``): merging a face
+X p Y with a disc U p^-1 V leaves the face X V U Y = (w^-1 D w)(X p Y),
+w = U p^-1 X^-1, so each component's last face is a product of conjugates of
+its discs with known conjugators, and the pairs left in it form a quadratic
+word without constants whose standard form gives the commutators.  Hurwitz
+moves put the conjugates in the form's order.  A genus-0 form first tries
+conjugators of length <= 1 by meeting in the middle, which is cheaper where
+they suffice.  A non-orientable form's witness is the oracle's first
+solution within the bound.  Either is transported back to the input's
+variables and checked.
 """
 
 from __future__ import annotations
@@ -49,7 +62,7 @@ from .standardize import (
     StandardForm,
     standardize,
 )
-from .words import Generator, Word, replay, substitute
+from .words import Generator, Word, commutator, replay, substitute
 
 
 class SolverError(ValueError):
@@ -71,8 +84,74 @@ def _inverse(cycle: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _least_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    m = min(cycle)
-    return min(cycle[i:] + cycle[:i] for i, x in enumerate(cycle) if x == m)
+    m, n, twice = min(cycle), len(cycle), cycle + cycle
+    return min([twice[i:i + n] for i, x in enumerate(cycle) if x == m])
+
+
+def _gluings(state: Sequence[tuple], view: Sequence[tuple], pivot: tuple[int, int, int],
+             orientable: bool):
+    """(partner, cost, status, cycles, other clusters) for each way to glue
+    the pivot letter to a partner, by the rules of the module docstring; the
+    cycles are what is left, nonempty, of the pivot's cluster, and have that
+    status.
+
+    Positions are (cluster, cycle, offset).  ``view`` is ``state`` with
+    packed letters, which decide the partners; only slices and inversions
+    act on the letters of ``state``, so they may carry labels.
+    """
+    handle = 1 if orientable else 2
+    closing = (0, 0 if orientable else 1, 0)  # by status
+    ci, yi, pos = pivot
+    status, cycles = state[ci]
+    c = cycles[yi]
+    p = view[ci][1][yi][pos]
+    a = c[pos + 1:] + c[:pos]  # c = p a
+    others = [cl for i, cl in enumerate(state) if i != ci]
+    for cj, (_, viewed) in enumerate(view):
+        for yj, letters in enumerate(viewed):
+            for t, q in enumerate(letters):
+                if q != p ^ 1 and (orientable or q != p):
+                    continue
+                if cj == ci:
+                    rest = others.copy()
+                    if yj == yi:
+                        if t == pos:
+                            continue
+                        u = (t - pos - 1) % len(c)
+                        head, tail = a[:u], a[u + 1:]  # c = p head q tail
+                        if q == p:
+                            new, st, cost = [head + _inverse(tail)], _TWISTED, 1
+                        else:
+                            new, st, cost = [head, tail], status, 0
+                    else:
+                        d = cycles[yj]
+                        b = d[t + 1:] + d[:t]  # d = q b
+                        cost = handle
+                        if q == p:
+                            new, st = [a + _inverse(b)], _TWISTED
+                        elif orientable:
+                            new, st = [a + b], status
+                        else:
+                            new, st = [a + b], max(status, _PENDING)
+                    new += [e for k, e in enumerate(cycles) if k != yi and k != yj]
+                else:
+                    at = cj - (cj > ci)  # the partner's cluster in others
+                    rest = others[:at] + others[at + 1:]
+                    status2, cycles2 = state[cj]
+                    d = cycles2[yj]
+                    b = d[t + 1:] + d[:t]
+                    other = [e for k, e in enumerate(cycles2) if k != yj]
+                    cost = 0
+                    if q == p:
+                        new = [a + _inverse(b)] + list(map(_inverse, other))
+                        st = max(status, status2, _PENDING)
+                    else:
+                        new, st = [a + b] + other, max(status, status2)
+                    new += [e for k, e in enumerate(cycles) if k != yi]
+                new = [e for e in new if e]
+                if not new:
+                    cost += closing[st]
+                yield (cj, yj, t), cost, st, new, rest
 
 
 class CancellationDiagrams:
@@ -82,10 +161,10 @@ class CancellationDiagrams:
     multiset of its boundary cycles: tuples of letters packed as
     ``2*sym + (sign < 0)``.  Every disc starts as a clean cluster with one
     cycle, and each step glues a pivot letter to one of its partners by the
-    rules of the module docstring.  Genus is charged as soon as it appears --
-    a handle costs 1 in an orientable form and 2 in a non-orientable one, a
-    crosscap 1 -- and a pending cluster pays its last crosscap when it
-    closes, which adds up to the cost table.
+    rules of the module docstring (``_gluings``).  Genus is charged as soon as
+    it appears -- a handle costs 1 in an orientable form and 2 in a
+    non-orientable one, a crosscap 1 -- and a pending cluster pays its last
+    crosscap when it closes, which adds up to the cost table.
 
     States are canonical: cycles by least rotation, a twisted cluster's
     cycles each up to inversion, a pending cluster up to inverting all its
@@ -95,7 +174,9 @@ class CancellationDiagrams:
     largest budget proven infeasible per state across ``solvable_within``
     calls, so rising budgets reuse it, and each call tries each distinct
     (cost, state) child once.  The pivot is a letter with the fewest
-    partners, on the shortest cycle among those.
+    partners, on the shortest cycle among those.  For each state on the path
+    of the diagram found last it keeps the gluing it chose there, which
+    ``certificate`` replays.
     """
 
     def __init__(self, coefficients: Sequence[Word], kind: str):
@@ -106,6 +187,8 @@ class CancellationDiagrams:
         self.cycles = [tuple([2 * g.sym + (g.sign < 0) for g in w]) for w in coefficients]
         self.n = sum(map(len, self.cycles))
         self._failed: dict[tuple, int] = {}   # state -> largest budget proven infeasible
+        # state -> (budget, pivot, partner, child) on the path of the last diagram found
+        self._chosen: dict[tuple, tuple] = {}
         self._forms: dict[tuple, tuple] = {}  # cycle -> least rotations of it and of its inverse
         self._mirrors: dict[tuple, tuple] = {}  # clean cluster -> the cluster inverted
 
@@ -124,9 +207,7 @@ class CancellationDiagrams:
         if self.n % 2 or not self.balanced():
             return False
         orientable = self.kind == ORIENTABLE
-        handle = 1 if orientable else 2
-        closing = (0, 0 if orientable else 1, 0)  # by status
-        failed, forms, mirrors = self._failed, self._forms, self._mirrors
+        failed, chosen, forms, mirrors = self._failed, self._chosen, self._forms, self._mirrors
 
         def form(c: tuple) -> tuple:
             f = forms.get(c)
@@ -157,9 +238,10 @@ class CancellationDiagrams:
                 mirror.append(cl)
             return min(state, tuple(sorted(mirror)))
 
-        def children(state: tuple, left: int):
-            """(cost, state) for each gluing of the pivot that fits in ``left``."""
-            count = Counter(x for _, cycles in state for c in cycles for x in c)
+        def children(state: tuple, left: int) -> tuple[tuple, dict]:
+            """The pivot, and (cost, state) -> partner for each gluing of the
+            pivot that fits in ``left``."""
+            count = Counter([x for _, cycles in state for c in cycles for x in c])
             if orientable:
                 partners = {x: count[x ^ 1] for x in count}
             else:
@@ -173,77 +255,113 @@ class CancellationDiagrams:
                             if partners[x] == least:
                                 size, pivot = len(c), (i, j, k)
                                 break
-            ci, yi, pos = pivot
-            status, cycles = state[ci]
-            c = cycles[yi]
-            p = c[pos]
-            a = c[pos + 1:] + c[:pos]  # c = p a
-            for cj, (status2, cycles2) in enumerate(state):
-                for yj, d in enumerate(cycles2):
-                    for t, q in enumerate(d):
-                        if q != p ^ 1 and (orientable or q != p):
-                            continue
-                        if cj == ci:
-                            rest = [cl for i, cl in enumerate(state) if i != ci]
-                            if yj == yi:
-                                if t == pos:
-                                    continue
-                                u = (t - pos - 1) % len(c)
-                                head, tail = a[:u], a[u + 1:]  # c = p head q tail
-                                if q == p:
-                                    new, st, cost = [head + _inverse(tail)], _TWISTED, 1
-                                else:
-                                    new, st, cost = [head, tail], status, 0
-                            else:
-                                b = d[t + 1:] + d[:t]  # d = q b
-                                cost = handle
-                                if q == p:
-                                    new, st = [a + _inverse(b)], _TWISTED
-                                elif orientable:
-                                    new, st = [a + b], status
-                                else:
-                                    new, st = [a + b], max(status, _PENDING)
-                            new += [e for k, e in enumerate(cycles) if k != yi and k != yj]
-                        else:
-                            rest = [cl for i, cl in enumerate(state) if i != ci and i != cj]
-                            b = d[t + 1:] + d[:t]
-                            other = [e for k, e in enumerate(cycles2) if k != yj]
-                            cost = 0
-                            if q == p:
-                                new = [a + _inverse(b)] + list(map(_inverse, other))
-                                st = max(status, status2, _PENDING)
-                            else:
-                                new, st = [a + b] + other, max(status, status2)
-                            new += [e for k, e in enumerate(cycles) if k != yi]
-                        new = [e for e in new if e]
-                        if not new:
-                            cost += closing[st]
-                        if cost > left:
-                            continue
-                        if new:
-                            rest.append(cluster(st, new))
-                        yield cost, canonical(rest)
+            out = {}
+            for partner, cost, st, new, rest in _gluings(state, state, pivot, orientable):
+                if cost <= left:
+                    if new:
+                        rest.append(cluster(st, new))
+                    out[cost, canonical(rest)] = partner
+            return pivot, out
 
         def search(state: tuple, left: int) -> bool:
             if not state:
                 return True
             if failed.get(state, -1) >= left:
                 return False
-            for cost, child in sorted(dict.fromkeys(children(state, left)), key=itemgetter(0)):
+            pivot, moves = children(state, left)
+            for cost, child in sorted(moves, key=itemgetter(0)):
                 if search(child, left - cost):
+                    chosen[state] = (left, pivot, moves[cost, child], child)
                     return True
             failed[state] = left
             return False
 
-        return search(canonical([cluster(_CLEAN, [c]) for c in self.cycles]), budget)
+        root = canonical([cluster(_CLEAN, [c]) for c in self.cycles])
+        last = chosen.get(root)
+        return (last is not None and last[0] <= budget) or search(root, budget)
 
     def min_genus(self, cutoff: int, start: int = 0) -> int | None:
         """Least budget in ``start..cutoff`` that some diagram fits, or None."""
         return next((g for g in range(start, cutoff + 1) if self.solvable_within(g)), None)
 
+    def certificate(self, budget: int) -> list[tuple[tuple[int, int], tuple[int, int]]] | None:
+        """The letters that a diagram of cost at most ``budget`` glues, as
+        pairs of positions (disc, offset); None when no diagram fits.
 
-def _normalized_discs(form: StandardForm) -> list[Word]:
-    """Cyclically reduced, nontrivial coefficient discs of a standard form.
+        The descent replays the gluings ``solvable_within`` chose on the path
+        of the diagram it found, on states whose letters carry their identity:
+        letter i of the discs is ``2*i``, and ``2*i + 1`` once it is read
+        inverted, so ``_gluings`` acts on it as on a packed letter.  After each
+        gluing the state is put in the search's canonical arrangement, where
+        the next chosen gluing applies; no state is searched again.
+        """
+        if not self.solvable_within(budget):
+            return None
+        where = [(d, k) for d, c in enumerate(self.cycles) for k in range(len(c))]
+        packed = [x ^ f for c in self.cycles for x in c for f in (0, 1)]
+        orientable = self.kind == ORIENTABLE
+        turns: dict[tuple, tuple] = {}
+
+        def turned(c: tuple) -> tuple:
+            """The least rotations of a labelled cycle read forward and
+            inverted, each as (packed view, labelled cycle)."""
+            f = turns.get(c)
+            if f is None:
+                v = tuple([packed[x] for x in c])
+                f = []
+                for w, d in ((v, c), (_inverse(v), _inverse(c))):
+                    r = _least_rotation(w)
+                    i = next(i for i, x in enumerate(w) if x == r[0] and w[i:] + w[:i] == r)
+                    f.append((r, d[i:] + d[:i]))
+                f = turns[c] = turns[f[0][1]] = tuple(f)
+                turns[f[1][1]] = f[::-1]
+            return f
+
+        def arranged(clusters: list[tuple]) -> tuple[tuple, list[tuple]]:
+            """The canonical state that labelled clusters read as, and the
+            clusters in its order, rotations and orientations: the rules of
+            ``solvable_within``'s ``cluster`` and ``canonical``, applied to
+            (packed view, labelled cycle) pairs and decided by the views."""
+            plain, mirror = [], []
+            for st, cycles in clusters:
+                fs = [turned(c) for c in cycles]
+                if st == _TWISTED:
+                    a = b = sorted(map(min, fs))
+                else:
+                    a, b = sorted([f[0] for f in fs]), sorted([f[1] for f in fs])
+                    if st == _PENDING:
+                        if [v for v, _ in b] < [v for v, _ in a]:
+                            a = b
+                        b = a
+                plain.append(((st, tuple([v for v, _ in a])), (st, tuple([c for _, c in a]))))
+                mirror.append(((st, tuple([v for v, _ in b])), (st, tuple([c for _, c in b]))))
+            plain.sort()
+            mirror.sort()
+            if [v for v, _ in mirror] < [v for v, _ in plain]:
+                plain = mirror
+            return tuple([v for v, _ in plain]), [c for _, c in plain]
+
+        ids = iter(range(0, 2 * self.n, 2))
+        view, state = arranged([(_CLEAN, [tuple(next(ids) for _ in c)]) for c in self.cycles])
+        pairs = []
+        while state:
+            _, pivot, partner, child = self._chosen[view]
+            _, _, st, new, rest = next(g for g in _gluings(state, view, pivot, orientable)
+                                       if g[0] == partner)
+            (ci, yi, pos), (cj, yj, t) = pivot, partner
+            pairs.append((where[state[ci][1][yi][pos] >> 1], where[state[cj][1][yj][t] >> 1]))
+            if new:
+                rest.append((st, new))
+            view, state = arranged(rest)
+            if view != child:
+                raise AssertionError("internal: the descent left the path of the diagram found")
+        return pairs
+
+
+def _normalized_discs(form: StandardForm) -> list[tuple[int, Word, Word]]:
+    """The nontrivial coefficient discs of a standard form, as (slot, core,
+    u) with slot j holding C_{j+1} (the last slot holds C) and C_{j+1} =
+    u core u^-1, the core cyclically reduced.
 
     The equation reads prod(...) * C = 1, so the discs are C_1..C_{m-1} and
     C itself: a cancellation diagram fills in the whole left side.  Each
@@ -251,21 +369,20 @@ def _normalized_discs(form: StandardForm) -> list[Word]:
     whole equation cyclically reduces C; trivial discs are dropped.
     """
     discs = []
-    for c in form.coefficients:
-        core, _ = c.cyclic_reduce()
+    for j, c in enumerate((*form.coefficients, form.tail)):
+        core, u = c.cyclic_reduce()
         if len(core):
-            discs.append(core)
-    core, _ = form.tail.cyclic_reduce()
-    if len(core):
-        discs.append(core)
+            discs.append((j, core, u))
     return discs
+
+
+def _diagrams(form: StandardForm) -> CancellationDiagrams:
+    return CancellationDiagrams([core for _, core, _ in _normalized_discs(form)], form.kind)
 
 
 def form_solvable(form: StandardForm) -> bool:
     """Complete decision at the form's own genus."""
-    discs = _normalized_discs(form)
-    diag = CancellationDiagrams(discs, form.kind)
-    return diag.solvable_within(form.genus)
+    return _diagrams(form).solvable_within(form.genus)
 
 
 # --- the solver -----------------------------------------------------------------
@@ -273,6 +390,15 @@ def form_solvable(form: StandardForm) -> bool:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A verdict, with its witness when it is ``sat``.
+
+    ``bound_used`` is the largest per-variable length bound that a witness
+    enumeration searched with, over the relators decided so far: the oracle
+    on a non-orientable equation, or meeting in the middle on a genus-0
+    orientable one.  That is the length at which it found a witness, or the
+    cap when it found none.  It is 0 when no enumeration ran, as when every
+    witness was built from its diagram."""
+
     status: str  # "sat" | "unsat" | "bound_exceeded"
     witness: dict[str, Word] | None
     bound_used: int
@@ -335,32 +461,45 @@ def _decouple(system: EquationSystem) -> tuple[list[Word], list[tuple[int, Word]
     return out, elim, unsat
 
 
-def _witness(form: StandardForm, system: EquationSystem, bound: int) -> dict[str, Word] | None:
-    """The oracle's first solution of ``system``, the standard equation of
-    ``form``, at the least per-variable length ell <= bound that has one.
+def _witness(form: StandardForm, diag: CancellationDiagrams, system: EquationSystem,
+             bound: int) -> tuple[dict[str, Word] | None, int]:
+    """A solution of ``system``, the standard equation of ``form``, and the
+    per-variable length bound an enumeration searched to find it (0 when the
+    solution was built from the diagram).
 
-    A genus-0 orientable form reads z_1^-1 C_1 z_1 ... z_n^-1 C_n z_n C = 1
-    and is solved by meeting in the middle: the products of the last n//2
-    conjugates (times C) go into a table, in which the inverses of the
-    products of the first ones are looked up.  With W the words of length
-    <= ell that is about |W|^ceil(n/2) word products where the oracle
-    closes |W|^(n-1) partial assignments.  The oracle's order is
-    lexicographic over (z_1, ..., z_n), each in the order of W, so keeping
-    the first right half per table entry and scanning the left halves in
-    order finds the same solution.
+    An orientable form's solution is built from the diagram that ``diag``
+    found at the form's genus (``_built_witness``).  A genus-0 orientable
+    form first meets in the middle over conjugators of length <= 1
+    (``_meet_conjugates``): when a solution that short exists, as for most
+    bin-packing equations, that is cheaper than replaying the diagram.  A
+    non-orientable form takes the oracle's first solution at the least
+    per-variable length ell <= bound that has one; its flipped discs would
+    need a crosscap step before the construction applies.
     """
-    for ell in range(bound + 1):
-        if form.kind != ORIENTABLE or form.genus:
-            found = is_satisfiable(system, SearchBound(ell))
-        else:
+    if form.kind == ORIENTABLE:
+        for ell in range(0 if form.genus else 2):
             found = _meet_conjugates(form, system, reduced_words(system.n_constants, ell))
+            if found is not None:
+                return found, ell
+        return _built_witness(form, diag, system.gens), 0
+    for ell in range(bound + 1):
+        found = is_satisfiable(system, SearchBound(ell))
         if found is not None:
-            return found
-    return None
+            return found, ell
+    return None, bound
 
 
 def _meet_conjugates(form: StandardForm, system: EquationSystem,
                      words: Sequence[Word]) -> dict[str, Word] | None:
+    """The oracle's first solution of a genus-0 orientable form's equation
+    z_1^-1 C_1 z_1 ... z_n^-1 C_n z_n C = 1 with every z_j in ``words``, by
+    meeting in the middle: the products of the last n//2 conjugates (times
+    C) go into a table, in which the inverses of the products of the first
+    ones are looked up.  That is about |W|^ceil(n/2) word products where the
+    oracle closes |W|^(n-1) partial assignments.  The oracle's order is
+    lexicographic over (z_1, ..., z_n), each in the order of ``words``, so
+    keeping the first right half per table entry and scanning the left
+    halves in order finds the same solution."""
     conj = [[z.inverse() * c * z for z in words] for c in form.coefficients]
     k = (len(conj) + 1) // 2
     table: dict[tuple, tuple[int, ...]] = {}
@@ -385,6 +524,132 @@ def _products(factors: list[list[Word]], tail: Word):
             yield (i, *choice), w * p
 
 
+def _built_witness(form: StandardForm, diag: CancellationDiagrams,
+                   gens: tuple[str, ...]) -> dict[str, Word]:
+    """A solution of an orientable form's standard equation, read off the
+    certificate of the diagram that ``diag`` found at the form's genus.
+
+    The discs D are merged along the certificate's pairs into one face per
+    component, from its last disc along a spanning tree of the dual graph,
+    the disc of largest index first.  Merging the face X p Y with a disc
+    U q V, q = p^-1, leaves the face X V U Y = (w^-1 D w)(X p Y) with
+    w = U q X^-1, so each face reads as a product of conjugates of its discs,
+    mostly in the form's order, with known conjugators.  A component's face
+    is then a product of commutators (``_commutators``) or trivial, which
+    gives a relation prod [x, y] * prod w^-1 D w = 1 per component; each
+    relation goes in front of the ones before it, whose commutators it
+    conjugates.  Hurwitz moves (w1^-1 D1 w1)(w2^-1 D2 w2) =
+    (w2^-1 D2 w2)((w1 c)^-1 D1 (w1 c)), with c the second factor, put the
+    conjugates in the form's order, conjugating the whole relation leaves C
+    itself last, and unused handles are 1.
+    """
+    discs = _normalized_discs(form)
+    cores = [core for _, core, _ in discs]
+    partner = {}
+    for p, q in diag.certificate(form.genus):
+        partner[p], partner[q] = q, p
+
+    def value(letters: list[tuple[int, int]]) -> Word:
+        return Word([cores[d][k] for d, k in letters])
+
+    handles: list[tuple[Word, Word]] = []
+    conjugates: list[tuple[int, Word]] = []  # (disc, w): w^-1 D w
+    merged: set[int] = set()
+    for root in reversed(range(len(discs))):
+        if root in merged:
+            continue
+        merged.add(root)
+        face = [(root, k) for k in range(len(cores[root]))]
+        product = [(root, Word())]
+        while True:
+            i = max((i for i, x in enumerate(face) if partner[x][0] not in merged),
+                    key=lambda i: partner[face[i]][0], default=None)
+            if i is None:
+                break
+            d, j = partner[face[i]]
+            merged.add(d)
+            disc = [(d, k) for k in range(len(cores[d]))]
+            product.insert(0, (d, value(disc[:j + 1]) * value(face[:i]).inverse()))
+            face = face[:i] + disc[j + 1:] + disc[:j] + face[i + 1:]
+        total = value(face)
+        mine = []
+        if total:
+            # prod [x, y] = total, so prod [y, x] (reversed) * product = 1
+            mine = [(y, x) for x, y in reversed(_commutators(face, total, cores, partner, gens))]
+        handles = mine + [(x.conjugated_by(total.inverse()), y.conjugated_by(total.inverse()))
+                          for x, y in handles]
+        conjugates = product + conjugates
+    if len(handles) > form.genus:
+        raise AssertionError("internal: the diagram needs more handles than the form has")
+    for end in range(1, len(conjugates)):
+        for k in range(end, 0, -1):
+            (d1, w1), (d2, w2) = conjugates[k - 1], conjugates[k]
+            if d1 < d2:
+                break
+            conjugates[k - 1], conjugates[k] = (d2, w2), (d1, w1 * cores[d2].conjugated_by(w2))
+    t = Word()
+    if discs and discs[-1][0] == len(form.coefficients):
+        t = (discs[-1][2] * conjugates[-1][1]).inverse()  # C = t^-1 w^-1 D w t
+    genus_names, conj_names = form.variable_names(gens)
+    out = dict.fromkeys(genus_names + conj_names, Word())
+    for i, (x, y) in enumerate(handles):
+        out[genus_names[2 * i]], out[genus_names[2 * i + 1]] = x.conjugated_by(t), y.conjugated_by(t)
+    for (slot, _, u), (_, w) in zip(discs, conjugates):
+        if slot < len(conj_names):
+            out[conj_names[slot]] = u * w * t
+    return out
+
+
+def _commutators(face: list[tuple[int, int]], total: Word, cores: list[Word],
+                 partner: dict, gens: tuple[str, ...]) -> list[tuple[Word, Word]]:
+    """(x_i, y_i) with prod [x_i, y_i] = ``total``, the value of ``face``,
+    whose letters are glued among themselves in inverse pairs.
+
+    The pairs make a quadratic word Q without constants, one variable per
+    pair, and Q(lambda) = total, where lambda sends each pair to its first
+    letter.  ``standardize`` takes Q to prod [x_i, y_i], and ``to_standard``
+    takes lambda to values at which that product is conjugate to Q(lambda).
+    """
+    nc = len(gens)
+    var: dict[tuple[int, int], int] = {}
+    letters: list[Generator] = []
+    lam: list[Word] = []
+    for x in face:
+        if partner[x] in var:
+            letters.append(Generator(nc + var[partner[x]], -1))
+        else:
+            var[x] = len(lam)
+            lam.append(Word((cores[x[0]][x[1]],)))
+            letters.append(Generator(nc + var[x], 1))
+    names = []
+    for k in range(len(lam)):
+        name = f"e{k}"
+        while name in gens:
+            name += "_"
+        names.append(name)
+    nz = standardize(EquationSystem(gens, tuple(names), (Equation(Word(letters)),)))
+    if nz.form.kind != ORIENTABLE or nz.form.coefficients or nz.form.tail:
+        raise AssertionError("internal: a face glued in inverse pairs must be a product of commutators")
+    mu = nz.to_standard(dict(zip(names, lam)))
+    genus_names, _ = nz.form.variable_names(gens)
+    pairs = [(mu[genus_names[2 * i]], mu[genus_names[2 * i + 1]]) for i in range(nz.form.genus)]
+    product = Word()
+    for x, y in pairs:
+        product = product * commutator(x, y)
+    s = _conjugator(total, product)
+    return [(x.conjugated_by(s.inverse()), y.conjugated_by(s.inverse())) for x, y in pairs]
+
+
+def _conjugator(u: Word, v: Word) -> Word:
+    """Some s with u = s v s^-1, for conjugate words u and v."""
+    cu, pu = u.cyclic_reduce()
+    cv, pv = v.cyclic_reduce()
+    for k in range(max(len(cu), 1)):
+        if cu.letters[k:] + cu.letters[:k] == cv.letters:
+            return pu * cu.subword(0, k) * pv.inverse()
+    raise AssertionError("internal: the words are not conjugate")
+
+
 def solve_quadratic(
     system: EquationSystem,
     bound: int | None = None,
@@ -392,13 +657,14 @@ def solve_quadratic(
     """Decide a quadratic system; SAT answers carry verified witnesses.
 
     UNSAT verdicts are complete (diagram search is finite); the bound only
-    caps the witness search, defaulting to the cited free-group bounds.
+    caps the oracle's witness search for non-orientable equations,
+    defaulting to the cited free-group bounds.
     """
     if not system.is_quadratic():
         raise SolverError("system is not quadratic")
     relators, elim, unsat = _decouple(system)
     if unsat:
-        return SolveResult("unsat", None, bound or 0, "constant relator is nontrivial")
+        return SolveResult("unsat", None, 0, "constant relator is nontrivial")
 
     assignment: dict[int, Word] = {}
     used_bound = 0
@@ -411,14 +677,15 @@ def solve_quadratic(
         )
         sub = EquationSystem(system.gens, names, (Equation(rel_local),))
         nz = standardize(sub)
-        if not form_solvable(nz.form):
-            return SolveResult("unsat", None, bound or 0, "no cancellation diagram")
+        diag = _diagrams(nz.form)
+        if not diag.solvable_within(nz.form.genus):
+            return SolveResult("unsat", None, used_bound, "no cancellation diagram")
         b = bound if bound is not None else default_bound(nz.form)
-        used_bound = max(used_bound, b)
-        found = _witness(nz.form, nz.system, b)
+        found, ell = _witness(nz.form, diag, nz.system, b)
+        used_bound = max(used_bound, ell)
         if found is None:
             return SolveResult(
-                "bound_exceeded", None, b,
+                "bound_exceeded", None, used_bound,
                 "diagram is solvable but no witness within the bound",
             )
         back = nz.to_original(found)
@@ -431,7 +698,7 @@ def solve_quadratic(
     witness = {system.var_name(s): w for s, w in assignment.items()}
     if not system.check(witness):
         raise AssertionError("internal: witness failed verification")
-    return SolveResult("sat", witness, bound if bound is not None else used_bound)
+    return SolveResult("sat", witness, used_bound)
 
 
 # --- genus of tuples ---------------------------------------------------------------
@@ -459,12 +726,13 @@ def _genus_at(
     want_witness: bool,
 ) -> GenusResult:
     form = _tuple_form(coefficients, g, kind)
-    if not form_solvable(form):
+    diag = _diagrams(form)
+    if not diag.solvable_within(g):
         return GenusResult(False, None)
     if not want_witness:
         return GenusResult(True, None)
     sysm = form.system(gens)
-    sol = _witness(form, sysm, default_bound(form))
+    sol, _ = _witness(form, diag, sysm, default_bound(form))
     if sol is None:
         raise SolverError("diagram solvable but witness search exhausted the bound")
     if not sysm.check(sol):
@@ -502,5 +770,5 @@ def tuple_genus(
     non-orientable forms it starts at 1.
     """
     cutoff = sum(len(c) for c in coefficients) // 2 + 1
-    diag = CancellationDiagrams(_normalized_discs(_tuple_form(coefficients, 0, kind)), kind)
+    diag = _diagrams(_tuple_form(coefficients, 0, kind))
     return diag.min_genus(cutoff, 0 if kind == ORIENTABLE else 1)

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from quadeq.cli import main
+from quadeq.equations import parse_system
+from quadeq.parsing import parse_word
 
 
 def run(capsys, *argv):
@@ -115,6 +117,35 @@ def test_genus_at(tmp_path, capsys):
     assert code == 0
     assert "verdict: solvable" in out
     assert "witness:" in out
+
+
+def test_genus_at_builds_the_cliff_witness(tmp_path, capsys):
+    # [a,b]^3 at genus 2: the witness is built from the diagram, where the
+    # oracle ran to its length bound 24 and did not end
+    f = write(tmp_path, "c.txt", "gens: a b\n[a,b]^3\n")
+    code, out, _ = run(capsys, "genus", f, "--kind", "orientable", "--at", "2")
+    assert code == 0
+    assert "verdict: solvable" in out
+    witness = {}
+    for line in out.splitlines():
+        if line.startswith("witness: "):
+            name, _, value = line[len("witness: "):].partition(" = ")
+            witness[name] = value
+    assert sorted(witness) == ["x1", "x2", "y1", "y2"]
+    system = parse_system(
+        "gens: a b\nvars: x1 y1 x2 y2\n[x1, y1] [x2, y2] [a,b]^3 = 1\n")
+    assert system.check({n: parse_word(w, system.alphabet) for n, w in witness.items()})
+
+
+@pytest.mark.parametrize("text,bound", [
+    (SOLVABLE, 0),                                  # orientable: built from the diagram
+    ("gens: a b\nvars: x\nx^2 = (a b)^2\n", 2),  # non-orientable: the oracle's x = a b
+])
+def test_solve_bound_line(tmp_path, capsys, text, bound):
+    f = write(tmp_path, "eq.txt", text)
+    code, out, _ = run(capsys, "solve", f)
+    assert code == 0
+    assert "verdict: sat" in out and f"bound: {bound}" in out.splitlines()
 
 
 def test_surface_torus(tmp_path, capsys):
@@ -279,12 +310,15 @@ def test_geneq_trace_search_exhausted(tmp_path, capsys):
      "error: argument --max-cap: must be >= 1, got 0"),
     (["check-equivalence", "--max-bins", "0"], None,
      "error: argument --max-bins: must be >= 1, got 0"),
+    (["solve", "{dir}"], None, "error: cannot read {dir}"),
+    (["genus", "{dir}"], None, "error: cannot read {dir}"),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, argv, trace, message):
     # malformed trace lines and flags are bad input, not internal errors
     paths = {
         "sys": write(tmp_path, "s.txt", "gens: a b\nvars: x y\nx a x = 1\ny^2 = 1\n"),
         "trace": write(tmp_path, "t.txt", trace or ""),
+        "dir": str(tmp_path),
     }
     try:
         code = main([a.format(**paths) for a in argv])
@@ -292,7 +326,7 @@ def test_bad_input_exit_code(tmp_path, capsys, argv, trace, message):
         code = e.code
     err = capsys.readouterr().err
     assert code == 2
-    assert message in err.splitlines()[-1]
+    assert message.format(**paths) in err.splitlines()[-1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,14 +3,9 @@ import random
 
 import pytest
 
-from quadeq.equations import (
-    Equation,
-    EquationError,
-    parse_system,
-    triangular_constant_form,
-    triangulate,
-)
+from quadeq.equations import Equation, EquationError, parse_system
 from quadeq.parsing import parse_word
+from quadeq.triangular import triangular_constant_form, triangulate
 from quadeq.words import Generator, Word
 
 

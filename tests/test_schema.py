@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quadeq.equations import parse_system, triangular_constant_form
+from quadeq.equations import parse_system
 from quadeq.oracle import SearchBound, enumerate_solutions, is_satisfiable
 from quadeq.schema import (
     CTriple,
@@ -13,6 +13,7 @@ from quadeq.schema import (
     trivial_choice,
     verify_pullback,
 )
+from quadeq.triangular import triangular_constant_form
 from quadeq.words import Alphabet, Word
 
 AL = Alphabet(("a", "b"))

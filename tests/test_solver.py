@@ -8,9 +8,7 @@ from quadeq.equations import parse_system
 from quadeq.oracle import SearchBound, is_satisfiable
 from quadeq.solver import (
     CancellationDiagrams,
-    GenusResult,
     SolverError,
-    default_bound,
     form_solvable,
     genus_nonorientable,
     genus_orientable,
@@ -18,7 +16,8 @@ from quadeq.solver import (
     tuple_genus,
 )
 from quadeq.standardize import NONORIENTABLE, ORIENTABLE, StandardForm, standardize
-from quadeq.words import Alphabet, Word, commutator
+from quadeq.surfaces import glue
+from quadeq.words import Alphabet, Generator, Word, commutator
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -330,25 +329,102 @@ def _random_word(rng, length):
     return Word(letters)
 
 
-def test_genus_zero_witness_is_oracles_first():
-    # products of up to four conjugates with a planted solution: the witness
-    # found by meeting in the middle is the oracle's first solution
+def _planted_form(rng, genus):
+    """An orientable form of ``genus`` with a planted solution: 1-4 random
+    coefficients C_j, and C the inverse of prod [x, y] prod z_j^-1 C_j z_j."""
+    cs = [_random_word(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 4))]
+    product = Word()
+    for _ in range(genus):
+        product = product * commutator(_random_word(rng, rng.randint(1, 2)),
+                                       _random_word(rng, rng.randint(1, 2)))
+    for c in cs:
+        z = _random_word(rng, rng.randint(0, 2))
+        product = product * z.inverse() * c * z
+    return StandardForm(ORIENTABLE, genus, tuple(cs), product.inverse())
+
+
+# the longest witness value over the equation's length: at most 0.42 on the
+# genus-0 forms, 1.05 on genus 1 and 2.28 on genus 2 below; the paper's
+# orientable bound is N |Q|^4
+WITNESS_PER_LETTER = 2.5
+
+
+def test_witnesses_check_and_stay_linear():
+    # the 60 seeded products of up to four conjugates that the oracle's
+    # first solution used to pin, then planted forms of genus 1 and 2
     rng = random.Random(11)
-    for _ in range(60):
-        cs = [_random_word(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 4))]
-        product = Word()
-        for c in cs:
-            z = _random_word(rng, rng.randint(0, 2))
-            product = product * z.inverse() * c * z
-        coefficients = cs + [product.inverse()]
-        form = StandardForm(ORIENTABLE, 0, tuple(cs), product.inverse())
+    forms = [_planted_form(rng, 0) for _ in range(60)]
+    rng = random.Random(12)
+    forms += [_planted_form(rng, genus) for genus in (1, 2) for _ in range(40)]
+    for form in forms:
         system = form.system(GENS)
-        first = None
-        for ell in range(default_bound(form) + 1):
-            first = is_satisfiable(system, SearchBound(ell))
-            if first is not None:
-                break
-        assert genus_orientable(coefficients, 0, GENS) == GenusResult(True, first), coefficients
+        r = genus_orientable([*form.coefficients, form.tail], form.genus, GENS)
+        assert r.solvable and system.check(r.witness), form
+        longest = max(map(len, r.witness.values()), default=0)
+        assert longest <= WITNESS_PER_LETTER * system.total_length(), form
+
+
+def _discs(form):
+    return [core for core, _ in (c.cyclic_reduce() for c in (*form.coefficients, form.tail)) if core]
+
+
+def _certified_surface(discs, kind, genus):
+    """The certificate's pairs at ``genus``, and the surface they glue from
+    the discs, each pair relabelled as its own edge."""
+    pairs = CancellationDiagrams(discs, kind).certificate(genus)
+    edge = {}
+    for k, (p, q) in enumerate(pairs):
+        x, y = discs[p[0]][p[1]], discs[q[0]][q[1]]
+        assert x.sym == y.sym
+        edge[p], edge[q] = Generator(k, x.sign), Generator(k, y.sign)
+    assert len(edge) == sum(map(len, discs))
+    return pairs, glue([Word([edge[d, i] for i in range(len(w))]) for d, w in enumerate(discs)])
+
+
+def test_certificate_glues_inverse_pairs_within_the_genus():
+    forms = [f for f in (standardize(build_equation(inst, free_form=True)).form
+                         for inst in sweep_instances(4, 3, 2)) if form_solvable(f)]
+    assert len(forms) == 14
+    forms.append(StandardForm(ORIENTABLE, 2, (), commutator(a, b) ** 3))
+    rng = random.Random(5)
+    forms += [_planted_form(rng, rng.randint(0, 2)) for _ in range(200)]
+    for form in forms:
+        discs = _discs(form)
+        pairs, surface = _certified_surface(discs, ORIENTABLE, form.genus)
+        assert all(discs[p[0]][p[1]] == discs[q[0]][q[1]].inv() for p, q in pairs), form
+        assert surface.genus <= form.genus, form
+
+
+def test_certificate_after_rising_budgets():
+    # the budget that min_genus proved is replayed without a new search
+    diag = CancellationDiagrams([commutator(a, b) ** 3], ORIENTABLE)
+    assert diag.certificate(1) is None
+    assert diag.min_genus(7) == 2
+    assert len(diag.certificate(2)) == 6
+    assert CancellationDiagrams([a * b, b * a], ORIENTABLE).certificate(5) is None
+    assert CancellationDiagrams([], ORIENTABLE).certificate(0) == []
+
+
+def _nonorientable_cost(surface, discs, pairs):
+    """The cost table of the solver's module docstring, per component."""
+    total = 0
+    for comp in surface.components:
+        if not comp.orientable:
+            total += comp.genus
+        elif comp.genus:
+            total += 2 * comp.genus + 1
+        else:  # a sphere costs a crosscap when some disc must flip
+            total += any(discs[p[0]][p[1]] == discs[q[0]][q[1]]
+                         for p, q in pairs if p[0] in comp.faces)
+    return total
+
+
+def test_nonorientable_certificate_fits_the_cost_table():
+    for kind, discs, genus in _pinned_tuples():
+        if kind != NONORIENTABLE or genus is None:
+            continue
+        pairs, surface = _certified_surface(discs, kind, genus)
+        assert _nonorientable_cost(surface, discs, pairs) <= genus, discs
 
 
 # corpus skeletons whose handle reaches crosscap absorption with a negative
