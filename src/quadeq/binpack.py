@@ -234,15 +234,6 @@ class EquivalenceReport:
     agree: bool
 
 
-# Beyond this letter count the sweep skips the solver and relies on exhaustive
-# packing, the oracle and constructive witnesses.  The cap dates from witness
-# search over words, exponential in the witness length; witnesses of these
-# genus-0 forms are now built from the diagram when no conjugators of length
-# <= 1 solve them, and the diagram search decides every instance of
-# sweep_instances(4, 4, 3), up to 46 letters.
-SOLVER_LETTER_CAP = 30
-
-
 def default_check_bound(inst: BinPackInstance) -> int:
     """Per-variable oracle bound for the desk sweep.
 
@@ -265,12 +256,7 @@ def check_equivalence(
     """Compare exhaustive packing with the equation-side verdicts (Eq ***)."""
     packing = exhaustive_pack(inst)
     system = build_equation(inst, params, free_form=True)
-    letters = system.equations[0].length() - 2 * len(system.variables)
-    if letters <= SOLVER_LETTER_CAP:
-        res = solve_quadratic(system)
-        solver_status = res.status
-    else:
-        solver_status = "skipped"
+    solver_status = solve_quadratic(system).status
     bound = default_check_bound(inst)
 
     witness_ok = False
@@ -283,9 +269,7 @@ def check_equivalence(
         oracle_found = is_satisfiable(system, SearchBound(bound)) is not None
 
     feasible = packing is not None
-    agree = True
-    if solver_status != "skipped":
-        agree = (solver_status == "sat") == feasible
+    agree = (solver_status == "sat") == feasible
     if oracle_found is not None:
         agree = agree and (oracle_found == feasible)
     if feasible:

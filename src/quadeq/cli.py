@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--bound", type=_nonnegative, default=None,
                     help="cap of the oracle's witness search, which only non-orientable "
-                         "equations need (default: the cited bounds)")
+                         "equations need (default: the cited bound 12 s^4)")
     common(sp)
     sp.set_defaults(fn=cmd_solve)
 

@@ -38,13 +38,12 @@ their positions, which gives the pairs of glued letters.  An orientable
 form's witness is built from those pairs (``_built_witness``): merging a face
 X p Y with a disc U p^-1 V leaves the face X V U Y = (w^-1 D w)(X p Y),
 w = U p^-1 X^-1, so each component's last face is a product of conjugates of
-its discs with known conjugators, and the pairs left in it form a quadratic
-word without constants whose standard form gives the commutators.  Hurwitz
-moves put the conjugates in the form's order.  A genus-0 form first tries
-conjugators of length <= 1 by meeting in the middle, which is cheaper where
-they suffice.  A non-orientable form's witness is the oracle's first
-solution within the bound.  Either is transported back to the input's
-variables and checked.
+its discs with known conjugators.  The pairs left in that face are cut out
+one interleaved couple at a time, as in the classification of surfaces,
+each couple a commutator of face pieces (``_commutators``).  Hurwitz moves
+put the conjugates in the form's order.  A non-orientable form's witness is
+the oracle's first solution within the bound.  Either is transported back
+to the input's variables and checked.
 """
 
 from __future__ import annotations
@@ -55,14 +54,14 @@ from operator import itemgetter
 from typing import Sequence
 
 from .equations import EquationSystem, Equation
-from .oracle import SearchBound, is_satisfiable, reduced_words
+from .oracle import SearchBound, is_satisfiable
 from .standardize import (
     NONORIENTABLE,
     ORIENTABLE,
     StandardForm,
     standardize,
 )
-from .words import Generator, Word, commutator, replay, substitute
+from .words import Generator, Word, replay, substitute
 
 
 class SolverError(ValueError):
@@ -89,11 +88,11 @@ def _least_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _gluings(state: Sequence[tuple], view: Sequence[tuple], pivot: tuple[int, int, int],
-             orientable: bool):
+             orientable: bool, only: tuple[int, int, int] | None = None):
     """(partner, cost, status, cycles, other clusters) for each way to glue
-    the pivot letter to a partner, by the rules of the module docstring; the
-    cycles are what is left, nonempty, of the pivot's cluster, and have that
-    status.
+    the pivot letter to a partner, or only to the partner ``only``, by the
+    rules of the module docstring; the cycles are what is left, nonempty, of
+    the pivot's cluster, and have that status.
 
     Positions are (cluster, cycle, offset).  ``view`` is ``state`` with
     packed letters, which decide the partners; only slices and inversions
@@ -111,6 +110,8 @@ def _gluings(state: Sequence[tuple], view: Sequence[tuple], pivot: tuple[int, in
         for yj, letters in enumerate(viewed):
             for t, q in enumerate(letters):
                 if q != p ^ 1 and (orientable or q != p):
+                    continue
+                if only and only != (cj, yj, t):
                     continue
                 if cj == ci:
                     rest = others.copy()
@@ -310,8 +311,8 @@ class CancellationDiagrams:
                 v = tuple([packed[x] for x in c])
                 f = []
                 for w, d in ((v, c), (_inverse(v), _inverse(c))):
-                    r = _least_rotation(w)
-                    i = next(i for i, x in enumerate(w) if x == r[0] and w[i:] + w[:i] == r)
+                    n, twice, m = len(w), w + w, min(w)
+                    r, i = min([(twice[i:i + n], i) for i, x in enumerate(w) if x == m])
                     f.append((r, d[i:] + d[:i]))
                 f = turns[c] = turns[f[0][1]] = tuple(f)
                 turns[f[1][1]] = f[::-1]
@@ -346,8 +347,7 @@ class CancellationDiagrams:
         pairs = []
         while state:
             _, pivot, partner, child = self._chosen[view]
-            _, _, st, new, rest = next(g for g in _gluings(state, view, pivot, orientable)
-                                       if g[0] == partner)
+            _, _, st, new, rest = next(_gluings(state, view, pivot, orientable, partner))
             (ci, yi, pos), (cj, yj, t) = pivot, partner
             pairs.append((where[state[ci][1][yi][pos] >> 1], where[state[cj][1][yj][t] >> 1]))
             if new:
@@ -392,12 +392,11 @@ def form_solvable(form: StandardForm) -> bool:
 class SolveResult:
     """A verdict, with its witness when it is ``sat``.
 
-    ``bound_used`` is the largest per-variable length bound that a witness
-    enumeration searched with, over the relators decided so far: the oracle
-    on a non-orientable equation, or meeting in the middle on a genus-0
-    orientable one.  That is the length at which it found a witness, or the
-    cap when it found none.  It is 0 when no enumeration ran, as when every
-    witness was built from its diagram."""
+    ``bound_used`` is the largest per-variable length bound that the oracle
+    searched with on a non-orientable relator, over the relators decided so
+    far: the length at which it found a witness, or the cap when it found
+    none.  It is always 0 for orientable relators, whose witnesses are built
+    from their diagrams."""
 
     status: str  # "sat" | "unsat" | "bound_exceeded"
     witness: dict[str, Word] | None
@@ -406,10 +405,8 @@ class SolveResult:
 
 
 def default_bound(form: StandardForm) -> int:
-    """The cited minimal-solution bounds: 2s orientable, 12 s^4 otherwise."""
+    """The cited minimal-solution bound of a non-orientable form: 12 s^4."""
     s = sum(len(c) for c in form.coefficients) + len(form.tail)
-    if form.kind == ORIENTABLE:
-        return max(1, 2 * s)
     return max(1, 12 * s ** 4)
 
 
@@ -462,26 +459,21 @@ def _decouple(system: EquationSystem) -> tuple[list[Word], list[tuple[int, Word]
 
 
 def _witness(form: StandardForm, diag: CancellationDiagrams, system: EquationSystem,
-             bound: int) -> tuple[dict[str, Word] | None, int]:
+             bound: int | None) -> tuple[dict[str, Word] | None, int]:
     """A solution of ``system``, the standard equation of ``form``, and the
-    per-variable length bound an enumeration searched to find it (0 when the
+    per-variable length bound the oracle searched to find it (0 when the
     solution was built from the diagram).
 
     An orientable form's solution is built from the diagram that ``diag``
-    found at the form's genus (``_built_witness``).  A genus-0 orientable
-    form first meets in the middle over conjugators of length <= 1
-    (``_meet_conjugates``): when a solution that short exists, as for most
-    bin-packing equations, that is cheaper than replaying the diagram.  A
-    non-orientable form takes the oracle's first solution at the least
-    per-variable length ell <= bound that has one; its flipped discs would
-    need a crosscap step before the construction applies.
+    found at the form's genus (``_built_witness``).  A non-orientable form
+    takes the oracle's first solution at the least per-variable length
+    ell <= bound that has one, by default ``default_bound``; its flipped
+    discs would need a crosscap step before the construction applies.
     """
     if form.kind == ORIENTABLE:
-        for ell in range(0 if form.genus else 2):
-            found = _meet_conjugates(form, system, reduced_words(system.n_constants, ell))
-            if found is not None:
-                return found, ell
         return _built_witness(form, diag, system.gens), 0
+    if bound is None:
+        bound = default_bound(form)
     for ell in range(bound + 1):
         found = is_satisfiable(system, SearchBound(ell))
         if found is not None:
@@ -489,39 +481,9 @@ def _witness(form: StandardForm, diag: CancellationDiagrams, system: EquationSys
     return None, bound
 
 
-def _meet_conjugates(form: StandardForm, system: EquationSystem,
-                     words: Sequence[Word]) -> dict[str, Word] | None:
-    """The oracle's first solution of a genus-0 orientable form's equation
-    z_1^-1 C_1 z_1 ... z_n^-1 C_n z_n C = 1 with every z_j in ``words``, by
-    meeting in the middle: the products of the last n//2 conjugates (times
-    C) go into a table, in which the inverses of the products of the first
-    ones are looked up.  That is about |W|^ceil(n/2) word products where the
-    oracle closes |W|^(n-1) partial assignments.  The oracle's order is
-    lexicographic over (z_1, ..., z_n), each in the order of ``words``, so
-    keeping the first right half per table entry and scanning the left
-    halves in order finds the same solution."""
-    conj = [[z.inverse() * c * z for z in words] for c in form.coefficients]
-    k = (len(conj) + 1) // 2
-    table: dict[tuple, tuple[int, ...]] = {}
-    for right, p in _products(conj[k:], form.tail):
-        table.setdefault(p.letters, right)
-    for left, p in _products(conj[:k], Word()):
-        right = table.get(p.inverse().letters)
-        if right is not None:
-            return {name: words[i] for name, i in zip(system.variables, left + right)}
-    return None
-
-
-def _products(factors: list[list[Word]], tail: Word):
-    """(choice, product times ``tail``) for every choice of one word from
-    each list, in lexicographic order of the choices."""
-    if not factors:
-        yield (), tail
-        return
-    rest = list(_products(factors[1:], tail))
-    for i, w in enumerate(factors[0]):
-        for choice, p in rest:
-            yield (i, *choice), w * p
+def _value(cores: list[Word], letters: list[tuple[int, int]]) -> Word:
+    """The word read by letters given as (disc, offset)."""
+    return Word([cores[d][k] for d, k in letters])
 
 
 def _built_witness(form: StandardForm, diag: CancellationDiagrams,
@@ -549,9 +511,6 @@ def _built_witness(form: StandardForm, diag: CancellationDiagrams,
     for p, q in diag.certificate(form.genus):
         partner[p], partner[q] = q, p
 
-    def value(letters: list[tuple[int, int]]) -> Word:
-        return Word([cores[d][k] for d, k in letters])
-
     handles: list[tuple[Word, Word]] = []
     conjugates: list[tuple[int, Word]] = []  # (disc, w): w^-1 D w
     merged: set[int] = set()
@@ -569,13 +528,13 @@ def _built_witness(form: StandardForm, diag: CancellationDiagrams,
             d, j = partner[face[i]]
             merged.add(d)
             disc = [(d, k) for k in range(len(cores[d]))]
-            product.insert(0, (d, value(disc[:j + 1]) * value(face[:i]).inverse()))
+            product.insert(0, (d, _value(cores, disc[:j + 1]) * _value(cores, face[:i]).inverse()))
             face = face[:i] + disc[j + 1:] + disc[:j] + face[i + 1:]
-        total = value(face)
+        total = _value(cores, face)
         mine = []
         if total:
             # prod [x, y] = total, so prod [y, x] (reversed) * product = 1
-            mine = [(y, x) for x, y in reversed(_commutators(face, total, cores, partner, gens))]
+            mine = [(y, x) for x, y in reversed(_commutators(face, cores, partner))]
         handles = mine + [(x.conjugated_by(total.inverse()), y.conjugated_by(total.inverse()))
                           for x, y in handles]
         conjugates = product + conjugates
@@ -600,54 +559,42 @@ def _built_witness(form: StandardForm, diag: CancellationDiagrams,
     return out
 
 
-def _commutators(face: list[tuple[int, int]], total: Word, cores: list[Word],
-                 partner: dict, gens: tuple[str, ...]) -> list[tuple[Word, Word]]:
-    """(x_i, y_i) with prod [x_i, y_i] = ``total``, the value of ``face``,
-    whose letters are glued among themselves in inverse pairs.
+def _commutators(face: list[tuple[int, int]], cores: list[Word],
+                 partner: dict) -> list[tuple[Word, Word]]:
+    """(x_i, y_i) with prod [x_i, y_i] equal to the value of ``face``, one
+    pair per handle of the face, whose letters are glued among themselves
+    in inverse pairs.
 
-    The pairs make a quadratic word Q without constants, one variable per
-    pair, and Q(lambda) = total, where lambda sends each pair to its first
-    letter.  ``standardize`` takes Q to prod [x_i, y_i], and ``to_standard``
-    takes lambda to values at which that product is conjugate to Q(lambda).
+    This is the cut-and-paste step of the classification of surfaces
+    (Massey, *Algebraic Topology: An Introduction*, ch. 1), carried out on
+    values.  Take the glued pair of least span.  Adjacent letters cancel.
+    Otherwise the first letter inside has its partner outside, so two pairs
+    interleave, and
+
+        A P B Q C P^-1 D Q^-1 E = s [C P^-1 D, Q^-1 B^-1 C^-1] s^-1 (A D C B E)
+
+    with s = A D: the commutator goes out, and the face left is A D C B E.
+    Every entry is a product of face pieces, conjugated by one.
     """
-    nc = len(gens)
-    var: dict[tuple[int, int], int] = {}
-    letters: list[Generator] = []
-    lam: list[Word] = []
-    for x in face:
-        if partner[x] in var:
-            letters.append(Generator(nc + var[partner[x]], -1))
-        else:
-            var[x] = len(lam)
-            lam.append(Word((cores[x[0]][x[1]],)))
-            letters.append(Generator(nc + var[x], 1))
-    names = []
-    for k in range(len(lam)):
-        name = f"e{k}"
-        while name in gens:
-            name += "_"
-        names.append(name)
-    nz = standardize(EquationSystem(gens, tuple(names), (Equation(Word(letters)),)))
-    if nz.form.kind != ORIENTABLE or nz.form.coefficients or nz.form.tail:
-        raise AssertionError("internal: a face glued in inverse pairs must be a product of commutators")
-    mu = nz.to_standard(dict(zip(names, lam)))
-    genus_names, _ = nz.form.variable_names(gens)
-    pairs = [(mu[genus_names[2 * i]], mu[genus_names[2 * i + 1]]) for i in range(nz.form.genus)]
-    product = Word()
-    for x, y in pairs:
-        product = product * commutator(x, y)
-    s = _conjugator(total, product)
-    return [(x.conjugated_by(s.inverse()), y.conjugated_by(s.inverse())) for x, y in pairs]
-
-
-def _conjugator(u: Word, v: Word) -> Word:
-    """Some s with u = s v s^-1, for conjugate words u and v."""
-    cu, pu = u.cyclic_reduce()
-    cv, pv = v.cyclic_reduce()
-    for k in range(max(len(cu), 1)):
-        if cu.letters[k:] + cu.letters[:k] == cv.letters:
-            return pu * cu.subword(0, k) * pv.inverse()
-    raise AssertionError("internal: the words are not conjugate")
+    out = []
+    face = list(face)
+    while face:
+        at = {x: i for i, x in enumerate(face)}
+        i, j = min(((i, at[partner[x]]) for i, x in enumerate(face) if at[partner[x]] > i),
+                   key=lambda ij: ij[1] - ij[0])
+        if j == i + 1:
+            del face[i:j + 1]
+            continue
+        k = at[partner[face[i + 1]]]
+        # the interleaved pairs sit at i1 < i2 < j1 < j2
+        i1, i2, j1, j2 = (i, i + 1, j, k) if k > j else (k, i, i + 1, j)
+        a, b, c, d, e = (face[:i1], face[i1 + 1:i2], face[i2 + 1:j1], face[j1 + 1:j2],
+                         face[j2 + 1:])
+        s = _value(cores, a + d).inverse()
+        out.append((_value(cores, c + [face[j1]] + d).conjugated_by(s),
+                    _value(cores, c + b + [face[i2]]).inverse().conjugated_by(s)))
+        face = a + d + c + b + e
+    return out
 
 
 def solve_quadratic(
@@ -658,7 +605,7 @@ def solve_quadratic(
 
     UNSAT verdicts are complete (diagram search is finite); the bound only
     caps the oracle's witness search for non-orientable equations,
-    defaulting to the cited free-group bounds.
+    defaulting to the cited free-group bound (``default_bound``).
     """
     if not system.is_quadratic():
         raise SolverError("system is not quadratic")
@@ -680,8 +627,7 @@ def solve_quadratic(
         diag = _diagrams(nz.form)
         if not diag.solvable_within(nz.form.genus):
             return SolveResult("unsat", None, used_bound, "no cancellation diagram")
-        b = bound if bound is not None else default_bound(nz.form)
-        found, ell = _witness(nz.form, diag, nz.system, b)
+        found, ell = _witness(nz.form, diag, nz.system, bound)
         used_bound = max(used_bound, ell)
         if found is None:
             return SolveResult(
@@ -732,7 +678,7 @@ def _genus_at(
     if not want_witness:
         return GenusResult(True, None)
     sysm = form.system(gens)
-    sol, _ = _witness(form, diag, sysm, default_bound(form))
+    sol, _ = _witness(form, diag, sysm, None)
     if sol is None:
         raise SolverError("diagram solvable but witness search exhausted the bound")
     if not sysm.check(sol):

@@ -187,6 +187,20 @@ def test_check_equivalence_oversized_item():
     assert rep.agree
 
 
+@pytest.mark.parametrize("inst,status", [
+    (BinPackInstance((4, 3, 1), 2, 4), "sat"),
+    (BinPackInstance((7, 1), 2, 4), "unsat"),
+])
+def test_check_equivalence_runs_the_solver_on_long_equations(inst, status):
+    # over 30 constant letters: the solver decides these too, no size cap
+    system = build_equation(inst, free_form=True)
+    assert system.equations[0].length() - 2 * len(system.variables) > 30
+    rep = check_equivalence(inst)
+    assert rep.solver_status == status
+    assert rep.oracle_found is (status == "sat")
+    assert rep.agree
+
+
 def test_sweep_instances_grid():
     grid = sweep_instances(2, 2, 2)
     assert all(sum(i.items) == i.bins * i.capacity for i in grid)

@@ -9,6 +9,7 @@ from quadeq.oracle import SearchBound, is_satisfiable
 from quadeq.solver import (
     CancellationDiagrams,
     SolverError,
+    _commutators,
     form_solvable,
     genus_nonorientable,
     genus_orientable,
@@ -344,24 +345,85 @@ def _planted_form(rng, genus):
 
 
 # the longest witness value over the equation's length: at most 0.42 on the
-# genus-0 forms, 1.05 on genus 1 and 2.28 on genus 2 below; the paper's
-# orientable bound is N |Q|^4
-WITNESS_PER_LETTER = 2.5
+# genus-0 forms below, 0.46 on genus 1, 0.55 on genus 2, 0.81 on genus 3 and
+# 0.74 on genus 4.  The cited free-group bound for orientable forms is 2s,
+# s the coefficients' length, and the paper's bound over torsion-free
+# hyperbolic groups is N |Q|^4
+WITNESS_PER_LETTER = 1.0
 
 
 def test_witnesses_check_and_stay_linear():
     # the 60 seeded products of up to four conjugates that the oracle's
-    # first solution used to pin, then planted forms of genus 1 and 2
+    # first solution used to pin, then planted forms of genus 1 to 4
     rng = random.Random(11)
     forms = [_planted_form(rng, 0) for _ in range(60)]
     rng = random.Random(12)
-    forms += [_planted_form(rng, genus) for genus in (1, 2) for _ in range(40)]
+    forms += [_planted_form(rng, genus) for genus in (1, 2, 3, 4) for _ in range(40)]
+    worst = dict.fromkeys(range(5), 0.0)
     for form in forms:
         system = form.system(GENS)
         r = genus_orientable([*form.coefficients, form.tail], form.genus, GENS)
         assert r.solvable and system.check(r.witness), form
         longest = max(map(len, r.witness.values()), default=0)
         assert longest <= WITNESS_PER_LETTER * system.total_length(), form
+        if longest:
+            worst[form.genus] = max(worst[form.genus], longest / system.total_length())
+    # a handle adds about as much as the one before it
+    assert worst[2] <= 1.5 * worst[1], worst
+
+
+def _face_genus(scheme):
+    """The genus of one disc whose boundary reads ``scheme``, a word in
+    which each symbol occurs once with each sign; a cancelling pair is a
+    vertex with its edge, so reducing the word keeps the genus."""
+    core, _ = Word(scheme).cyclic_reduce()
+    return glue([core]).genus if core else 0
+
+
+def _exact_commutators(face, cores, partner):
+    pairs = _commutators(face, cores, partner)
+    product = Word()
+    for x, y in pairs:
+        product = product * commutator(x, y)
+    assert product == Word([cores[d][k] for d, k in face]), face
+    return pairs
+
+
+def test_commutators_multiply_out_to_the_face():
+    # faces of one disc, glued by the certificate of a form of genus 1 to 4
+    rng = random.Random(3)
+    tails = [(commutator(a, b) ** 3, 2)]
+    for genus in (1, 2, 3, 4):
+        for _ in range(15):
+            product = Word()
+            for _ in range(genus):
+                product = product * commutator(_random_word(rng, rng.randint(1, 3)),
+                                               _random_word(rng, rng.randint(1, 3)))
+            tails.append((product, genus))
+    faces = 0
+    for tail, genus in tails:
+        core, _ = tail.cyclic_reduce()
+        if not core:
+            continue
+        pairs, surface = _certified_surface([core], ORIENTABLE, genus)
+        partner = {}
+        for p, q in pairs:
+            partner[p], partner[q] = q, p
+        face = [(0, k) for k in range(len(core))]
+        assert len(_exact_commutators(face, [core], partner)) == surface.genus, core
+        faces += 1
+    assert faces >= 40
+    # random faces glued in inverse pairs, each letter a disc of its own
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        scheme = [Generator(k, sign) for k in range(n) for sign in (1, -1)]
+        rng.shuffle(scheme)
+        value = [AB.gen(rng.choice(GENS), rng.choice((1, -1))) for _ in range(n)]
+        cores = [Word([value[g.sym] if g.sign > 0 else value[g.sym].inv()]) for g in scheme]
+        at = {g: i for i, g in enumerate(scheme)}
+        partner = {(i, 0): (at[g.inv()], 0) for i, g in enumerate(scheme)}
+        face = [(i, 0) for i in range(len(scheme))]
+        assert len(_exact_commutators(face, cores, partner)) == _face_genus(scheme), scheme
 
 
 def _discs(form):

@@ -1,8 +1,11 @@
 import ast
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import quadeq
@@ -136,3 +139,23 @@ def test_solve_path_imports():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.split()
     assert out == sorted(f"quadeq.{m}" for m in SOLVE_PATH)
+
+
+def test_tracer_hooks_find_their_targets():
+    # the benchmark's tracer wraps named attributes of the solve-path modules;
+    # a renamed or deleted one is a KeyError in every traced run
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("tracing", root / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    lib = types.SimpleNamespace(**{m: importlib.import_module(f"quadeq.{m}") for m in SOLVE_PATH})
+    before = {m: dict(vars(getattr(lib, m))) for m in SOLVE_PATH}
+    tracer = tracing.Tracer()
+    tracer.install(lib)
+    try:
+        system = lib.equations.parse_system("gens: a b\nvars: x y\n[x, y] = [a, b]\n")
+        assert lib.solver.solve_quadratic(system).status == "sat"
+    finally:
+        tracer.uninstall()
+    assert {m: dict(vars(getattr(lib, m))) for m in SOLVE_PATH} == before
+    assert tracer.metrics()["solver.diagram_calls"][0] > 0
