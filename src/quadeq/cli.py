@@ -6,7 +6,8 @@ and flags produce byte-identical output; timing appears only with --timing).
 2 bad input or flags (an ``error:`` line on stderr), 3 bound exceeded /
 inconclusive, 4 internal error (any other exception; ``internal error:
 <message>`` goes to stderr), 5 the geneq-trace search pruned every branch
-before any budget ran out (status ``exhausted``).
+before any budget ran out (status ``exhausted``).  ``triangulate`` and
+``reduce-binpack`` print a system file and take neither flag.
 
 ``surface`` lists one ``component`` line per connected component, ordered
 by the component's least face index.
@@ -331,11 +332,18 @@ def cmd_schema(args) -> int:
     rep.add("triangles", n)
     rep.add("size", out.system.total_length())
     rep.add("bound", form.system.total_length() * (4 + 2 * args.l_param + args.lam * form.system.total_length() + args.mu))
+    al_out = out.system.alphabet
+    maps = [f"{name} -> {al_out.format(out.images[name])}" for name in sorted(out.images)]
+    if args.json:  # one document: the system and the maps go into the report
+        rep.add("system", out.system.render())
+        for m in maps:
+            rep.add("map", m)
+        rep.emit(args)
+        return EXIT_OK
     rep.emit(args)
     sys.stdout.write(out.system.render())
-    al_out = out.system.alphabet
-    for name in sorted(out.images):
-        print(f"# map {name} -> {al_out.format(out.images[name])}")
+    for m in maps:
+        print(f"# map {m}")
     return EXIT_OK
 
 
@@ -462,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("triangulate", help="chain-triangulate a system")
     sp.add_argument("file")
-    common(sp)
     sp.set_defaults(fn=cmd_triangulate)
 
     sp = sub.add_parser("standardize", help="normalize one quadratic equation")
@@ -502,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--free-form", action="store_true")
     sp.add_argument("--scale", type=int, default=3)
     sp.add_argument("--power", type=int, default=1)
-    common(sp)
     sp.set_defaults(fn=cmd_reduce_binpack)
 
     sp = sub.add_parser("check-equivalence", help="packing vs equation sweep")

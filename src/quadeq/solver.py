@@ -61,7 +61,7 @@ from .standardize import (
     StandardForm,
     standardize,
 )
-from .words import Generator, Word, replay, substitute
+from .words import Word, replay, substitute
 
 
 class SolverError(ValueError):
@@ -616,14 +616,7 @@ def solve_quadratic(
     assignment: dict[int, Word] = {}
     used_bound = 0
     for rel in relators:
-        rel_vars = sorted({g.sym for g in rel if g.sym >= system.n_constants})
-        names = tuple(system.var_name(s) for s in rel_vars)
-        remap = {s: system.n_constants + i for i, s in enumerate(rel_vars)}
-        rel_local = Word(
-            Generator(remap.get(g.sym, g.sym), g.sign) for g in rel
-        )
-        sub = EquationSystem(system.gens, names, (Equation(rel_local),))
-        nz = standardize(sub)
+        nz = standardize(EquationSystem(system.gens, system.variables, (Equation(rel),)))
         diag = _diagrams(nz.form)
         if not diag.solvable_within(nz.form.genus):
             return SolveResult("unsat", None, used_bound, "no cancellation diagram")
@@ -635,8 +628,9 @@ def solve_quadratic(
                 "diagram is solvable but no witness within the bound",
             )
         back = nz.to_original(found)
-        for name, w in back.items():
-            assignment[system.var_sym(name)] = w
+        for g in rel:
+            if g.sym >= system.n_constants:
+                assignment[g.sym] = back[system.var_name(g.sym)]
 
     # eliminated variables follow from later material; free ones are 1
     assignment = replay([{sym: expr} for sym, expr in reversed(elim)], assignment,

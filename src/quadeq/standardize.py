@@ -68,37 +68,27 @@ class StandardForm:
             taken.add(name)
             return name
 
-        genus_names: list[str] = []
-        if self.kind == ORIENTABLE:
-            for i in range(self.genus):
-                genus_names.append(fresh(f"x{i+1}"))
-                genus_names.append(fresh(f"y{i+1}"))
-        else:
-            for i in range(self.genus):
-                genus_names.append(fresh(f"x{i+1}"))
+        letters = "xy" if self.kind == ORIENTABLE else "x"
+        genus_names = [fresh(f"{c}{i+1}") for i in range(self.genus) for c in letters]
         conj_names = [fresh(f"z{j+1}") for j in range(self.n_conjugators)]
         return genus_names, conj_names
 
     def system(self, gens: tuple[str, ...]) -> EquationSystem:
-        """The standard equation as a one-equation system over fresh names."""
+        """The standard equation over fresh names; variable i is symbol
+        ``len(gens) + i``, genus variables first, then conjugators."""
         genus_names, conj_names = self.variable_names(gens)
-        names = tuple(genus_names + conj_names)
-        sys = EquationSystem(gens, names, ())
-        al = sys.alphabet
-        w = Word()
+        n = len(gens)
+        letters: list[Generator] = []
         if self.kind == ORIENTABLE:
-            for i in range(self.genus):
-                x, y = al.gen(genus_names[2 * i]), al.gen(genus_names[2 * i + 1])
-                w = w * Word((x.inv(), y.inv(), x, y))
+            for x in range(n, n + 2 * self.genus, 2):
+                letters += (Generator(x, -1), Generator(x + 1, -1), Generator(x, 1), Generator(x + 1, 1))
         else:
-            for i in range(self.genus):
-                x = al.gen(genus_names[i])
-                w = w * Word((x, x))
-        for j, c in enumerate(self.coefficients):
-            z = al.gen(conj_names[j])
-            w = w * Word((z.inv(),)) * c * Word((z,))
-        w = w * self.tail
-        return EquationSystem(gens, names, (Equation(w),))
+            for x in range(n, n + self.genus):
+                letters += (Generator(x, 1), Generator(x, 1))
+        for z, c in enumerate(self.coefficients, n + len(genus_names)):
+            letters += (Generator(z, -1), *c, Generator(z, 1))
+        letters += self.tail
+        return EquationSystem(gens, tuple(genus_names + conj_names), (Equation(Word(letters)),))
 
 
 @dataclass
@@ -109,27 +99,31 @@ class Normalization:
     the input equation's variables; ``to_standard`` pushes an input solution
     onto the standard form.  Both directions are exact: they replay the
     normalizer's recorded moves, each a substitution and its inverse.
+
+    ``to_standard`` is how the tests show that input solutions push forward
+    onto the standard form, which UNSAT completeness rests on.  Storing each
+    inverse takes less code than deriving it from the image x -> L x^±1 R.
     """
 
     original: EquationSystem
     form: StandardForm
     system: EquationSystem  # the standard equation over canonical names
     _moves: list[tuple[dict[int, Word], dict[int, Word]]]  # (mapping, inverse)
-    _out_names: dict[int, str]     # final internal sym -> canonical output name
+    _layout: list[int]  # the input symbol that became standard variable i
 
     def to_original(self, assignment: Mapping[str, Word]) -> dict[str, Word]:
-        name_to_out = {n: s for s, n in self._out_names.items()}
+        sym_of = dict(zip(self.system.variables, self._layout))
         for name in assignment:
-            if name not in name_to_out:
+            if name not in sym_of:
                 raise StandardizeError(f"unknown standard-form variable {name!r}")
-        by_sym = {name_to_out[n]: w for n, w in assignment.items()}
+        by_sym = {sym_of[n]: w for n, w in assignment.items()}
         values = replay([m for m, _ in reversed(self._moves)], by_sym, self.original.var_syms)
         return {n: values[self.original.var_sym(n)] for n in self.original.variables}
 
     def to_standard(self, assignment: Mapping[str, Word]) -> dict[str, Word]:
         by_sym = {self.original.var_sym(n): w for n, w in assignment.items()}
         values = replay([inv for _, inv in self._moves], by_sym, self.original.var_syms)
-        return {name: values[sym] for sym, name in self._out_names.items()}
+        return {name: values[sym] for name, sym in zip(self.system.variables, self._layout)}
 
 
 class _Normalizer:
@@ -176,6 +170,12 @@ class _Normalizer:
         g = Word((Generator(sym, -1),))
         self.subst1(sym, g, g)
 
+    def orient(self, k: int, sign: int):
+        """Flip the variable at position k if it does not read ``sign``; a
+        flip acts in place, so every position stays."""
+        if self.word[k].sign != sign:
+            self.flip(self.word[k].sym)
+
     def rotate(self, k: int):
         self._tick()
         w = self.word
@@ -202,6 +202,15 @@ class _Normalizer:
             return
         v = Word((Generator(sym, 1),))
         self.subst1(sym, v * d, v * d.inverse())
+
+    def square(self, sym: int):
+        """A x B x C -> A x^2 B^-1 C via x -> x B^-1, after flipping a pair
+        x^-1 B x^-1."""
+        i, j = self.occurrences(sym)
+        self.orient(i, 1)
+        b = self.segment(i + 1, j)
+        x = Word((Generator(sym, 1),))
+        self.subst1(sym, x * b.inverse(), x * b)
 
     # --- scanning helpers -------------------------------------------------------
 
@@ -257,24 +266,13 @@ class _Normalizer:
 
     def collect_squares(self):
         while True:
-            target = None
             for s in self.var_syms_present():
-                occ = self.occurrences(s)
-                if len(occ) != 2:
-                    continue
-                i, j = occ
-                if self.word[i].sign == self.word[j].sign and j > i + 1:
-                    target = (s, i, j)
-                    break
-            if target is None:
-                return
-            s, i, j = target
-            if self.word[i].sign == -1:
-                self.flip(s)
                 i, j = self.occurrences(s)
-            b = self.segment(i + 1, j)
-            x = Word((Generator(s, 1),))
-            self.subst1(s, x * b.inverse(), x * b)
+                if self.word[i].sign == self.word[j].sign and j > i + 1:
+                    self.square(s)
+                    break
+            else:
+                return
 
     def _find_linked(self) -> tuple[int, int] | None:
         w = self.word
@@ -282,12 +280,7 @@ class _Normalizer:
         for s in self.var_syms_present():
             if s in spans:
                 continue  # already sits in a collected block
-            occ = self.occurrences(s)
-            if len(occ) != 2:
-                continue
-            i, j = occ
-            if w[i].sign == w[j].sign:
-                continue  # same-sign pair (square phase handles these)
+            i, j = self.occurrences(s)
             for k in range(i + 1, j):
                 g = w[k]
                 if g.sym < self.nc or g.sym == s or g.sym in spans:
@@ -303,11 +296,8 @@ class _Normalizer:
             if pair is None:
                 return
             x, y = pair
-            # sign flips act in place, so positions survive them
-            occ = self.occurrences(x)
-            if self.word[occ[0]].sign == -1:
-                self.flip(x)
-            i1, _i2 = self.occurrences(x)
+            i1 = self.occurrences(x)[0]
+            self.orient(i1, 1)
             self.rotate(i1)
             occ = self.occurrences(x)
             if occ[0] != 0 or self.word[0].sign != 1:
@@ -316,8 +306,7 @@ class _Normalizer:
             if len(ys) != 1:
                 raise AssertionError("internal: linked partner must sit inside the gap")
             k = ys[0]
-            if self.word[k].sign == -1:
-                self.flip(y)
+            self.orient(k, 1)
             # word = x A y B x^-1 C y^-1 D
             i2 = self.occurrences(x)[1]
             j2 = [t for t in self.occurrences(y) if t != k][0]
@@ -349,22 +338,16 @@ class _Normalizer:
             if not handles or not squares:
                 return
             v, vpos = squares[0]
-            if self.word[vpos].sign == -1:
-                self.flip(v)
-                squares, handles, _ = self.blocks()
-                v, vpos = squares[0]
+            self.orient(vpos, 1)  # phase 1 leaves an input square v^-1 v^-1 as it is
             # slide the square to the front
             self.conjugate_block({v}, self.segment(0, vpos))
             squares, handles, _ = self.blocks()
             p, q, hpos = handles[0]
             # slide the handle right behind the square
             self.conjugate_block({p, q}, self.segment(2, hpos))
-            # the script below needs the handle to read p q p^-1 q^-1;
-            # sign flips act in place, so the block stays where it is
-            if self.word[2].sign == -1:
-                self.flip(p)
-            if self.word[3].sign == -1:
-                self.flip(q)
+            # the script below needs the handle to read p q p^-1 q^-1
+            self.orient(2, 1)
+            self.orient(3, 1)
             vw = Word((Generator(v, 1),))
             pw = Word((Generator(p, 1),))
             qw = Word((Generator(q, 1),))
@@ -373,17 +356,9 @@ class _Normalizer:
                 raise StandardizeError("crosscap absorption needs the block v^2 p q p^-1 q^-1")
             # seven-move script: v v p q p^-1 q^-1 R  ->  v^2 q^2 p^2 R
             self.subst1(v, vw * pw.inverse(), vw * pw)      # v p^-1 v q p^-1 q^-1 R
-            self.flip(p)                                     # v p v q p q^-1 R
-            i, j = self.occurrences(p)
-            b = self.segment(i + 1, j)
-            self.subst1(p, pw * b.inverse(), pw * b)         # v p p q^-1 v^-1 q^-1 R
-            self.flip(q)                                     # v p p q v^-1 q R
-            i, j = self.occurrences(q)
-            b = self.segment(i + 1, j)
-            self.subst1(q, qw * b.inverse(), qw * b)         # v p^2 q^2 v R
-            i, j = self.occurrences(v)
-            b = self.segment(i + 1, j)
-            self.subst1(v, vw * b.inverse(), vw * b)         # v^2 (q^-2 p^-2) R
+            self.square(p)                                   # v p p q^-1 v^-1 q^-1 R
+            self.square(q)                                   # v p^2 q^2 v R
+            self.square(v)                                   # v^2 (q^-2 p^-2) R
             self.flip(p)
             self.flip(q)
 
@@ -404,9 +379,8 @@ class _Normalizer:
         prefix_len = 0
         if squares:
             for s in sorted(s for s, _ in squares):
-                if self.word[self.occurrences(s)[0]].sign == -1:
-                    self.flip(s)
                 i = self.occurrences(s)[0]
+                self.orient(i, 1)
                 self.conjugate_block({s}, self.segment(prefix_len, i))
                 prefix_len += 2
                 layout.append(s)
@@ -416,14 +390,10 @@ class _Normalizer:
                 pos = [h[2] for h in hs if {h[0], h[1]} == {p, q}][0]
                 self.conjugate_block({p, q}, self.segment(prefix_len, pos))
                 # normalize to the commutator shape x^-1 y^-1 x y
-                p = self.word[prefix_len].sym
-                q = self.word[prefix_len + 1].sym
-                if self.word[prefix_len].sign == 1:
-                    self.flip(p)
-                if self.word[prefix_len + 1].sign == 1:
-                    self.flip(q)
+                self.orient(prefix_len, -1)
+                self.orient(prefix_len + 1, -1)
+                layout += [self.word[prefix_len].sym, self.word[prefix_len + 1].sym]
                 prefix_len += 4
-                layout += [p, q]
         kind = NONORIENTABLE if squares else ORIENTABLE
         genus = len(squares) if squares else len(handles)
 
@@ -434,18 +404,13 @@ class _Normalizer:
             for s in self.var_syms_present():
                 if s in layout:
                     continue
-                occ = self.occurrences(s)
-                if len(occ) != 2:
-                    continue
-                i, j = occ
+                i, j = self.occurrences(s)
                 if all(self.word[k].sym < self.nc for k in range(i + 1, j)):
                     pending.append((s, i, j))
             if not pending:
                 break
             s, i, j = min(pending)
-            if self.word[i].sign == 1:
-                self.flip(s)
-            i, j = self.occurrences(s)
+            self.orient(i, -1)
             self.slide_conj_block(s, self.segment(prefix_len, i))
             i2, j2 = self.occurrences(s)
             if i2 != prefix_len:
@@ -474,19 +439,11 @@ def standardize(system: EquationSystem) -> Normalization:
     form, layout = nz.assemble()
     out_sys = form.system(system.gens)
 
-    # canonical names for the surviving internal variables, in layout order
-    genus_names, conj_names = form.variable_names(system.gens)
-    out_names = dict(zip(layout, genus_names + conj_names))
-
-    # sanity: rebuilding the final word from the form matches the normalizer
-    rebuilt = out_sys.equations[0].relator()
-    translated = []
-    for g in nz.word:
-        if g.sym < nz.nc:
-            translated.append(g)
-        else:
-            translated.append(Generator(out_sys.var_sym(out_names[g.sym]), g.sign))
-    if Word(translated) != rebuilt:
+    # sanity: the final word, with standard variable i for layout[i], is the
+    # standard equation the form writes
+    index = {s: nz.nc + i for i, s in enumerate(layout)}
+    translated = Word(g if g.sym < nz.nc else Generator(index[g.sym], g.sign) for g in nz.word)
+    if translated != out_sys.equations[0].relator():
         raise AssertionError("internal: assembled word must equal the standard shape")
 
     return Normalization(
@@ -494,5 +451,5 @@ def standardize(system: EquationSystem) -> Normalization:
         form=form,
         system=out_sys,
         _moves=nz.moves,
-        _out_names=out_names,
+        _layout=layout,
     )

@@ -72,6 +72,14 @@ def test_json_output(tmp_path, capsys):
     assert doc["command"] == "solve"
 
 
+def test_solve_bound_exceeded_exit(tmp_path, capsys):
+    # x^2 = a^2 is solvable, but its witness x = a is longer than the bound
+    f = write(tmp_path, "eq.txt", "gens: a b\nvars: x\nx^2 = a^2\n")
+    code, out, _ = run(capsys, "solve", f, "--bound", "0")
+    assert code == 3
+    assert "verdict: bound_exceeded" in out
+
+
 def test_oracle(tmp_path, capsys):
     f = write(tmp_path, "eq.txt", "gens: a b\nvars: x\nx^-1 a x = a\n")
     code, out, _ = run(capsys, "oracle", f, "--max-len", "1")
@@ -194,6 +202,15 @@ def test_schema_with_ctriples(tmp_path, capsys):
     assert code == 0
 
 
+def test_schema_json_is_one_document(tmp_path, capsys):
+    f = write(tmp_path, "s.txt", "gens: a b\nvars: x y z\nx y z = 1\nx = a\ny = b\n")
+    code, out, _ = run(capsys, "schema", f, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["system"].startswith("gens: a b")
+    assert doc["map"]
+
+
 def test_reduce_binpack(tmp_path, capsys):
     code, out, _ = run(
         capsys, "reduce-binpack", "--items", "1,1,2", "--bins", "2", "--cap", "2",
@@ -310,6 +327,9 @@ def test_geneq_trace_search_exhausted(tmp_path, capsys):
      "error: argument --max-cap: must be >= 1, got 0"),
     (["check-equivalence", "--max-bins", "0"], None,
      "error: argument --max-bins: must be >= 1, got 0"),
+    (["triangulate", "{sys}", "--json"], None, "error: unrecognized arguments: --json"),
+    (["reduce-binpack", "--items", "1", "--bins", "1", "--cap", "1", "--timing"], None,
+     "error: unrecognized arguments: --timing"),
     (["solve", "{dir}"], None, "error: cannot read {dir}"),
     (["genus", "{dir}"], None, "error: cannot read {dir}"),
 ])

@@ -136,6 +136,15 @@ def test_solve_chained_eliminations():
     assert r.status == "sat"
 
 
+@pytest.mark.parametrize("c,status", [("a", "sat"), ("b", "unsat")])
+def test_solve_eliminates_an_inverted_occurrence(c, status):
+    # x occurs as x^-1 in the relator that defines it, so x = a, not a^-1
+    r = solve_text(f"gens: a b\nvars: x y\nx^-1 a = 1\nx y {c}^-1 y^-1 = 1")
+    assert r.status == status
+    if status == "sat":
+        assert r.witness["x"] == a
+
+
 def test_solve_trivially_unsat_constant():
     # eliminating x leaves the constant relator a^2
     r = solve_text("gens: a b\nvars: x y\nx y = 1\ny^-1 x^-1 a^2 = 1")

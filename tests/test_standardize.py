@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -70,6 +71,17 @@ def test_kind_matches_same_sign_pairs():
     for eq, kind in cases:
         nz = std(f"gens: a b\nvars: x y\n{eq}" if "y" in eq else f"gens: a b\nvars: x\n{eq}")
         assert nz.form.kind == kind, eq
+
+
+def test_negative_square_beside_a_handle():
+    # phase 1 leaves an adjacent x^-1 x^-1 as it is, so crosscap absorption
+    # has to flip it before its script
+    system = parse_system("gens: a b\nvars: x y z\nx^-2 [y,z] a^2 = 1")
+    nz = standardize(system)
+    assert (nz.form.kind, nz.form.genus, nz.form.coefficients) == (NONORIENTABLE, 3, ())
+    assert nz.system.render().splitlines()[-1] == "x1^2 x2^2 x3^2 a^2 = 1"
+    sols = list(enumerate_solutions(nz.system, SearchBound(1), limit=4))
+    assert sols and all(system.check(nz.to_original(sol)) for sol in sols)
 
 
 # --- randomized transport corpus ----------------------------------------------------
@@ -189,3 +201,27 @@ def test_nested_coefficient_pairs(vars_, eq, kind, genus, coefficients, tail):
         assert system.check(nz.to_original(sol)), (eq, sol)
         found += 1
     assert found > 0
+
+
+# --- pinned normal forms ---------------------------------------------------------------
+
+
+def test_standard_forms_pinned_corpus():
+    # solve pins verdicts and sat witnesses only; this pins the form, the
+    # standard system and the transport of every 10th single-equation corpus
+    # system, sat or not
+    from corpus import iter_corpus
+
+    h = hashlib.sha256()
+    singles = [s for s in iter_corpus() if len(s.equations) == 1]
+    for system in singles[::10]:
+        nz = standardize(system)
+        al = system.alphabet
+        form = nz.form
+        trivial = nz.to_original({n: Word() for n in nz.system.variables})
+        h.update(repr((
+            form.kind, form.genus, [al.format(c) for c in form.coefficients],
+            al.format(form.tail), nz.system.render(),
+            sorted((n, al.format(w)) for n, w in trivial.items()),
+        )).encode())
+    assert (len(singles[::10]), h.hexdigest()[:16]) == (482, "986870e1a2c572d5")
