@@ -327,11 +327,11 @@ def test_geneq_trace_search_exhausted(tmp_path, capsys):
      "error: argument --max-cap: must be >= 1, got 0"),
     (["check-equivalence", "--max-bins", "0"], None,
      "error: argument --max-bins: must be >= 1, got 0"),
+    (["solve", "{dir}"], None, "error: cannot read {dir}"),
+    (["genus", "{dir}"], None, "error: cannot read {dir}"),
     (["triangulate", "{sys}", "--json"], None, "error: unrecognized arguments: --json"),
     (["reduce-binpack", "--items", "1", "--bins", "1", "--cap", "1", "--timing"], None,
      "error: unrecognized arguments: --timing"),
-    (["solve", "{dir}"], None, "error: cannot read {dir}"),
-    (["genus", "{dir}"], None, "error: cannot read {dir}"),
 ])
 def test_bad_input_exit_code(tmp_path, capsys, argv, trace, message):
     # malformed trace lines and flags are bad input, not internal errors
