@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .equations import Equation, EquationSystem
 from .oracle import SearchBound, is_satisfiable
-from .solver import solve_quadratic
+from .solver import hurwitz_sorted, solve_quadratic
 from .words import Alphabet, Word, commutator
 
 
@@ -199,20 +199,8 @@ def packing_to_witness(
             terms.append((j, conj))
             pre += inst.items[j]
 
-    def term_value(j: int, z: Word) -> Word:
-        return z.inverse() * commutator(u, v ** inst.items[j]) * z
-
-    # bubble the product into item order, updating conjugators exactly
-    changed = True
-    while changed:
-        changed = False
-        for t in range(len(terms) - 1):
-            (p, zp), (q, zq) = terms[t], terms[t + 1]
-            if p > q:
-                w_q = term_value(q, zq)
-                terms[t], terms[t + 1] = (q, zq), (p, zp * w_q)
-                changed = True
-
+    # Hurwitz moves put the product in item order, updating conjugators exactly
+    terms = hurwitz_sorted(terms, [commutator(u, v ** r) for r in inst.items])
     witness = {f"z{j+1}": z for j, z in terms}
     system = build_equation(inst, params, free_form)
     if not system.check(witness):
@@ -229,7 +217,6 @@ class EquivalenceReport:
     packing: tuple[tuple[int, ...], ...] | None
     solver_status: str
     oracle_found: bool | None
-    oracle_bound: int
     witness_verified: bool
     agree: bool
 
@@ -257,7 +244,6 @@ def check_equivalence(
     packing = exhaustive_pack(inst)
     system = build_equation(inst, params, free_form=True)
     solver_status = solve_quadratic(system).status
-    bound = default_check_bound(inst)
 
     witness_ok = False
     if packing is not None:
@@ -266,20 +252,17 @@ def check_equivalence(
 
     oracle_found: bool | None = None
     if run_oracle:
-        oracle_found = is_satisfiable(system, SearchBound(bound)) is not None
+        oracle_found = is_satisfiable(system, SearchBound(default_check_bound(inst))) is not None
 
     feasible = packing is not None
-    agree = (solver_status == "sat") == feasible
-    if oracle_found is not None:
-        agree = agree and (oracle_found == feasible)
-    if feasible:
-        agree = agree and witness_ok
+    # the oracle's bound is capped, so only a solution it finds is conclusive
+    agree = ((solver_status == "sat") == feasible and witness_ok == feasible
+             and not (oracle_found and not feasible))
     return EquivalenceReport(
         instance=inst,
         packing=tuple(tuple(b) for b in packing) if packing is not None else None,
         solver_status=solver_status,
         oracle_found=oracle_found,
-        oracle_bound=bound,
         witness_verified=witness_ok,
         agree=agree,
     )

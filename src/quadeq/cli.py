@@ -2,12 +2,14 @@
 
 Output is line-oriented ``key: value`` text (deterministic: identical inputs
 and flags produce byte-identical output; timing appears only with --timing).
-``--json`` emits one JSON document instead.  Exit codes: 0 verdict reached,
-2 bad input or flags (an ``error:`` line on stderr), 3 bound exceeded /
-inconclusive, 4 internal error (any other exception; ``internal error:
-<message>`` goes to stderr), 5 the geneq-trace search pruned every branch
-before any budget ran out (status ``exhausted``).  ``triangulate`` and
-``reduce-binpack`` print a system file and take neither flag.
+``--json`` emits one JSON document instead; ``geneq-trace`` puts the terminal
+equation's canonical text, which it otherwise prints after the report, under
+the key ``terminal``.  Exit codes: 0 verdict reached, 2 bad input or flags (an
+``error:`` line on stderr), 3 bound exceeded / inconclusive, 4 internal error
+(any other exception; ``internal error: <message>`` goes to stderr), 5 the
+geneq-trace search pruned every branch before any budget ran out (status
+``exhausted``).  ``triangulate`` and ``reduce-binpack`` print a system file
+and take neither flag.
 
 ``surface`` lists one ``component`` line per connected component, ordered
 by the component's least face index.
@@ -179,8 +181,6 @@ def cmd_solve(args) -> int:
     text = _read(args.file)
     system = parse_system(text)
     rep = Report("solve").digest(text)
-    if not system.is_quadratic():
-        return _fail("system is not quadratic")
     res = sv.solve_quadratic(system, bound=args.bound)
     rep.add("verdict", res.status)
     rep.add("bound", res.bound_used)
@@ -311,8 +311,6 @@ def cmd_schema(args) -> int:
     system = parse_system(text)
     rep = Report("schema").digest(text)
     form = triangular_constant_form(system)
-    if form.trivially_false:
-        return _fail("the system is trivially unsolvable (constant relator)")
     n = len(form.triples)
     if args.ctriples:
         ct_text = _read(args.ctriples)
@@ -331,7 +329,7 @@ def cmd_schema(args) -> int:
     out = sc.build_schema(form, choice, quasi_lambda=args.lam, quasi_mu=args.mu)
     rep.add("triangles", n)
     rep.add("size", out.system.total_length())
-    rep.add("bound", form.system.total_length() * (4 + 2 * args.l_param + args.lam * form.system.total_length() + args.mu))
+    rep.add("bound", out.size_bound)
     al_out = out.system.alphabet
     maps = [f"{name} -> {al_out.format(out.images[name])}" for name in sorted(out.images)]
     if args.json:  # one document: the system and the maps go into the report
@@ -394,8 +392,7 @@ def cmd_geneq_trace(args) -> int:
         rep.add("replayed_ops", len(trace))
         rep.add("boundaries", terminal.nbound)
         rep.add("bases", len(terminal.bases))
-        rep.emit(args)
-        sys.stdout.write(terminal.canonical_text())
+        _emit_with_terminal(rep, args, terminal)
         return EXIT_OK
     solution = None
     if args.solve_first:
@@ -417,11 +414,21 @@ def cmd_geneq_trace(args) -> int:
     if args.trace_out:
         _write(args.trace_out, gq.render_trace(res.trace))
         rep.add("trace_path", args.trace_out)
-    rep.emit(args)
-    sys.stdout.write(res.terminal.canonical_text())
+    _emit_with_terminal(rep, args, res.terminal)
     if res.status == "exhausted":
         return EXIT_EXHAUSTED
     return EXIT_OK if res.status == "terminal" else EXIT_INCONCLUSIVE
+
+
+def _emit_with_terminal(rep: Report, args, terminal: gq.GenEq) -> None:
+    """The report, then the terminal equation's canonical text; under
+    ``--json`` the text goes into the one document as ``terminal``."""
+    if args.json:
+        rep.add("terminal", terminal.canonical_text())
+        rep.emit(args)
+    else:
+        rep.emit(args)
+        sys.stdout.write(terminal.canonical_text())
 
 
 def cmd_compute_l(args) -> int:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .equations import EquationSystem
-from .words import Generator, Word, nth_root, root_of, substitute
+from .words import Generator, Word, nth_root, root_of, solve_letter, substitute
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,7 @@ def _solve_last(relator: Word, sym: int, limit: int) -> list[Word] | None:
     if not occ:
         return [] if len(relator) else None  # no occurrence: unsat unless trivial
     if len(occ) == 1:
-        i, sign = occ[0]
-        u = relator.subword(0, i)
-        v = relator.subword(i + 1, len(relator))
-        # u z^sign v = 1  =>  z^sign = u^-1 v^-1
-        img = u.inverse() * v.inverse()
-        w = img if sign > 0 else img.inverse()
+        w = solve_letter(relator, occ[0][0])
         return [w] if len(w) <= limit else []
     signs = {s for _, s in occ}
     if len(signs) == 1:

@@ -85,6 +85,7 @@ class SchemaOutput:
     images: dict[str, Word]
     quasi_lambda: int
     quasi_mu: int
+    size_bound: int  # |S| (4 + 2 L + lambda |S| + mu), which the size stays within
 
     def pullback(self, phi: Mapping[str, Word]) -> dict[str, Word]:
         """Evaluate a solution of the output system on the original variables."""
@@ -113,7 +114,7 @@ def build_schema(
     call, with L the choice's length bound.
     """
     if form.trivially_false:
-        raise SchemaError("the triangular form is trivially unsolvable")
+        raise SchemaError("the system is trivially unsolvable (constant relator)")
     if quasi_lambda < 0 or quasi_mu < 0:
         raise SchemaError("need quasi_lambda >= 0 and quasi_mu >= 0")
     triples = form.triples
@@ -182,9 +183,8 @@ def build_schema(
         if any(c > 2 for c in counts.values()):
             raise AssertionError("internal: schema must stay quadratic")
 
-    return SchemaOutput(
-        system=out, images=images, quasi_lambda=quasi_lambda, quasi_mu=quasi_mu
-    )
+    return SchemaOutput(system=out, images=images, quasi_lambda=quasi_lambda,
+                        quasi_mu=quasi_mu, size_bound=bound)
 
 
 def verify_pullback(
@@ -247,10 +247,6 @@ class CandidateBound:
     alphabet_size: int
     exponent: int
     digits: int
-
-    @property
-    def log2_quotient(self) -> int:
-        return self.exponent
 
     def expand(self) -> int:
         return self.q << self.exponent

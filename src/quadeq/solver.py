@@ -56,12 +56,13 @@ from typing import Sequence
 from .equations import EquationSystem, Equation
 from .oracle import SearchBound, is_satisfiable
 from .standardize import (
+    LEAST_GENUS,
     NONORIENTABLE,
     ORIENTABLE,
     StandardForm,
     standardize,
 )
-from .words import Word, replay, substitute
+from .words import Word, replay, solve_letter, substitute
 
 
 class SolverError(ValueError):
@@ -401,7 +402,6 @@ class SolveResult:
     status: str  # "sat" | "unsat" | "bound_exceeded"
     witness: dict[str, Word] | None
     bound_used: int
-    detail: str = ""
 
 
 def default_bound(form: StandardForm) -> int:
@@ -439,11 +439,7 @@ def _decouple(system: EquationSystem) -> tuple[list[Word], list[tuple[int, Word]
         pos = [k for k, g in enumerate(r) if g.sym == sym]
         if len(pos) != 1:
             raise AssertionError("internal: shared variable must occur once per relator")
-        k = pos[0]
-        u, v = r.subword(0, k), r.subword(k + 1, len(r))
-        img = u.inverse() * v.inverse()
-        if r[k].sign < 0:
-            img = img.inverse()
+        img = solve_letter(r, pos[0])
         elim.append((sym, img))
         relators[j] = substitute(relators[j], {sym: img})
         del relators[i]
@@ -500,10 +496,9 @@ def _built_witness(form: StandardForm, diag: CancellationDiagrams,
     is then a product of commutators (``_commutators``) or trivial, which
     gives a relation prod [x, y] * prod w^-1 D w = 1 per component; each
     relation goes in front of the ones before it, whose commutators it
-    conjugates.  Hurwitz moves (w1^-1 D1 w1)(w2^-1 D2 w2) =
-    (w2^-1 D2 w2)((w1 c)^-1 D1 (w1 c)), with c the second factor, put the
-    conjugates in the form's order, conjugating the whole relation leaves C
-    itself last, and unused handles are 1.
+    conjugates.  Hurwitz moves (``hurwitz_sorted``) put the conjugates in
+    the form's order, conjugating the whole relation leaves C itself last,
+    and unused handles are 1.
     """
     discs = _normalized_discs(form)
     cores = [core for _, core, _ in discs]
@@ -540,12 +535,7 @@ def _built_witness(form: StandardForm, diag: CancellationDiagrams,
         conjugates = product + conjugates
     if len(handles) > form.genus:
         raise AssertionError("internal: the diagram needs more handles than the form has")
-    for end in range(1, len(conjugates)):
-        for k in range(end, 0, -1):
-            (d1, w1), (d2, w2) = conjugates[k - 1], conjugates[k]
-            if d1 < d2:
-                break
-            conjugates[k - 1], conjugates[k] = (d2, w2), (d1, w1 * cores[d2].conjugated_by(w2))
+    conjugates = hurwitz_sorted(conjugates, cores)
     t = Word()
     if discs and discs[-1][0] == len(form.coefficients):
         t = (discs[-1][2] * conjugates[-1][1]).inverse()  # C = t^-1 w^-1 D w t
@@ -556,6 +546,24 @@ def _built_witness(form: StandardForm, diag: CancellationDiagrams,
     for (slot, _, u), (_, w) in zip(discs, conjugates):
         if slot < len(conj_names):
             out[conj_names[slot]] = u * w * t
+    return out
+
+
+def hurwitz_sorted(factors: Sequence[tuple[int, Word]],
+                   base: Sequence[Word]) -> list[tuple[int, Word]]:
+    """The product of conjugates w^-1 base[d] w, for (d, w) in ``factors``,
+    rewritten with its factors in increasing d.  Each Hurwitz move
+    (w1^-1 D1 w1)(w2^-1 D2 w2) = (w2^-1 D2 w2)((w1 c)^-1 D1 (w1 c)), with c
+    the second factor, swaps two adjacent factors and keeps the product;
+    insertion order swaps each inverted pair once.
+    """
+    out = list(factors)
+    for end in range(1, len(out)):
+        for k in range(end, 0, -1):
+            (d1, w1), (d2, w2) = out[k - 1], out[k]
+            if d1 < d2:
+                break
+            out[k - 1], out[k] = (d2, w2), (d1, w1 * base[d2].conjugated_by(w2))
     return out
 
 
@@ -611,7 +619,7 @@ def solve_quadratic(
         raise SolverError("system is not quadratic")
     relators, elim, unsat = _decouple(system)
     if unsat:
-        return SolveResult("unsat", None, 0, "constant relator is nontrivial")
+        return SolveResult("unsat", None, 0)
 
     assignment: dict[int, Word] = {}
     used_bound = 0
@@ -619,14 +627,11 @@ def solve_quadratic(
         nz = standardize(EquationSystem(system.gens, system.variables, (Equation(rel),)))
         diag = _diagrams(nz.form)
         if not diag.solvable_within(nz.form.genus):
-            return SolveResult("unsat", None, used_bound, "no cancellation diagram")
+            return SolveResult("unsat", None, used_bound)
         found, ell = _witness(nz.form, diag, nz.system, bound)
         used_bound = max(used_bound, ell)
         if found is None:
-            return SolveResult(
-                "bound_exceeded", None, used_bound,
-                "diagram is solvable but no witness within the bound",
-            )
+            return SolveResult("bound_exceeded", None, used_bound)
         back = nz.to_original(found)
         for g in rel:
             if g.sym >= system.n_constants:
@@ -665,6 +670,8 @@ def _genus_at(
     coefficients: Sequence[Word], g: int, kind: str, gens: tuple[str, ...],
     want_witness: bool,
 ) -> GenusResult:
+    if g < LEAST_GENUS[kind]:
+        raise SolverError(f"{kind} genus must be >= {LEAST_GENUS[kind]}")
     form = _tuple_form(coefficients, g, kind)
     diag = _diagrams(form)
     if not diag.solvable_within(g):
@@ -685,8 +692,6 @@ def genus_orientable(
     want_witness: bool = True,
 ) -> GenusResult:
     """Is the orientable-form equation solvable at genus g?"""
-    if g < 0:
-        raise SolverError("genus must be >= 0")
     return _genus_at(coefficients, g, ORIENTABLE, gens, want_witness)
 
 
@@ -695,8 +700,6 @@ def genus_nonorientable(
     want_witness: bool = True,
 ) -> GenusResult:
     """Is the non-orientable-form equation solvable at genus g (g >= 1)?"""
-    if g < 1:
-        raise SolverError("non-orientable genus must be >= 1")
     return _genus_at(coefficients, g, NONORIENTABLE, gens, want_witness)
 
 
@@ -706,9 +709,9 @@ def tuple_genus(
     """Least solvable genus, or None when no diagram exists.
 
     The search stops at total coefficient length / 2 + 1; the diagram model
-    never needs more (costs are bounded by the letter count), and for
-    non-orientable forms it starts at 1.
+    never needs more (costs are bounded by the letter count), and it starts
+    at the kind's least genus.
     """
     cutoff = sum(len(c) for c in coefficients) // 2 + 1
     diag = _diagrams(_tuple_form(coefficients, 0, kind))
-    return diag.min_genus(cutoff, 0 if kind == ORIENTABLE else 1)
+    return diag.min_genus(cutoff, LEAST_GENUS[kind])

@@ -36,6 +36,8 @@ from .words import Generator, Word, replay, substitute
 
 ORIENTABLE = "orientable"
 NONORIENTABLE = "nonorientable"
+# the least genus of a form of each kind: a non-orientable one has a square
+LEAST_GENUS = {ORIENTABLE: 0, NONORIENTABLE: 1}
 
 _MAX_STEPS = 10_000
 
@@ -151,10 +153,7 @@ class _Normalizer:
             raise AssertionError("normalization did not terminate")
 
     def _cyclic_reduce(self):
-        w = self.word
-        while len(w) >= 2 and w[0] == w[-1].inv():
-            w = w.subword(1, len(w) - 1)
-        self.word = w
+        self.word = self.word.cyclic_reduce()[0]
 
     def subst(self, mapping: dict[int, Word], inverse: dict[int, Word]):
         """Apply an invertible substitution to the word and record it."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .standardize import NONORIENTABLE, ORIENTABLE
+from .standardize import LEAST_GENUS, NONORIENTABLE, ORIENTABLE
 from .words import Alphabet, CyclicWord, Generator, Word, cyclic_normalize
 
 
@@ -437,13 +437,10 @@ class JointExtension:
         t = len(self.vertices)
         if t == 0 or len(self.words) != t:
             raise SurfaceError("need one extension word per vertex")
-        if self.tuple_kind == ORIENTABLE:
-            expected = self.genus - t + 1
-        elif self.tuple_kind == NONORIENTABLE:
-            expected = self.genus - 2 * t + 2
-        else:
+        if self.tuple_kind not in LEAST_GENUS:
             raise SurfaceError(f"bad tuple kind {self.tuple_kind!r}")
-        if expected < 0 or (self.tuple_kind == NONORIENTABLE and expected < 1):
+        expected = self.genus - (t - 1) * (1 if self.tuple_kind == ORIENTABLE else 2)
+        if expected < LEAST_GENUS[self.tuple_kind]:
             raise SurfaceError(
                 f"declared extension genus {self.genus} forces tuple genus "
                 f"{expected}, which is impossible"

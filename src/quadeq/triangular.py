@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .equations import Equation, EquationSystem
-from .words import Generator, Word, substitute
+from .words import Generator, Word, solve_letter, substitute
 
 
 def _fresh_names(taken: set[str], prefix: str = "x") -> Iterable[str]:
@@ -168,12 +168,7 @@ def triangular_constant_form(system: EquationSystem) -> TriangularConstantForm:
         if len(var_positions) == 1:
             # u v^s w = 1 with u, w constant: bind v directly
             i = var_positions[0]
-            g = w[i]
-            u, v = w.subword(0, i), w.subword(i + 1, len(w))
-            img = u.inverse() * v.inverse()
-            const_eqs.append(
-                (new_vars[g.sym - base], img if g.sign > 0 else img.inverse())
-            )
+            const_eqs.append((new_vars[w[i].sym - base], solve_letter(w, i)))
             continue
         items: list[Generator] = []
         run: list[Generator] = []

@@ -167,13 +167,12 @@ class Word:
         if not isinstance(other, Word):
             return NotImplemented
         # concatenation of reduced words only cancels at the seam
-        a, b = list(self._letters), list(other._letters)
-        i = len(a)
-        j = 0
+        a, b = self._letters, other._letters
+        i, j = len(a), 0
         while i > 0 and j < len(b) and a[i - 1] == b[j].inv():
             i -= 1
             j += 1
-        return Word._raw(tuple(a[:i]) + tuple(b[j:]))
+        return Word._raw(a[:i] + b[j:])
 
     def inverse(self) -> "Word":
         return Word._raw(tuple(g.inv() for g in reversed(self._letters)))
@@ -208,17 +207,23 @@ class Word:
 
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Return ``(core, u)`` with ``self == u * core * u^-1``, core cyclically reduced."""
-        core = self
-        u = Word()
-        while len(core) >= 2 and core[0] == core[-1].inv():
-            u = u * Word._raw((core[0],))
-            core = core.subword(1, len(core) - 1)
-        return core, u
+        letters, n, k = self._letters, len(self._letters), 0
+        while n - 2 * k >= 2 and letters[k] == letters[n - 1 - k].inv():
+            k += 1
+        return Word._raw(letters[k:n - k]), Word._raw(letters[:k])
 
 
 def reduce(letters: Iterable[Generator]) -> Word:
     """Freely reduce a raw letter sequence.  Idempotent."""
     return Word(letters)
+
+
+def solve_letter(w: Word, k: int) -> Word:
+    """The value of the letter at position k that makes ``w`` trivial, for a
+    letter whose symbol occurs nowhere else in ``w``: u x^s v = 1 gives
+    x = (u^-1 v^-1)^s."""
+    vu = w.subword(k + 1, len(w)) * w.subword(0, k)
+    return vu.inverse() if w[k].sign > 0 else vu
 
 
 def commutator(x: Word, y: Word) -> Word:

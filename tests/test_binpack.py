@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from quadeq import binpack
 from quadeq.binpack import (
     EMBEDDED_GENS,
     FREE_GENS,
@@ -185,6 +186,23 @@ def test_check_equivalence_oversized_item():
     assert rep.solver_status == "unsat"
     assert rep.oracle_found is False
     assert rep.agree
+
+
+def test_check_equivalence_capped_oracle_miss_agrees(monkeypatch):
+    # the oracle's bound is capped: finding nothing within it proves nothing
+    monkeypatch.setattr(binpack, "default_check_bound", lambda inst: 0)
+    rep = check_equivalence(BinPackInstance((1, 1, 2), 2, 2))
+    assert rep.packing is not None and rep.oracle_found is False
+    assert rep.agree
+
+
+def test_check_equivalence_oracle_solution_on_infeasible_disagrees(monkeypatch):
+    # a solution the oracle finds is conclusive, so it refutes infeasibility
+    monkeypatch.setattr(binpack, "is_satisfiable", lambda system, bound: {})
+    rep = check_equivalence(BinPackInstance((3, 1), 2, 2))
+    assert rep.packing is None and rep.solver_status == "unsat"
+    assert rep.oracle_found is True
+    assert not rep.agree
 
 
 @pytest.mark.parametrize("inst,status", [

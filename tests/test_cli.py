@@ -110,6 +110,27 @@ def test_standardize(tmp_path, capsys):
     assert "genus: 1" in out
 
 
+def test_standardize_coefficient_lines(tmp_path, capsys):
+    f = write(tmp_path, "eq.txt", "gens: a b\nvars: x y\nx^-1 a x y^-1 b y a b = 1\n")
+    code, out, _ = run(capsys, "standardize", f)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[lines.index("coefficients: 2") + 1:][:3] == [
+        "coefficient: a", "coefficient: b", "tail: a b"]
+
+
+def test_timing_only_with_the_flag(tmp_path, capsys):
+    f = write(tmp_path, "eq.txt", SOLVABLE)
+    code, out, _ = run(capsys, "solve", f, "--timing")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("timing_ms: ")
+    code, out, _ = run(capsys, "solve", f)
+    assert code == 0
+    assert "timing_ms" not in out
+    code, out, _ = run(capsys, "solve", f, "--timing", "--json")
+    assert json.loads(out)["timing_ms"] >= 0
+
+
 def test_genus_command(tmp_path, capsys):
     f = write(tmp_path, "c.txt", "gens: a b\n[a,b]\n")
     code, out, _ = run(capsys, "genus", f)
@@ -125,6 +146,17 @@ def test_genus_at(tmp_path, capsys):
     assert code == 0
     assert "verdict: solvable" in out
     assert "witness:" in out
+
+
+@pytest.mark.parametrize("kind,at,message", [
+    ("orientable", "-1", "error: orientable genus must be >= 0"),
+    ("nonorientable", "0", "error: nonorientable genus must be >= 1"),
+])
+def test_genus_at_below_the_least_genus(tmp_path, capsys, kind, at, message):
+    f = write(tmp_path, "c.txt", "gens: a b\n[a,b]\n")
+    code, out, err = run(capsys, "genus", f, "--kind", kind, "--at", at)
+    assert code == 2
+    assert out == "" and err.strip() == message
 
 
 def test_genus_at_builds_the_cliff_witness(tmp_path, capsys):
@@ -190,6 +222,7 @@ def test_schema_command(tmp_path, capsys):
     f = write(tmp_path, "s.txt", "gens: a b\nvars: x y z\nx y z = 1\nx = a\ny = b\n")
     code, out, _ = run(capsys, "schema", f)
     assert code == 0
+    assert "bound: 133" in out  # |S| (4 + 2 L + lambda |S| + mu) = 7 (4 + 8 + 7 + 0)
     assert "gens: a b" in out
     assert "# map" in out
 
@@ -209,6 +242,14 @@ def test_schema_json_is_one_document(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["system"].startswith("gens: a b")
     assert doc["map"]
+
+
+def test_schema_trivially_unsolvable(tmp_path, capsys):
+    f = write(tmp_path, "s.txt", "gens: a b\nvars: x\nx = 1\na = 1\n")
+    code, out, err = run(capsys, "schema", f)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the system is trivially unsolvable (constant relator)\n"
 
 
 def test_reduce_binpack(tmp_path, capsys):
@@ -241,6 +282,32 @@ def test_geneq_trace(tmp_path, capsys):
     dump1 = out.split("bounds ", 1)[1]
     dump2 = out2.split("bounds ", 1)[1]
     assert dump1 == dump2
+
+
+def test_geneq_trace_json_is_one_document(tmp_path, capsys):
+    # the terminal equation goes into the report, in both branches
+    f = write(tmp_path, "s.txt", "gens: a b\nvars: x\nx = a\n")
+    tr = str(tmp_path / "trace.txt")
+    code, out, _ = run(capsys, "geneq-trace", f, "--solve-first", "--trace-out", tr, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "terminal"
+    assert doc["terminal"].startswith("bounds ")
+    code2, out2, _ = run(capsys, "geneq-trace", f, "--replay", tr, "--json")
+    assert code2 == 0
+    assert json.loads(out2)["terminal"] == doc["terminal"]
+    # the text form still prints the same equation after the report
+    code3, out3, _ = run(capsys, "geneq-trace", f, "--replay", tr)
+    assert code3 == 0
+    assert out3.endswith(doc["terminal"])
+
+
+def test_geneq_trace_round_budget(tmp_path, capsys):
+    # no round allowed: the search is cut before its first round
+    f = write(tmp_path, "s.txt", "gens: a b\nvars: x\nx = a\n")
+    code, out, _ = run(capsys, "geneq-trace", f, "--budget", "0")
+    assert code == 3
+    assert "status: budget" in out and "rounds: 0" in out
 
 
 @pytest.mark.parametrize("text,rounds", [

@@ -30,9 +30,9 @@ def schema_of(text, length_bound=4):
 
 def test_bound_exact_values():
     b = candidate_length_bound(1, 1, 2)
-    assert b.log2_quotient == 5050 * 64 * 16 == 5_171_200
+    assert b.exponent == 5050 * 64 * 16 == 5_171_200
     b0 = candidate_length_bound(1, 0, 1)
-    assert b0.log2_quotient == 5050
+    assert b0.exponent == 5050
     # q scales L linearly: exponent unchanged, q doubles the value
     b2 = candidate_length_bound(2, 0, 1)
     assert b2.exponent == 5050
@@ -86,7 +86,7 @@ def test_size_bound_formula():
     f = triangular_constant_form(s)
     n = f.system.total_length()
     out = build_schema(f, trivial_choice(len(f.triples), 4))
-    assert out.system.total_length() <= n * (4 + 2 * 4 + n)
+    assert out.system.total_length() <= out.size_bound == n * (4 + 2 * 4 + n)
 
 
 def test_choice_validation():
