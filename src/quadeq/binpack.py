@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .equations import Equation, EquationSystem
-from .oracle import SearchBound, is_satisfiable
+from .oracle import SearchBound, is_satisfiable, reduced_words
 from .solver import hurwitz_sorted, solve_quadratic
 from .words import Alphabet, Word, commutator
 
@@ -225,14 +225,16 @@ def default_check_bound(inst: BinPackInstance) -> int:
     """Per-variable oracle bound for the desk sweep.
 
     Constructive conjugators have length at most (B-1) + (N-1) in the free
-    form; exhausting beyond length 3 with four items is out of desk range,
-    so larger instances get the capped bound (the complete diagram solver
-    still decides them exactly).
+    form; the bound is that, at most 4 (3 from four items on), lowered
+    while the oracle would try more than 150,000 values for the conjugators
+    but the last, which it solves for (four items at length 3 try
+    53^3 = 148,877).  Larger instances get the capped bound; the complete
+    diagram solver still decides them exactly.
     """
-    full = inst.capacity + inst.bins - 2
-    if len(inst.items) >= 4:
-        return min(full, 3)
-    return min(full, 4)
+    bound = min(inst.capacity + inst.bins - 2, 3 if len(inst.items) >= 4 else 4)
+    while bound and len(reduced_words(len(FREE_GENS), bound)) ** (len(inst.items) - 1) > 150_000:
+        bound -= 1
+    return bound
 
 
 def check_equivalence(

@@ -31,6 +31,19 @@ The equation is solvable at genus g iff some diagram has total cost <= g.
 UNSAT is a complete verdict (there are finitely many diagrams), so it is not
 bound-limited.
 
+Once the budget is spent, an orientable state can be cut.  In an orientable
+form no gluing changes a cluster's content, the exponent sum of each symbol
+over its letters: a gluing removes a letter and its inverse, or adds two
+clusters.  Joining two cycles of one cluster costs a handle, so without one
+each cycle C closes in a region of its own: C and whole other clusters,
+since a cluster that merges into the region brings its other cycles, which
+close there too.  Every letter of the region is glued inside it, so
+
+    content(C) + sum of content(K) over some set of other clusters K = 0,
+
+and a state of budget 0 with a cycle that no such set balances has no
+diagram.
+
 The diagram the search finds is the certificate of a SAT answer: the search
 keeps the gluing it chose at each state of its path, and
 ``CancellationDiagrams.certificate`` replays them on letters that carry
@@ -178,7 +191,10 @@ class CancellationDiagrams:
     (cost, state) child once.  The pivot is a letter with the fewest
     partners, on the shortest cycle among those.  For each state on the path
     of the diagram found last it keeps the gluing it chose there, which
-    ``certificate`` replays.
+    ``certificate`` replays.  Children of budget 0 that no set of whole
+    clusters balances (the cut of the module docstring) are dropped; they
+    have no diagram, so the diagram found, and its certificate, do not
+    depend on the cut.
     """
 
     def __init__(self, coefficients: Sequence[Word], kind: str):
@@ -193,6 +209,7 @@ class CancellationDiagrams:
         self._chosen: dict[tuple, tuple] = {}
         self._forms: dict[tuple, tuple] = {}  # cycle -> least rotations of it and of its inverse
         self._mirrors: dict[tuple, tuple] = {}  # clean cluster -> the cluster inverted
+        self._contents: dict[tuple, int] = {}  # cycle -> its content, packed by ``solvable_within``
 
     def balanced(self) -> bool:
         """Can every letter be glued?  Inverse letters pair up in an
@@ -210,12 +227,37 @@ class CancellationDiagrams:
             return False
         orientable = self.kind == ORIENTABLE
         failed, chosen, forms, mirrors = self._failed, self._chosen, self._forms, self._mirrors
+        contents = self._contents
+        # a content as one integer, the exponent sum of symbol s times base^s:
+        # sums of contents have exponents within +-n, so the integer is exact
+        base = 2 * self.n + 1
+        symbols = max(x for c in self.cycles for x in c) // 2 + 1
+        weight = [(-1) ** (x & 1) * base ** (x >> 1) for x in range(2 * symbols)]
 
         def form(c: tuple) -> tuple:
             f = forms.get(c)
             if f is None:
                 f = forms[c] = (_least_rotation(c), _least_rotation(_inverse(c)))
             return f
+
+        def content(c: tuple) -> int:
+            v = contents.get(c)
+            if v is None:
+                v = contents[c] = sum([weight[x] for x in c])
+            return v
+
+        def closable(clusters: list[Sequence[tuple]]) -> bool:
+            """Does some set of other clusters balance each cycle?"""
+            cycles = [[content(c) for c in cycles] for cycles in clusters]
+            totals = [sum(vs) for vs in cycles]
+            for i, vs in enumerate(cycles):
+                sums = {0}
+                for j, t in enumerate(totals):
+                    if t and j != i:
+                        sums |= {v + t for v in sums}
+                if any(-v not in sums for v in vs):
+                    return False
+            return True
 
         def cluster(status: int, cycles: list[tuple]) -> tuple:
             fs = [form(c) for c in cycles]
@@ -242,7 +284,8 @@ class CancellationDiagrams:
 
         def children(state: tuple, left: int) -> tuple[tuple, dict]:
             """The pivot, and (cost, state) -> partner for each gluing of the
-            pivot that fits in ``left``."""
+            pivot that fits in ``left`` and, in an orientable form, leaves a
+            closable child when it spends the rest."""
             count = Counter([x for _, cycles in state for c in cycles for x in c])
             if orientable:
                 partners = {x: count[x ^ 1] for x in count}
@@ -259,7 +302,8 @@ class CancellationDiagrams:
                                 break
             out = {}
             for partner, cost, st, new, rest in _gluings(state, state, pivot, orientable):
-                if cost <= left:
+                if cost < left or cost == left and (
+                        not orientable or closable([new] + [cycles for _, cycles in rest])):
                     if new:
                         rest.append(cluster(st, new))
                     out[cost, canonical(rest)] = partner

@@ -12,6 +12,7 @@ from quadeq.binpack import (
     build_a,
     build_equation,
     check_equivalence,
+    default_check_bound,
     exhaustive_pack,
     packing_to_witness,
     sweep_instances,
@@ -216,6 +217,21 @@ def test_check_equivalence_runs_the_solver_on_long_equations(inst, status):
     rep = check_equivalence(inst)
     assert rep.solver_status == status
     assert rep.oracle_found is (status == "sat")
+    assert rep.agree
+
+
+def test_check_bound_caps_the_oracle_candidates():
+    # up to four items the bound is the constructive length, at most 4 (3 from
+    # four items on); more items lower it to keep the oracle within reach
+    for inst in sweep_instances(4, 4, 3):
+        full = inst.capacity + inst.bins - 2
+        assert default_check_bound(inst) == min(full, 3 if len(inst.items) >= 4 else 4), inst
+    assert default_check_bound(BinPackInstance((2, 1, 1, 1, 1), 2, 3)) == 2
+    inst = BinPackInstance((3, 3, 3, 1, 1, 1), 3, 4)
+    assert default_check_bound(inst) == 1
+    rep = check_equivalence(inst)
+    assert rep.solver_status == "sat" and rep.witness_verified
+    assert rep.oracle_found is False
     assert rep.agree
 
 

@@ -261,6 +261,18 @@ def test_reduce_binpack(tmp_path, capsys):
     assert "vars: z1 z2 z3" in out
 
 
+@pytest.mark.parametrize("items,verdict", [("2,2,2", "unsat"), ("3,3", "sat")])
+def test_reduce_binpack_spacer_form_solves(tmp_path, capsys, items, verdict):
+    # the paper's reduction end to end: the spacer form over b, c, d
+    code, out, _ = run(capsys, "reduce-binpack", "--items", items, "--bins", "2", "--cap", "3")
+    assert code == 0
+    assert out.startswith("gens: b c d\n")
+    f = write(tmp_path, "pack.txt", out)
+    code, out, _ = run(capsys, "solve", f)
+    assert code == 0
+    assert f"verdict: {verdict}\n" in out
+
+
 def test_check_equivalence_single(tmp_path, capsys):
     code, out, _ = run(
         capsys, "check-equivalence", "--items", "1,1,2", "--bins", "2", "--cap", "2",

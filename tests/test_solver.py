@@ -10,6 +10,7 @@ from quadeq.solver import (
     CancellationDiagrams,
     SolverError,
     _commutators,
+    _diagrams,
     form_solvable,
     genus_nonorientable,
     genus_orientable,
@@ -323,11 +324,17 @@ def test_min_genus_pinned():
 
 
 def test_form_solvable_matches_packing():
-    instances = sweep_instances(4, 3, 2)
-    assert len(instances) == 22
+    # the abelian cut keeps every verdict and leaves under a quarter of the
+    # 55,025 states that the search tabled without it
+    instances = sweep_instances(4, 4, 3)
+    assert len(instances) == 106
+    states = 0
     for inst in instances:
         form = standardize(build_equation(inst, free_form=True)).form
-        assert form_solvable(form) == (exhaustive_pack(inst) is not None), inst
+        diag = _diagrams(form)  # what form_solvable searches
+        assert diag.solvable_within(form.genus) == (exhaustive_pack(inst) is not None), inst
+        states += len(diag._failed)
+    assert states <= 55_025 // 4
 
 
 def _random_word(rng, length):
