@@ -10,9 +10,20 @@ duplicate-free and in order:
   constant letters of a partially-substituted relator can no longer be
   cancelled by the remaining variables (abelianization bound);
 * exact closing of the last unassigned variable when its occurrences form a
-  pattern with directly enumerable solutions (single occurrence, ``z^n = K``,
-  or the conjugation sandwich ``u z^-1 K z v``); the closed candidates are
-  emitted sorted, so the global order is unchanged.
+  pattern with directly enumerable solutions (single occurrence, two of one
+  sign ``u z K z v`` through the unique square root, or the conjugation
+  sandwich ``u z^-1 K z v``); the closed candidates are emitted sorted, so
+  the global order is unchanged;
+* packed letters ``2*sym + (sign < 0)`` and carried partials: each node
+  substitutes only its own variable's value into its parent's partial
+  images of the relators.  Substitution is a homomorphism and reduced words
+  are unique, so the partials, prunes and closed candidates are those of
+  substituting the whole assignment afresh, and the packed integer order is
+  the canonical letter order, so ``(len, letters)`` sorts as ``Word.key``.
+
+The packed helpers are private to this module; they move into ``words.py``
+once ``Word`` itself is packed.  Words appear only at the boundary: every
+solution is checked again with ``words.substitute`` before it is yielded.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .equations import EquationSystem
-from .words import Generator, Word, nth_root, root_of, solve_letter, substitute
+from .words import MAX_GENERATORS, Generator, Word, substitute
 
 
 @dataclass(frozen=True)
@@ -39,122 +50,145 @@ class SearchBound:
             raise ValueError("total bound must be >= 0")
 
 
+# the letter of each packed value, shared by every word built here
+_LETTERS = tuple(Generator(p >> 1, -1 if p & 1 else 1) for p in range(2 * MAX_GENERATORS))
+
+
+def _word(t: tuple[int, ...]) -> Word:
+    return Word._raw(tuple([_LETTERS[p] for p in t]))
+
+
+def _inv(t: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([p ^ 1 for p in reversed(t)])
+
+
+def _mul(*parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Free reduction of the product of reduced packed words."""
+    out: list[int] = []
+    for t in parts:
+        k = 0
+        while out and k < len(t) and out[-1] == t[k] ^ 1:
+            out.pop()
+            k += 1
+        out.extend(t[k:])
+    return tuple(out)
+
+
+def _cyclic_reduce(t: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(core, u)`` with ``t == u core u^-1``, core cyclically reduced."""
+    n, k = len(t), 0
+    while n - 2 * k >= 2 and t[k] == t[n - 1 - k] ^ 1:
+        k += 1
+    return t[k:n - k], t[:k]
+
+
+def _substitute(t: tuple[int, ...], x: int, img: tuple[int, ...]) -> tuple[int, ...]:
+    """``t`` with the letter ``x`` (even) sent to ``img``, freely reduced."""
+    if x not in t and x ^ 1 not in t:
+        return t
+    inv, parts, start = _inv(img), [], 0
+    for i, p in enumerate(t):
+        if p | 1 == x | 1:
+            parts += (t[start:i], inv if p & 1 else img)
+            start = i + 1
+    return _mul(*parts, t[start:])
+
+
 @lru_cache(maxsize=None)
+def _enumeration(n_gens: int, max_len: int) -> tuple[tuple[tuple[int, ...], ...], tuple[Word, ...]]:
+    """All reduced words over symbols 0..n_gens-1 of length <= max_len in
+    length-lex order, packed and as Words."""
+    out: list[tuple[int, ...]] = [()]
+    frontier = [()]
+    for _ in range(max_len):
+        frontier = [w + (p,) for w in frontier for p in range(2 * n_gens) if not w or p != w[-1] ^ 1]
+        out += frontier
+    return tuple(out), tuple(map(_word, out))
+
+
 def reduced_words(n_gens: int, max_len: int) -> tuple[Word, ...]:
     """All reduced words over symbols 0..n_gens-1 of length <= max_len,
     in length-lex order (letter order: sym asc, positive before negative).
     Cached: callers share the returned tuple."""
-    letters = [Generator(s, sign) for s in range(n_gens) for sign in (1, -1)]
-    out: list[Word] = [Word()]
-    frontier: list[Word] = [Word()]
-    for _ in range(max_len):
-        nxt: list[Word] = []
-        for w in frontier:
-            last = w.letters[-1] if len(w) else None
-            for g in letters:
-                if last is not None and g == last.inv():
-                    continue
-                nxt.append(Word._raw(w.letters + (g,)))
-        out.extend(nxt)
-        frontier = nxt
-    return tuple(out)
+    return _enumeration(n_gens, max_len)[1]
 
 
-def _abelian_prune(partial: Word, unassigned: set[int], limit: int, n_const: int) -> bool:
-    """True means the subtree is hopeless: some generator's exponent in the
-    constant part exceeds what the remaining variable letters could cancel."""
-    occ = sum(1 for g in partial if g.sym in unassigned)
-    budget = occ * limit
-    sums: dict[int, int] = {}
-    for g in partial:
-        if g.sym < n_const:
-            sums[g.sym] = sums.get(g.sym, 0) + g.sign
-    return any(abs(v) > budget for v in sums.values())
+def _key(t: tuple[int, ...]) -> tuple:
+    """``Word.key`` order on packed words."""
+    return (len(t), t)
 
 
-def _occurrence_pattern(relator: Word, sym: int) -> list[tuple[int, int]]:
-    return [(i, g.sign) for i, g in enumerate(relator) if g.sym == sym]
-
-
-def _solve_last(relator: Word, sym: int, limit: int) -> list[Word] | None:
-    """All words w with |w| <= limit making relator = 1 when sym -> w,
-    or None when the pattern is not one we can close exactly."""
-    occ = _occurrence_pattern(relator, sym)
+def _hopeless(t: tuple[int, ...], limit: int, first_var: int) -> bool:
+    """True when the partial image ``t`` can no longer become trivial: it has
+    no variable letter left yet is nontrivial, or some generator's exponent
+    exceeds what the remaining variable letters could cancel (abelianization
+    bound)."""
+    count = [t.count(p) for p in range(first_var)]
+    occ = len(t) - sum(count)
     if not occ:
-        return [] if len(relator) else None  # no occurrence: unsat unless trivial
+        return bool(t)
+    return any(abs(count[p] - count[p + 1]) > occ * limit for p in range(0, first_var, 2))
+
+
+def _solve_last(t: tuple[int, ...], sym: int, limit: int) -> list[tuple[int, ...]] | None:
+    """All words w with |w| <= limit making ``t`` trivial when sym -> w,
+    sorted, or None when the pattern is not one we can close exactly."""
+    occ = [i for i, p in enumerate(t) if p >> 1 == sym]
+    if not occ:
+        return [] if t else None  # no occurrence: unsat unless trivial
     if len(occ) == 1:
-        w = solve_letter(relator, occ[0][0])
+        # u x^s v = 1 gives x = (u^-1 v^-1)^s = (v u)^-s
+        i = occ[0]
+        w = _mul(t[i + 1:], t[:i])
+        w = w if t[i] & 1 else _inv(w)
         return [w] if len(w) <= limit else []
-    signs = {s for _, s in occ}
-    if len(signs) == 1:
-        # same sign throughout: the two-occurrence case u z^s M z^s v = 1
-        # is solved through the unique square root of u^-1 v^-1 M; more
-        # occurrences are left to the caller's enumeration
-        if len(occ) == 2:
-            (i, s), (j, _) = occ
-            u = relator.subword(0, i)
-            mid = relator.subword(i + 1, j)
-            v = relator.subword(j + 1, len(relator))
-            # u z^s mid z^s v = 1  =>  (z^s mid)^2 = u^-1 v^-1 mid
-            rhs = u.inverse() * v.inverse() * mid
-            r = nth_root(rhs, 2)
-            if r is None:
-                return []
-            # z^s = r * mid^-1
-            w = r * mid.inverse()
-            w = w if s > 0 else w.inverse()
-            return [w] if len(w) <= limit else []
-        return None
-    if len(occ) == 2:
-        (i, si), (j, sj) = occ
-        if si != -sj:
-            raise AssertionError("internal: mixed signs expected")
-        u = relator.subword(0, i)
-        mid = relator.subword(i + 1, j)
-        v = relator.subword(j + 1, len(relator))
-        # u z^si mid z^-si v = 1.  For si = -1 this is the conjugation
-        # sandwich u z^-1 mid z v = 1, i.e. z^-1 mid z = u^-1 v^-1.
-        target = u.inverse() * v.inverse()
-        if si == 1:
-            # u z mid z^-1 v = 1  =>  z mid z^-1 = target
-            # equivalent to z'^-1 mid z' = target with z' = z^-1
-            sols = _conjugators(mid, target, limit)
-            return sorted((w.inverse() for w in sols), key=Word.key)
-        sols = _conjugators(mid, target, limit)
-        return sorted(sols, key=Word.key)
-    return None
+    if len(occ) > 2:
+        return None  # left to the caller's enumeration
+    i, j = occ
+    u, mid, v = t[:i], t[i + 1:j], t[j + 1:]
+    if t[i] == t[j]:
+        # u z^s mid z^s v = 1  =>  (z^s mid)^2 = u^-1 v^-1 mid = c core c^-1,
+        # whose square root is unique: c half c^-1 with half^2 = core literally
+        core, c = _cyclic_reduce(_mul(_inv(u), _inv(v), mid))
+        half = core[:len(core) // 2]
+        if half + half != core:
+            return []
+        w = _mul(c, half, _inv(c), _inv(mid))
+        w = _inv(w) if t[i] & 1 else w
+        return [w] if len(w) <= limit else []
+    # u z^s mid z^-s v = 1.  For s = -1 this is the conjugation sandwich
+    # z^-1 mid z = u^-1 v^-1; for s = 1 it is that with z' = z^-1.
+    sols = _conjugators(mid, _mul(_inv(u), _inv(v)), limit)
+    return sols if t[i] & 1 else sorted(map(_inv, sols), key=_key)
 
 
-def _conjugators(k: Word, m: Word, limit: int) -> list[Word]:
-    """All z with z^-1 k z = m and |z| <= limit.
+def _conjugators(k: tuple[int, ...], m: tuple[int, ...], limit: int) -> list[tuple[int, ...]]:
+    """All z with z^-1 k z = m and |z| <= limit, sorted.
 
     If k ~ m the solutions form the coset C(k) z0 with C(k) = <root of the
     cyclic core>; enumerate the powers whose product stays within limit.
     """
-    if len(k) == 0:
-        return [w for w in ([Word()] if len(m) == 0 else [])]
-    ck, uk = k.cyclic_reduce()
-    cm, um = m.cyclic_reduce()
-    if len(ck) != len(cm):
+    if not k:
+        return [] if m else [()]
+    ck, uk = _cyclic_reduce(k)
+    cm, um = _cyclic_reduce(m)
+    n = len(ck)
+    # k = uk ck uk^-1; rotation: ck = p q, cm = q p, and z0 = uk p um^-1
+    r = next((r for r in range(n) if ck[r:] + ck[:r] == cm), None) if n == len(cm) else None
+    if r is None:
         return []
-    z0: Word | None = None
-    for r in range(len(ck)):
-        rot = Word._raw(ck.letters[r:] + ck.letters[:r])
-        if rot == cm:
-            # k = uk ck uk^-1; rotation: ck = p q, rot = q p with |p| = r
-            p = ck.subword(0, r)
-            # z = uk p um^-1 conjugates k to m
-            z0 = uk * p * um.inverse()
-            break
-    if z0 is None:
-        return []
-    root, _ = root_of(ck)
-    gen = uk * root * uk.inverse()  # generator of the centralizer of k
+    z0 = _mul(uk, ck[:r], _inv(um))
+    d = next(d for d in range(1, n + 1) if n % d == 0 and ck[:d] * (n // d) == ck)
+    gen = _mul(uk, ck[:d], _inv(uk))  # generator of the centralizer of k
     # |gen^t z0| >= |t|*|root| - |uk| - |z0|, so far powers cannot fit
-    T = limit + len(uk) + len(ck) + len(z0) + 2
-    sols = {z.letters: z for t in range(-T, T + 1)
-            for z in [(gen ** t) * z0] if len(z) <= limit}
-    return sorted(sols.values(), key=Word.key)
+    sols: set[tuple[int, ...]] = set()
+    for step in (gen, _inv(gen)):
+        z = z0
+        for _ in range(limit + len(uk) + n + len(z0) + 3):
+            if len(z) <= limit:
+                sols.add(z)
+            z = _mul(step, z)
+    return sorted(sols, key=_key)
 
 
 def enumerate_solutions(
@@ -166,88 +200,76 @@ def enumerate_solutions(
 
     ``limit`` optionally stops after that many solutions.
     """
-    n_const = system.n_constants
     var_names = list(system.variables)
     var_syms = [system.var_sym(n) for n in var_names]
     relators = system.relators()
-    words = reduced_words(n_const, bound.per_var)
+    first_var = 2 * system.n_constants
+    packed, words = _enumeration(system.n_constants, bound.per_var)
+    values: list[Word] = [Word()] * len(var_syms)
     emitted = 0
 
-    def total_len(assign: dict[int, Word]) -> int:
-        return sum(len(w) for w in assign.values())
+    def solution() -> dict[str, Word]:
+        nonlocal emitted
+        # the packed search is checked against the Word algebra
+        assign = dict(zip(var_syms, values))
+        if any(substitute(r, assign) for r in relators):
+            raise AssertionError("internal: packed search emitted a non-solution")
+        emitted += 1
+        return dict(zip(var_names, values))
 
-    def prune(assign: dict[int, Word], depth: int) -> bool:
-        unassigned = set(var_syms[depth:])
-        for rel in relators:
-            partial = substitute(rel, assign)
-            syms = partial.symbols()
-            if not (syms & unassigned):
-                if len(partial):
-                    return True
-            elif _abelian_prune(partial, unassigned, bound.per_var, n_const):
-                return True
-        return False
+    def descend(partials: list[tuple[int, ...]], x: int, img: tuple[int, ...]):
+        """The partial images with x -> img, or None when one is hopeless."""
+        out = []
+        for t in partials:
+            t = _substitute(t, x, img)
+            if _hopeless(t, bound.per_var, first_var):
+                return None
+            out.append(t)
+        return out
 
-    def close_last(assign: dict[int, Word]) -> list[Word] | None:
-        sym = var_syms[-1]
-        candidates: list[Word] | None = None
-        for rel in relators:
-            partial = substitute(rel, assign)
-            if sym not in partial.symbols():
-                if len(partial):
-                    return []
-                continue
-            sols = _solve_last(partial, sym, bound.per_var)
+    def close_last(partials: list[tuple[int, ...]]) -> list[tuple[int, ...]] | None:
+        candidates: list[tuple[int, ...]] | None = None
+        for t in partials:
+            sols = _solve_last(t, var_syms[-1], bound.per_var)
             if sols is None:
                 continue
-            if candidates is None:
-                candidates = sols
-            else:
-                keep = set(w.letters for w in sols)
-                candidates = [w for w in candidates if w.letters in keep]
+            keep = set(sols)
+            candidates = sols if candidates is None else [w for w in candidates if w in keep]
             if not candidates:
                 return []
         return candidates
 
-    def rec(depth: int, assign: dict[int, Word]) -> Iterator[dict[str, Word]]:
-        nonlocal emitted
+    def rec(depth: int, partials: list[tuple[int, ...]], used: int) -> Iterator[dict[str, Word]]:
+        # partials: each relator's image under the first ``depth`` values
         if limit is not None and emitted >= limit:
             return
         if depth == len(var_syms):
-            if all(len(substitute(r, assign)) == 0 for r in relators):
-                emitted += 1
-                yield {n: assign[s] for n, s in zip(var_names, var_syms)}
+            if not any(partials):
+                yield solution()
             return
-        if depth == len(var_syms) - 1 and var_syms:
-            closed = close_last(assign)
+        x = 2 * var_syms[depth]
+        if depth == len(var_syms) - 1:
+            closed = close_last(partials)
             if closed is not None:
-                budget = bound.per_var
-                if bound.total is not None:
-                    budget = min(budget, bound.total - total_len(assign))
+                budget = bound.per_var if bound.total is None else min(bound.per_var, bound.total - used)
                 for w in closed:
                     if limit is not None and emitted >= limit:
                         return
-                    if len(w) > budget:
-                        continue
-                    assign[var_syms[depth]] = w
-                    if all(len(substitute(r, assign)) == 0 for r in relators):
-                        emitted += 1
-                        yield {n: assign[s] for n, s in zip(var_names, var_syms)}
-                assign.pop(var_syms[depth], None)
+                    if len(w) <= budget and not any(_substitute(t, x, w) for t in partials):
+                        values[depth] = _word(w)
+                        yield solution()
                 return
-        sym = var_syms[depth]
-        for w in words:
+        for t, w in zip(packed, words):
             if limit is not None and emitted >= limit:
                 return
-            if bound.total is not None and total_len(assign) + len(w) > bound.total:
+            if bound.total is not None and used + len(t) > bound.total:
                 continue
-            assign[sym] = w
-            if not prune(assign, depth + 1):
-                yield from rec(depth + 1, assign)
-        if sym in assign:
-            del assign[sym]
+            child = descend(partials, x, t)
+            if child is not None:
+                values[depth] = w
+                yield from rec(depth + 1, child, used + len(t))
 
-    yield from rec(0, {})
+    yield from rec(0, [tuple(2 * g.sym + (g.sign < 0) for g in r) for r in relators], 0)
 
 
 def is_satisfiable(system: EquationSystem, bound: SearchBound) -> dict[str, Word] | None:

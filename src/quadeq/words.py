@@ -6,7 +6,9 @@ immutable value: words, cyclic words and decompositions can be shared freely.
 
 The canonical letter order is ``a < a^-1 < b < b^-1 < ...`` in declaration
 order of the alphabet; it drives cyclic-word canonicalization and the
-length-lex enumeration used by the oracle.
+length-lex enumeration used by the oracle.  It is the integer order of
+letters packed as ``2*sym + (sign < 0)``, the form the diagram search and
+the oracle work on.
 """
 
 from __future__ import annotations
@@ -246,27 +248,6 @@ def root_of(w: Word) -> tuple[Word, int]:
         if all(w.letters[i * d : (i + 1) * d] == root.letters for i in range(n // d)):
             return root, n // d
     raise AssertionError("unreachable")
-
-
-def nth_root(w: Word, n: int) -> Word | None:
-    """Solve z^n = w exactly (n >= 1); None when no root exists.
-
-    Free groups have unique extraction of roots: write w = u c u^-1 with c
-    cyclically reduced; then z must be u r u^-1 with r^n = c literally.
-    """
-    if n == 1:
-        return w
-    if len(w) == 0:
-        return Word()
-    core, u = w.cyclic_reduce()
-    m = len(core)
-    if m % n:
-        return None
-    d = m // n
-    r = core.subword(0, d)
-    if (r ** n) == core:
-        return u * r * u.inverse()
-    return None
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,12 @@ def test_tracer_hooks_find_their_targets():
     try:
         system = lib.equations.parse_system("gens: a b\nvars: x y\n[x, y] = [a, b]\n")
         assert lib.solver.solve_quadratic(system).status == "sat"
+        # a non-orientable witness goes through the oracle span
+        system = lib.equations.parse_system("gens: a b\nvars: x y\nx x y y = a a b b\n")
+        assert lib.solver.solve_quadratic(system).status == "sat"
     finally:
         tracer.uninstall()
     assert {m: dict(vars(getattr(lib, m))) for m in SOLVE_PATH} == before
-    assert tracer.metrics()["solver.diagram_calls"][0] > 0
+    metrics = tracer.metrics()
+    assert metrics["solver.diagram_calls"][0] > 0
+    assert metrics["oracle.witness_calls"][0] > 0 and metrics["oracle.witness_letters"][0] > 0

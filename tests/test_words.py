@@ -10,7 +10,6 @@ from quadeq.words import (
     cyclic_normalize,
     cyclically_equal,
     is_proper_power,
-    nth_root,
     reduce,
     root_of,
     substitute,
@@ -127,13 +126,6 @@ def test_proper_power():
 def test_root_of():
     r, k = root_of(W("a", "b", "a", "b"))
     assert r == W("a", "b") and k == 2
-
-
-def test_nth_root():
-    assert nth_root(W("a", "b") ** 3, 3) == W("a", "b")
-    assert nth_root(W("a"), 2) is None
-    w = W("b") * (W("a") ** 2) * W("-b")
-    assert nth_root(w, 2) == W("b", "a", "-b")
 
 
 # --- U-decomposition --------------------------------------------------------
