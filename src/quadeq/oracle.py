@@ -8,7 +8,9 @@ duplicate-free and in order:
 
 * subtree pruning when a fully-assigned equation is nontrivial, or when the
   constant letters of a partially-substituted relator can no longer be
-  cancelled by the remaining variables (abelianization bound);
+  cancelled by the remaining variables: by the abelianization bound, or by
+  the constant-run bound below.  The root partials are tested before any
+  value is enumerated, so a bound below the least possible one ends at once;
 * exact closing of the last unassigned variable when its occurrences form a
   pattern with directly enumerable solutions (single occurrence, two of one
   sign ``u z K z v`` through the unique square root, or the conjugation
@@ -20,6 +22,19 @@ duplicate-free and in order:
   are unique, so the partials, prunes and closed candidates are those of
   substituting the whole assignment afresh, and the packed integer order is
   the canonical letter order, so ``(len, letters)`` sorts as ``Word.key``.
+
+The constant-run bound.  Let t be a freely reduced partial image with s
+constant letters and occ variable letters, each variable to take a value
+of at most ``limit`` letters, and R a maximal run of consecutive constant
+letters of t.  If the substituted word reduces to 1, its letters cancel in
+pairs that do not cross (the pairs of a free reduction).  No pair lies
+inside R: the innermost such pair would be two adjacent inverse letters of
+R, and t is reduced.  So each letter of R cancels against a letter of a
+variable's value, at most occ * limit of them, or against a constant
+outside R, at most s - |R| of them.  Hence t is hopeless when
+2 |R| - s > occ * limit for its longest run R.  The term s - |R| is
+needed: ``a x a^-1 x^-1`` has s = 2 > 0 yet x = 1 solves it.  For
+``x^2 y^2 C`` the bound asks for ``limit >= |C| / 4``.
 
 The packed helpers are private to this module; they move into ``words.py``
 once ``Word`` itself is packed.  Words appear only at the boundary: every
@@ -119,15 +134,30 @@ def _key(t: tuple[int, ...]) -> tuple:
 
 
 def _hopeless(t: tuple[int, ...], limit: int, first_var: int) -> bool:
-    """True when the partial image ``t`` can no longer become trivial: it has
-    no variable letter left yet is nontrivial, or some generator's exponent
-    exceeds what the remaining variable letters could cancel (abelianization
-    bound)."""
+    """True when the reduced partial image ``t`` can no longer become
+    trivial: it has no variable letter left yet is nontrivial, some
+    generator's exponent exceeds what the remaining variable letters could
+    cancel (abelianization bound), or its longest run of constants does
+    (constant-run bound of the module docstring)."""
     count = [t.count(p) for p in range(first_var)]
-    occ = len(t) - sum(count)
+    s = sum(count)
+    occ = len(t) - s
     if not occ:
         return bool(t)
-    return any(abs(count[p] - count[p + 1]) > occ * limit for p in range(0, first_var, 2))
+    cap = occ * limit
+    if any(abs(count[p] - count[p + 1]) > cap for p in range(0, first_var, 2)):
+        return True
+    if s <= cap:  # then 2 |R| - s <= s <= cap
+        return False
+    run = longest = 0
+    for p in t:
+        if p < first_var:
+            run += 1
+            if run > longest:
+                longest = run
+        else:
+            run = 0
+    return 2 * longest - s > cap
 
 
 def _solve_last(t: tuple[int, ...], sym: int, limit: int) -> list[tuple[int, ...]] | None:
@@ -204,6 +234,9 @@ def enumerate_solutions(
     var_syms = [system.var_sym(n) for n in var_names]
     relators = system.relators()
     first_var = 2 * system.n_constants
+    roots = [tuple(2 * g.sym + (g.sign < 0) for g in r) for r in relators]
+    if any(_hopeless(t, bound.per_var, first_var) for t in roots):
+        return
     packed, words = _enumeration(system.n_constants, bound.per_var)
     values: list[Word] = [Word()] * len(var_syms)
     emitted = 0
@@ -269,7 +302,7 @@ def enumerate_solutions(
                 values[depth] = w
                 yield from rec(depth + 1, child, used + len(t))
 
-    yield from rec(0, [tuple(2 * g.sym + (g.sign < 0) for g in r) for r in relators], 0)
+    yield from rec(0, roots, 0)
 
 
 def is_satisfiable(system: EquationSystem, bound: SearchBound) -> dict[str, Word] | None:

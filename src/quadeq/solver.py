@@ -44,6 +44,32 @@ close there too.  Every letter of the region is glued inside it, so
 and a state of budget 0 with a cycle that no such set balances has no
 diagram.
 
+A non-orientable state can be cut mod 2 once at most 1 is left.  Read a
+content mod 2, the set of symbols with an odd count.  No gluing changes a
+cluster's content mod 2: an inverse gluing removes a letter and its
+inverse, an equal-letter gluing two letters of one symbol, and inverting a
+cluster to merge it keeps every count.  Joining two cycles of one cluster
+costs 2 (a handle or two crosscaps), so a diagram with at most 1 left joins
+none.  Then, in every state on its way, each cycle's content mod 2 lies in
+the span over GF(2) of the contents of the other clusters.  By induction
+on the gluings left, since the state after the next gluing has the
+property; take a cycle C of a cluster K:
+
+    the gluing misses K:          the clusters it glues, P and maybe Q,
+                                  become one cluster of content P + Q;
+    it glues two letters of C:    C leaves A and B, or A B^-1, and
+                                  C = A + B, each in the span;
+    it glues a letter of another  C is still a cycle, and its cluster's
+      cycle of K, not to C:       other clusters are among those of K;
+    it merges C with the cycle E  C = C' + M + (the other cycles of M),
+      of another cluster M into   and C' and those cycles lie in the span
+      the cycle C':               of the clusters other than K and M.
+
+Mod 2, sums over two overlapping sets of clusters are a sum over one set,
+which exact contents lack; the abelian cut's proof follows regions
+instead.  So a state with at most 1 left and a cycle outside that span has
+no diagram.
+
 The diagram the search finds is the certificate of a SAT answer: the search
 keeps the gluing it chose at each state of its path, and
 ``CancellationDiagrams.certificate`` replays them on letters that carry
@@ -63,7 +89,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, xor
 from typing import Sequence
 
 from .equations import EquationSystem, Equation
@@ -194,7 +221,11 @@ class CancellationDiagrams:
     ``certificate`` replays.  Children of budget 0 that no set of whole
     clusters balances (the cut of the module docstring) are dropped; they
     have no diagram, so the diagram found, and its certificate, do not
-    depend on the cut.
+    depend on the cut.  In a non-orientable form the mod-2 cut of the module
+    docstring drops children with at most 1 left whose cycles lie outside the
+    span of the other clusters' contents mod 2, each content mod 2 a bit
+    mask of symbols, cached per cycle; it keeps the diagram found for the
+    same reason.
     """
 
     def __init__(self, coefficients: Sequence[Word], kind: str):
@@ -209,7 +240,8 @@ class CancellationDiagrams:
         self._chosen: dict[tuple, tuple] = {}
         self._forms: dict[tuple, tuple] = {}  # cycle -> least rotations of it and of its inverse
         self._mirrors: dict[tuple, tuple] = {}  # clean cluster -> the cluster inverted
-        self._contents: dict[tuple, int] = {}  # cycle -> its content, packed by ``solvable_within``
+        # cycle -> its content, packed by ``solvable_within``; mod 2 in a non-orientable form
+        self._contents: dict[tuple, int] = {}
 
     def balanced(self) -> bool:
         """Can every letter be glued?  Inverse letters pair up in an
@@ -228,11 +260,20 @@ class CancellationDiagrams:
         orientable = self.kind == ORIENTABLE
         failed, chosen, forms, mirrors = self._failed, self._chosen, self._forms, self._mirrors
         contents = self._contents
-        # a content as one integer, the exponent sum of symbol s times base^s:
-        # sums of contents have exponents within +-n, so the integer is exact
-        base = 2 * self.n + 1
         symbols = max(x for c in self.cycles for x in c) // 2 + 1
-        weight = [(-1) ** (x & 1) * base ** (x >> 1) for x in range(2 * symbols)]
+        if orientable:
+            # a content as one integer, the exponent sum of symbol s times
+            # base^s: sums of contents have exponents within +-n, so the
+            # integer is exact
+            base = 2 * self.n + 1
+            weight = [(-1) ** (x & 1) * base ** (x >> 1) for x in range(2 * symbols)]
+            total = sum
+        else:
+            # a content mod 2 as a bit mask, bit s for symbol s
+            weight = [1 << (x >> 1) for x in range(2 * symbols)]
+
+            def total(vs: list[int]) -> int:
+                return reduce(xor, vs, 0)
 
         def form(c: tuple) -> tuple:
             f = forms.get(c)
@@ -243,7 +284,7 @@ class CancellationDiagrams:
         def content(c: tuple) -> int:
             v = contents.get(c)
             if v is None:
-                v = contents[c] = sum([weight[x] for x in c])
+                v = contents[c] = total([weight[x] for x in c])
             return v
 
         def closable(clusters: list[Sequence[tuple]]) -> bool:
@@ -258,6 +299,28 @@ class CancellationDiagrams:
                 if any(-v not in sums for v in vs):
                     return False
             return True
+
+        def spanned(clusters: list[Sequence[tuple]]) -> bool:
+            """Is each cycle, mod 2, in the span of the other clusters?"""
+            cycles = [[content(c) for c in cycles] for cycles in clusters]
+            totals = [total(vs) for vs in cycles]
+            for i, vs in enumerate(cycles):
+                basis: list[int] = []  # an XOR basis, leading bits distinct
+                for j, t in enumerate(totals):
+                    if j != i:
+                        for b in basis:
+                            t = min(t, t ^ b)
+                        if t:
+                            basis.append(t)
+                for v in vs:
+                    for b in basis:
+                        v = min(v, v ^ b)
+                    if v:
+                        return False
+            return True
+
+        # the cut: what may be left over when it applies, and its test
+        tight, cut = (0, closable) if orientable else (1, spanned)
 
         def cluster(status: int, cycles: list[tuple]) -> tuple:
             fs = [form(c) for c in cycles]
@@ -284,8 +347,8 @@ class CancellationDiagrams:
 
         def children(state: tuple, left: int) -> tuple[tuple, dict]:
             """The pivot, and (cost, state) -> partner for each gluing of the
-            pivot that fits in ``left`` and, in an orientable form, leaves a
-            closable child when it spends the rest."""
+            pivot that fits in ``left`` and leaves a child that passes the
+            cut when at most ``tight`` is left."""
             count = Counter([x for _, cycles in state for c in cycles for x in c])
             if orientable:
                 partners = {x: count[x ^ 1] for x in count}
@@ -302,11 +365,12 @@ class CancellationDiagrams:
                                 break
             out = {}
             for partner, cost, st, new, rest in _gluings(state, state, pivot, orientable):
-                if cost < left or cost == left and (
-                        not orientable or closable([new] + [cycles for _, cycles in rest])):
-                    if new:
-                        rest.append(cluster(st, new))
-                    out[cost, canonical(rest)] = partner
+                if cost > left or left - cost <= tight and not cut(
+                        [new] + [cycles for _, cycles in rest]):
+                    continue
+                if new:
+                    rest.append(cluster(st, new))
+                out[cost, canonical(rest)] = partner
             return pivot, out
 
         def search(state: tuple, left: int) -> bool:

@@ -19,6 +19,7 @@ once.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterator
 
 from quadeq.equations import Equation, EquationSystem
@@ -126,3 +127,11 @@ def iter_corpus(max_vars: int = 3) -> Iterator[EquationSystem]:
                     )
                     if sysm is not None:
                         yield sysm
+
+
+@lru_cache(maxsize=None)
+def corpus_systems() -> tuple[EquationSystem, ...]:
+    """``iter_corpus()`` as a tuple, built once per process so that the
+    tests share it.  ``iter_corpus`` itself stays a generator: a reader that
+    renders each system and drops it holds none of them."""
+    return tuple(iter_corpus())

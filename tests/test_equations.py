@@ -196,9 +196,9 @@ def _random_word(rng, n_gens, length):
 
 
 def test_tcf_lift_pinned_corpus():
-    from corpus import iter_corpus
+    from corpus import corpus_systems
 
-    systems = list(iter_corpus())
+    systems = corpus_systems()
     for i, pinned in LIFT_PINS:
         s = systems[i]
         f = triangular_constant_form(s)

@@ -485,9 +485,9 @@ SEARCH_PINS = [
 
 @pytest.fixture(scope="module")
 def corpus_systems():
-    from corpus import iter_corpus
+    import corpus
 
-    return list(iter_corpus())
+    return corpus.corpus_systems()
 
 
 def _digest(text):

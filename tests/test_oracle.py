@@ -5,6 +5,7 @@ import random
 from quadeq.equations import Equation, EquationSystem, parse_system
 from quadeq.oracle import (
     SearchBound,
+    _hopeless,
     enumerate_solutions,
     is_satisfiable,
     min_solution_stats,
@@ -98,6 +99,27 @@ def test_total_bound_counts_each_value_once():
     assert sols == [{"x": s.alphabet.word("a", "b"), "y": Word()}]
 
 
+def test_constant_run_bound_counts_other_runs():
+    # a x a^-1 x^-1 has two constant letters and nothing to cancel them at
+    # bound 0, yet x = 1 solves it: the two runs cancel each other
+    s = parse_system("gens: a b\nvars: x\n[a, x] = 1")
+    assert is_satisfiable(s, SearchBound(0)) == {"x": Word()}
+
+
+def test_constant_run_bound_on_squares():
+    # x^2 y^2 W^-1 has one constant run, W^-1, so the root is hopeless
+    # exactly below |W| / 4, and no bound below that has a solution; the
+    # planted W = u^2 v^2 have one with |u|, |v| <= 4
+    for i, s in enumerate(_squares_systems(20)):
+        w = len(s.equations[0].rhs)
+        root = tuple(2 * g.sym + (g.sign < 0) for g in s.relators()[0])
+        for ell in range(6):
+            assert _hopeless(root, ell, 4) == (4 * ell < w), (s.render(), ell)
+        least = min_solution_stats(s, SearchBound(4))
+        assert least is not None or i % 5 == 4
+        assert least is None or 4 * least >= w
+
+
 def test_witness_for_conjugate_words():
     s = parse_system("gens: a b\nvars: z\nz^-1 (a b) z = b a")
     sol = is_satisfiable(s, SearchBound(2))
@@ -157,9 +179,9 @@ STREAM_PINS = {
 
 
 def test_stream_parity_pinned():
-    from corpus import iter_corpus
+    from corpus import corpus_systems
 
-    systems = list(iter_corpus())[::25]
+    systems = corpus_systems()[::25]
     squares = _squares_systems()
     got = {
         "corpus_bound_1": _stream_digest((s, SearchBound(1), None) for s in systems),

@@ -324,8 +324,9 @@ def test_min_genus_pinned():
 
 
 def test_form_solvable_matches_packing():
-    # the abelian cut keeps every verdict and leaves under a quarter of the
-    # 55,025 states that the search tabled without it
+    # the abelian cut keeps every verdict and leaves 3,596 of the 55,025
+    # states that the search tabled without it; the count is exact, so a
+    # change to the orientable search shows here
     instances = sweep_instances(4, 4, 3)
     assert len(instances) == 106
     states = 0
@@ -334,7 +335,52 @@ def test_form_solvable_matches_packing():
         diag = _diagrams(form)  # what form_solvable searches
         assert diag.solvable_within(form.genus) == (exhaustive_pack(inst) is not None), inst
         states += len(diag._failed)
-    assert states <= 55_025 // 4
+    assert states == 3_596
+
+
+def test_spacer_forms_match_packing():
+    # the paper's own reduction: build_equation without free_form, an
+    # orientable genus-0 form over the spacer words
+    instances = sweep_instances(3, 3, 2)
+    assert len(instances) == 19
+    verdicts = [form_solvable(standardize(build_equation(inst)).form) for inst in instances]
+    assert verdicts == [exhaustive_pack(inst) is not None for inst in instances]
+    assert sum(verdicts) == 11
+
+
+def _genus_words():
+    """47 products of k commutators of random words of length 1..L, for
+    (k, L) in (3, 2), (4, 2), (3, 3), (5, 1), 12 tries each, cyclically
+    reduced; the empty product is dropped."""
+    rng = random.Random(7)
+    words = []
+    for k, length in ((3, 2), (4, 2), (3, 3), (5, 1)):
+        for _ in range(12):
+            w = Word()
+            for _ in range(k):
+                w = w * commutator(_random_word(rng, rng.randint(1, length)),
+                                   _random_word(rng, rng.randint(1, length)))
+            core, _ = w.cyclic_reduce()
+            if core:
+                words.append(core)
+    return words
+
+
+# the least non-orientable genus of each _genus_words() word, found by the
+# search without the mod-2 cut, which tabled 27,460 states for them
+GENUS_WORDS_LEAST = "33333233333334323332333335233443343331333332223"
+
+
+def test_mod2_cut_keeps_least_genus_and_cuts_states():
+    words = _genus_words()
+    assert len(words) == 47
+    least, states = [], 0
+    for w in words:
+        diag = CancellationDiagrams([w], NONORIENTABLE)
+        least.append(diag.min_genus(len(w) // 2 + 1, 1))
+        states += len(diag._failed)
+    assert "".join(map(str, least)) == GENUS_WORDS_LEAST
+    assert states == 10_519  # under 40 % of the 27,460 without the cut
 
 
 def _random_word(rng, length):
@@ -667,13 +713,64 @@ def _witness_digest(system, witness):
 
 
 def test_solve_quadratic_pinned_corpus():
-    from corpus import iter_corpus
+    from corpus import corpus_systems
 
     pins = {row[0]: row for row in SOLVE_PINS}
-    systems = list(iter_corpus())
+    systems = corpus_systems()
     for i in range(0, len(systems), 10):
         res = solve_quadratic(systems[i])
         if i in pins:
             assert (i, res.status, _witness_digest(systems[i], res.witness)) == pins[i]
         else:
             assert res.status == "unsat", i
+
+
+# --- parity pins of the non-orientable pruning ----------------------------------
+
+# SHA-256 digests recorded before the oracle's constant-run bound and the
+# diagram search's mod-2 cut: both only drop work that cannot succeed, so
+# verdicts, oracle bounds, witnesses and certificates stay as they were.
+PRUNING_PINS = {
+    "squares": "e36d9bae0f73c09a30411cf83da995088948f07b571b6d8a0c398554337a01e2",
+    "binpack_free": "695f464a6390d717a2d9e52c8d62b0834257367a6208b67a902eb2f584526670",
+    "nonorientable_certificates":
+        "19d8f7b1002c5ce1ce1f089783ea4a5462fcca6ca7a0fb3a944a39f396605f2c",
+}
+
+
+def _solve_digest(systems):
+    """Over each system's verdict, oracle bound and witness digest."""
+    h = hashlib.sha256()
+    for i, s in enumerate(systems):
+        r = solve_quadratic(s)
+        w = None if r.witness is None else _witness_digest(s, r.witness)
+        h.update(repr((i, r.status, r.bound_used, w)).encode())
+    return h.hexdigest()
+
+
+def _certificate_digest(tuples):
+    """Over each tuple's least genus and its certificate there, found after
+    the rising budgets of ``min_genus`` and by a fresh search at it."""
+    h = hashlib.sha256()
+    for kind, discs, _ in tuples:
+        diag = CancellationDiagrams(discs, kind)
+        g = diag.min_genus(sum(map(len, discs)) // 2 + 1)
+        if g is not None:
+            fresh = CancellationDiagrams(discs, kind).certificate(g)
+            h.update(repr((g, diag.certificate(g), fresh)).encode())
+        h.update(b"|")
+    return h.hexdigest()
+
+
+def test_nonorientable_pruning_parity_pinned():
+    from test_oracle import _squares_systems
+
+    binpack = [build_equation(inst, free_form=True) for inst in sweep_instances(4, 3, 2)]
+    nonorientable = [t for t in _pinned_tuples() if t[0] == NONORIENTABLE]
+    assert len(binpack) == 22 and len(nonorientable) == 180
+    got = {
+        "squares": _solve_digest(_squares_systems()),
+        "binpack_free": _solve_digest(binpack),
+        "nonorientable_certificates": _certificate_digest(nonorientable),
+    }
+    assert got == PRUNING_PINS

@@ -210,10 +210,10 @@ def test_standard_forms_pinned_corpus():
     # solve pins verdicts and sat witnesses only; this pins the form, the
     # standard system and the transport of every 10th single-equation corpus
     # system, sat or not
-    from corpus import iter_corpus
+    from corpus import corpus_systems
 
     h = hashlib.sha256()
-    singles = [s for s in iter_corpus() if len(s.equations) == 1]
+    singles = [s for s in corpus_systems() if len(s.equations) == 1]
     for system in singles[::10]:
         nz = standardize(system)
         al = system.alphabet
