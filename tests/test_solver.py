@@ -774,3 +774,61 @@ def test_nonorientable_pruning_parity_pinned():
         "nonorientable_certificates": _certificate_digest(nonorientable),
     }
     assert got == PRUNING_PINS
+
+
+# --- parity pin of the search tables ----------------------------------------------
+
+# the first 100 genus queries of the benchmark's planted workload at seed 0,
+# capitals for inverse letters
+PLANTED_GENUS_WORDS = """
+    bABabABa BAbaBBabbA BabA babABBabAB ABabaBAb abABBAba AAbaBaabAABa BabA baBA
+    aabABA abABABab ABababbABB ABab bAABaabbABaB baBA abABAbaB baBA ABab baaBAA
+    abAB baBBAb baBAbaBA abABBAbabABa AbaBAAbaBa baBAAABaba baBA ABBabbbbaBBA
+    AbaB BabABAba bABaBabA baaBAA abABABab aBAbABAAbaaa BAba AAbbaaBBAAbaBa
+    aBabAA aBAbbABa BAba AAAbaaBabAbbaBBB aBAbABabbABa baBAAbaB BabABabA
+    baBAABabAbaB abAB AAbbaaBB baBBAb BAbaBaabAA BBabbA ABAAbaaa BabbAABa BabA
+    BAbaabAABa abABBAba aBAbAbaB BAba bABa BabAbbABaB BBAbabAbaB BabAAbaBBabA
+    ABab bABa BAba ABab AbaB ABabbaBA abAB bABaBABabb bABa abABaBAbbaBA aBAb
+    abAB BAbbaBabAB BAbbaB BAba abABabAB abAB baaBAbAB bABa BAba ABab abABAbaB
+    BAba abAB aBAb BabABAba bABabABa abABaBAb baBBAb AAbbaaBB baBBAb AbaBAbaB
+    bABa baBA bABBab baBAbABa AABBaabb AbaB AbaBABab BabABabAAbaB BBabAbbaBA
+"""
+
+# SHA-256 over the search tables (``_failed`` and ``_chosen`` in insertion
+# order, packed words read as tuples of ints) and the certificates of the
+# free-form and spacer binpack forms and of the genus queries above, recorded
+# while the diagram search stored cycles as tuples: a change of state, pivot,
+# child order or chosen gluing shows here
+TABLES_PIN = "2e18e11ed9f701eda93e4070434390f51ab3f1785b45a5a6fc213d3c617f9048"
+
+
+def _plain(x):
+    """``x`` with every bytes object read as a tuple of ints."""
+    if isinstance(x, bytes):
+        return tuple(x)
+    if isinstance(x, (tuple, list)):
+        return type(x)(map(_plain, x))
+    return x
+
+
+def _tables(diag, answer, certificate):
+    return repr((answer, certificate, _plain(list(diag._failed.items())),
+                 _plain(list(diag._chosen.items())))).encode()
+
+
+def test_search_tables_pinned():
+    h = hashlib.sha256()
+    for free_form, sweep in ((True, (4, 3, 2)), (False, (3, 3, 2))):
+        for inst in sweep_instances(*sweep):
+            form = standardize(build_equation(inst, free_form=free_form)).form
+            diag = _diagrams(form)
+            ok = diag.solvable_within(form.genus)
+            h.update(_tables(diag, ok, diag.certificate(form.genus)))
+    words = PLANTED_GENUS_WORDS.split()
+    assert len(words) == 100
+    for text in words:
+        w = Word(AB.gen(ch.lower(), 1 if ch.islower() else -1) for ch in text)
+        diag = _diagrams(StandardForm(ORIENTABLE, 0, (), w))  # what tuple_genus searches
+        g = diag.min_genus(len(w) // 2 + 1, 1)
+        h.update(_tables(diag, g, None if g is None else diag.certificate(g)))
+    assert h.hexdigest() == TABLES_PIN
