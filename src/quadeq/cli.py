@@ -240,17 +240,27 @@ def cmd_standardize(args) -> int:
     return EXIT_OK
 
 
+def _inconclusive(rep: Report, args) -> int:
+    """The diagram search reached its state cap (``solver.MAX_STATES``)."""
+    rep.add("verdict", "inconclusive")
+    rep.emit(args)
+    return EXIT_INCONCLUSIVE
+
+
 def cmd_genus(args) -> int:
     text = _read(args.file)
     rep = Report("genus").digest(text)
     alphabet, coeffs = _read_words(text, "gens", "coefficient")
     gens = alphabet.names
     kind = args.kind
+    rep.add("kind", kind)
     if args.at is not None:
-        fn = sv.genus_orientable if kind == "orientable" else sv.genus_nonorientable
-        res = fn(coeffs, args.at, gens, want_witness=not args.no_witness)
-        rep.add("kind", kind)
         rep.add("genus", args.at)
+        fn = sv.genus_orientable if kind == "orientable" else sv.genus_nonorientable
+        try:
+            res = fn(coeffs, args.at, gens, want_witness=not args.no_witness)
+        except sv.SearchLimitError:
+            return _inconclusive(rep, args)
         rep.add("verdict", "solvable" if res.solvable else "unsolvable")
         if res.witness:
             sysm = sv._tuple_form(coeffs, args.at, kind).system(gens)
@@ -260,8 +270,10 @@ def cmd_genus(args) -> int:
                 rep.add("witness", line)
         rep.emit(args)
         return EXIT_OK
-    g = sv.tuple_genus(coeffs, kind, gens)
-    rep.add("kind", kind)
+    try:
+        g = sv.tuple_genus(coeffs, kind, gens)
+    except sv.SearchLimitError:
+        return _inconclusive(rep, args)
     rep.add("verdict", "solvable" if g is not None else "unsolvable")
     rep.add("genus", g if g is not None else "none")
     rep.emit(args)

@@ -16,7 +16,7 @@ duplicate-free and in order:
   sign ``u z K z v`` through the unique square root, or the conjugation
   sandwich ``u z^-1 K z v``); the closed candidates are emitted sorted, so
   the global order is unchanged;
-* packed letters ``2*sym + (sign < 0)`` and carried partials: each node
+* packed words (``words.pack``) and carried partials: each node
   substitutes only its own variable's value into its parent's partial
   images of the relators.  Substitution is a homomorphism and reduced words
   are unique, so the partials, prunes and closed candidates are those of
@@ -36,9 +36,8 @@ outside R, at most s - |R| of them.  Hence t is hopeless when
 needed: ``a x a^-1 x^-1`` has s = 2 > 0 yet x = 1 solves it.  For
 ``x^2 y^2 C`` the bound asks for ``limit >= |C| / 4``.
 
-The packed helpers are private to this module; they move into ``words.py``
-once ``Word`` itself is packed.  Words appear only at the boundary: every
-solution is checked again with ``words.substitute`` before it is yielded.
+Words appear only at the boundary: every solution is checked again with
+``words.substitute`` before it is yielded.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .equations import EquationSystem
-from .words import MAX_GENERATORS, Generator, Word, substitute
+from .words import Word, pack, packed_cyclic_reduce, packed_inverse, packed_product, substitute, unpack
 
 
 @dataclass(frozen=True)
@@ -65,60 +64,28 @@ class SearchBound:
             raise ValueError("total bound must be >= 0")
 
 
-# the letter of each packed value, shared by every word built here
-_LETTERS = tuple(Generator(p >> 1, -1 if p & 1 else 1) for p in range(2 * MAX_GENERATORS))
-
-
-def _word(t: tuple[int, ...]) -> Word:
-    return Word._raw(tuple([_LETTERS[p] for p in t]))
-
-
-def _inv(t: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([p ^ 1 for p in reversed(t)])
-
-
-def _mul(*parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Free reduction of the product of reduced packed words."""
-    out: list[int] = []
-    for t in parts:
-        k = 0
-        while out and k < len(t) and out[-1] == t[k] ^ 1:
-            out.pop()
-            k += 1
-        out.extend(t[k:])
-    return tuple(out)
-
-
-def _cyclic_reduce(t: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(core, u)`` with ``t == u core u^-1``, core cyclically reduced."""
-    n, k = len(t), 0
-    while n - 2 * k >= 2 and t[k] == t[n - 1 - k] ^ 1:
-        k += 1
-    return t[k:n - k], t[:k]
-
-
-def _substitute(t: tuple[int, ...], x: int, img: tuple[int, ...]) -> tuple[int, ...]:
+def _substitute(t: bytes, x: int, img: bytes) -> bytes:
     """``t`` with the letter ``x`` (even) sent to ``img``, freely reduced."""
     if x not in t and x ^ 1 not in t:
         return t
-    inv, parts, start = _inv(img), [], 0
+    inv, parts, start = packed_inverse(img), [], 0
     for i, p in enumerate(t):
         if p | 1 == x | 1:
             parts += (t[start:i], inv if p & 1 else img)
             start = i + 1
-    return _mul(*parts, t[start:])
+    return packed_product(*parts, t[start:])
 
 
 @lru_cache(maxsize=None)
-def _enumeration(n_gens: int, max_len: int) -> tuple[tuple[tuple[int, ...], ...], tuple[Word, ...]]:
+def _enumeration(n_gens: int, max_len: int) -> tuple[tuple[bytes, ...], tuple[Word, ...]]:
     """All reduced words over symbols 0..n_gens-1 of length <= max_len in
     length-lex order, packed and as Words."""
-    out: list[tuple[int, ...]] = [()]
-    frontier = [()]
+    letters = [bytes([p]) for p in range(2 * n_gens)]
+    out, frontier = [b""], [b""]
     for _ in range(max_len):
-        frontier = [w + (p,) for w in frontier for p in range(2 * n_gens) if not w or p != w[-1] ^ 1]
+        frontier = [w + x for w in frontier for x in letters if not w or x[0] != w[-1] ^ 1]
         out += frontier
-    return tuple(out), tuple(map(_word, out))
+    return tuple(out), tuple(map(unpack, out))
 
 
 def reduced_words(n_gens: int, max_len: int) -> tuple[Word, ...]:
@@ -128,12 +95,18 @@ def reduced_words(n_gens: int, max_len: int) -> tuple[Word, ...]:
     return _enumeration(n_gens, max_len)[1]
 
 
-def _key(t: tuple[int, ...]) -> tuple:
+def _key(t: bytes) -> tuple:
     """``Word.key`` order on packed words."""
     return (len(t), t)
 
 
-def _hopeless(t: tuple[int, ...], limit: int, first_var: int) -> bool:
+@lru_cache(maxsize=None)
+def _variable_mask(first_var: int) -> bytes:
+    """Byte x -> 0 for a constant letter (x < first_var), else 1."""
+    return bytes(x >= first_var for x in range(256))
+
+
+def _hopeless(t: bytes, limit: int, first_var: int) -> bool:
     """True when the reduced partial image ``t`` can no longer become
     trivial: it has no variable letter left yet is nontrivial, some
     generator's exponent exceeds what the remaining variable letters could
@@ -149,18 +122,11 @@ def _hopeless(t: tuple[int, ...], limit: int, first_var: int) -> bool:
         return True
     if s <= cap:  # then 2 |R| - s <= s <= cap
         return False
-    run = longest = 0
-    for p in t:
-        if p < first_var:
-            run += 1
-            if run > longest:
-                longest = run
-        else:
-            run = 0
+    longest = max(map(len, t.translate(_variable_mask(first_var)).split(b"\x01")))
     return 2 * longest - s > cap
 
 
-def _solve_last(t: tuple[int, ...], sym: int, limit: int) -> list[tuple[int, ...]] | None:
+def _solve_last(t: bytes, sym: int, limit: int) -> list[bytes] | None:
     """All words w with |w| <= limit making ``t`` trivial when sym -> w,
     sorted, or None when the pattern is not one we can close exactly."""
     occ = [i for i, p in enumerate(t) if p >> 1 == sym]
@@ -169,8 +135,8 @@ def _solve_last(t: tuple[int, ...], sym: int, limit: int) -> list[tuple[int, ...
     if len(occ) == 1:
         # u x^s v = 1 gives x = (u^-1 v^-1)^s = (v u)^-s
         i = occ[0]
-        w = _mul(t[i + 1:], t[:i])
-        w = w if t[i] & 1 else _inv(w)
+        w = packed_product(t[i + 1:], t[:i])
+        w = w if t[i] & 1 else packed_inverse(w)
         return [w] if len(w) <= limit else []
     if len(occ) > 2:
         return None  # left to the caller's enumeration
@@ -179,45 +145,45 @@ def _solve_last(t: tuple[int, ...], sym: int, limit: int) -> list[tuple[int, ...
     if t[i] == t[j]:
         # u z^s mid z^s v = 1  =>  (z^s mid)^2 = u^-1 v^-1 mid = c core c^-1,
         # whose square root is unique: c half c^-1 with half^2 = core literally
-        core, c = _cyclic_reduce(_mul(_inv(u), _inv(v), mid))
+        core, c = packed_cyclic_reduce(packed_product(packed_inverse(u), packed_inverse(v), mid))
         half = core[:len(core) // 2]
         if half + half != core:
             return []
-        w = _mul(c, half, _inv(c), _inv(mid))
-        w = _inv(w) if t[i] & 1 else w
+        w = packed_product(c, half, packed_inverse(c), packed_inverse(mid))
+        w = packed_inverse(w) if t[i] & 1 else w
         return [w] if len(w) <= limit else []
     # u z^s mid z^-s v = 1.  For s = -1 this is the conjugation sandwich
     # z^-1 mid z = u^-1 v^-1; for s = 1 it is that with z' = z^-1.
-    sols = _conjugators(mid, _mul(_inv(u), _inv(v)), limit)
-    return sols if t[i] & 1 else sorted(map(_inv, sols), key=_key)
+    sols = _conjugators(mid, packed_product(packed_inverse(u), packed_inverse(v)), limit)
+    return sols if t[i] & 1 else sorted(map(packed_inverse, sols), key=_key)
 
 
-def _conjugators(k: tuple[int, ...], m: tuple[int, ...], limit: int) -> list[tuple[int, ...]]:
+def _conjugators(k: bytes, m: bytes, limit: int) -> list[bytes]:
     """All z with z^-1 k z = m and |z| <= limit, sorted.
 
     If k ~ m the solutions form the coset C(k) z0 with C(k) = <root of the
     cyclic core>; enumerate the powers whose product stays within limit.
     """
     if not k:
-        return [] if m else [()]
-    ck, uk = _cyclic_reduce(k)
-    cm, um = _cyclic_reduce(m)
+        return [] if m else [b""]
+    ck, uk = packed_cyclic_reduce(k)
+    cm, um = packed_cyclic_reduce(m)
     n = len(ck)
     # k = uk ck uk^-1; rotation: ck = p q, cm = q p, and z0 = uk p um^-1
     r = next((r for r in range(n) if ck[r:] + ck[:r] == cm), None) if n == len(cm) else None
     if r is None:
         return []
-    z0 = _mul(uk, ck[:r], _inv(um))
+    z0 = packed_product(uk, ck[:r], packed_inverse(um))
     d = next(d for d in range(1, n + 1) if n % d == 0 and ck[:d] * (n // d) == ck)
-    gen = _mul(uk, ck[:d], _inv(uk))  # generator of the centralizer of k
+    gen = packed_product(uk, ck[:d], packed_inverse(uk))  # generator of the centralizer of k
     # |gen^t z0| >= |t|*|root| - |uk| - |z0|, so far powers cannot fit
-    sols: set[tuple[int, ...]] = set()
-    for step in (gen, _inv(gen)):
+    sols: set[bytes] = set()
+    for step in (gen, packed_inverse(gen)):
         z = z0
         for _ in range(limit + len(uk) + n + len(z0) + 3):
             if len(z) <= limit:
                 sols.add(z)
-            z = _mul(step, z)
+            z = packed_product(step, z)
     return sorted(sols, key=_key)
 
 
@@ -234,7 +200,7 @@ def enumerate_solutions(
     var_syms = [system.var_sym(n) for n in var_names]
     relators = system.relators()
     first_var = 2 * system.n_constants
-    roots = [tuple(2 * g.sym + (g.sign < 0) for g in r) for r in relators]
+    roots = [pack(r) for r in relators]
     if any(_hopeless(t, bound.per_var, first_var) for t in roots):
         return
     packed, words = _enumeration(system.n_constants, bound.per_var)
@@ -250,7 +216,7 @@ def enumerate_solutions(
         emitted += 1
         return dict(zip(var_names, values))
 
-    def descend(partials: list[tuple[int, ...]], x: int, img: tuple[int, ...]):
+    def descend(partials: list[bytes], x: int, img: bytes):
         """The partial images with x -> img, or None when one is hopeless."""
         out = []
         for t in partials:
@@ -260,8 +226,8 @@ def enumerate_solutions(
             out.append(t)
         return out
 
-    def close_last(partials: list[tuple[int, ...]]) -> list[tuple[int, ...]] | None:
-        candidates: list[tuple[int, ...]] | None = None
+    def close_last(partials: list[bytes]) -> list[bytes] | None:
+        candidates: list[bytes] | None = None
         for t in partials:
             sols = _solve_last(t, var_syms[-1], bound.per_var)
             if sols is None:
@@ -272,7 +238,7 @@ def enumerate_solutions(
                 return []
         return candidates
 
-    def rec(depth: int, partials: list[tuple[int, ...]], used: int) -> Iterator[dict[str, Word]]:
+    def rec(depth: int, partials: list[bytes], used: int) -> Iterator[dict[str, Word]]:
         # partials: each relator's image under the first ``depth`` values
         if limit is not None and emitted >= limit:
             return
@@ -289,7 +255,7 @@ def enumerate_solutions(
                     if limit is not None and emitted >= limit:
                         return
                     if len(w) <= budget and not any(_substitute(t, x, w) for t in partials):
-                        values[depth] = _word(w)
+                        values[depth] = unpack(w)
                         yield solution()
                 return
         for t, w in zip(packed, words):

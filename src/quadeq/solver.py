@@ -73,7 +73,8 @@ no diagram.
 The diagram the search finds is the certificate of a SAT answer: the search
 keeps the gluing it chose at each state of its path, and
 ``CancellationDiagrams.certificate`` replays them on letters that carry
-their positions, which gives the pairs of glued letters.  An orientable
+their positions, which gives the pairs of glued letters.  The search's
+cycles are packed words (``bytes``); the replay's are tuples of labels.  An orientable
 form's witness is built from those pairs (``_built_witness``): merging a face
 X p Y with a disc U p^-1 V leaves the face X V U Y = (w^-1 D w)(X p Y),
 w = U p^-1 X^-1, so each component's last face is a product of conjugates of
@@ -87,11 +88,11 @@ to the input's variables and checked.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from operator import itemgetter, xor
-from typing import Sequence
+from itertools import chain, compress
+from operator import itemgetter, mul, neg, xor
+from typing import Iterable, Sequence
 
 from .equations import EquationSystem, Equation
 from .oracle import SearchBound, is_satisfiable
@@ -102,7 +103,7 @@ from .standardize import (
     StandardForm,
     standardize,
 )
-from .words import Word, replay, solve_letter, substitute
+from .words import Word, least_rotation, pack, packed_inverse, replay, solve_letter, substitute
 
 
 class SolverError(ValueError):
@@ -119,24 +120,50 @@ class SolverError(ValueError):
 _CLEAN, _PENDING, _TWISTED = 0, 1, 2
 
 
-def _inverse(cycle: tuple[int, ...]) -> tuple[int, ...]:
+# The most states one instance may table as failed.  Its tables and caches
+# hold about STATE_BYTES per failed state (traced with tracemalloc on the
+# spacer forms of N=2, B=3 and 4: 3.4-4.1 kB), so the cap keeps them under
+# about 256 MB.  The largest single search known, the spacer form (3,1,1,1)
+# with N=2 and B=3, tables 7,516.
+STATE_BYTES = 4_000
+MAX_STATES = (256 << 20) // STATE_BYTES
+
+
+class SearchLimitError(SolverError):
+    """The diagram search tabled MAX_STATES states without a verdict."""
+
+
+def _inverse_labels(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([x ^ 1 for x in reversed(cycle)])
 
 
-def _least_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    m, n, twice = min(cycle), len(cycle), cycle + cycle
-    return min([twice[i:i + n] for i, x in enumerate(cycle) if x == m])
+_second = itemgetter(1)
+
+
+class _Memo(dict):
+    """A dict that fills in a missing key with ``fn(key)``."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def _gluings(state: Sequence[tuple], view: Sequence[tuple], pivot: tuple[int, int, int],
-             orientable: bool, only: tuple[int, int, int] | None = None):
+             orientable: bool, left: int, invert=packed_inverse,
+             only: tuple[int, int, int] | None = None):
     """(partner, cost, status, cycles, other clusters) for each way to glue
     the pivot letter to a partner, or only to the partner ``only``, by the
     rules of the module docstring; the cycles are what is left, nonempty, of
-    the pivot's cluster, and have that status.
+    the pivot's cluster, and have that status.  Gluings that cost more than
+    ``left`` before the closing crosscap are skipped before their cycles are
+    built.
 
     Positions are (cluster, cycle, offset).  ``view`` is ``state`` with
-    packed letters, which decide the partners; only slices and inversions
+    packed letters, which decide the partners; only slices and ``invert``
     act on the letters of ``state``, so they may carry labels.
     """
     handle = 1 if orientable else 2
@@ -146,67 +173,78 @@ def _gluings(state: Sequence[tuple], view: Sequence[tuple], pivot: tuple[int, in
     c = cycles[yi]
     p = view[ci][1][yi][pos]
     a = c[pos + 1:] + c[:pos]  # c = p a
-    others = [cl for i, cl in enumerate(state) if i != ci]
-    for cj, (_, viewed) in enumerate(view):
-        for yj, letters in enumerate(viewed):
-            for t, q in enumerate(letters):
-                if q != p ^ 1 and (orientable or q != p):
+    others = [*state[:ci], *state[ci + 1:]]
+    partners = [only]
+    if only is None:
+        partners = []
+        for cj, (_, viewed) in enumerate(view):
+            for yj, letters in enumerate(viewed):
+                if cj == ci and yj != yi and handle > left:
                     continue
-                if only and only != (cj, yj, t):
+                for q in (p ^ 1,) if orientable else (p ^ 1, p):
+                    t = letters.find(q)
+                    while t >= 0:
+                        partners.append((cj, yj, t))
+                        t = letters.find(q, t + 1)
+        if not orientable:
+            partners.sort()
+    kept = cycles[:yi] + cycles[yi + 1:]  # the pivot cluster's other cycles
+    for cj, yj, t in partners:
+        q = view[cj][1][yj][t]
+        if cj == ci:
+            rest = others.copy()
+            if yj == yi:
+                if t == pos or q == p and left < 1:
                     continue
-                if cj == ci:
-                    rest = others.copy()
-                    if yj == yi:
-                        if t == pos:
-                            continue
-                        u = (t - pos - 1) % len(c)
-                        head, tail = a[:u], a[u + 1:]  # c = p head q tail
-                        if q == p:
-                            new, st, cost = [head + _inverse(tail)], _TWISTED, 1
-                        else:
-                            new, st, cost = [head, tail], status, 0
-                    else:
-                        d = cycles[yj]
-                        b = d[t + 1:] + d[:t]  # d = q b
-                        cost = handle
-                        if q == p:
-                            new, st = [a + _inverse(b)], _TWISTED
-                        elif orientable:
-                            new, st = [a + b], status
-                        else:
-                            new, st = [a + b], max(status, _PENDING)
-                    new += [e for k, e in enumerate(cycles) if k != yi and k != yj]
+                u = (t - pos - 1) % len(c)
+                head, tail = a[:u], a[u + 1:]  # c = p head q tail
+                if q == p:
+                    new, st, cost = (head + invert(tail),), _TWISTED, 1
                 else:
-                    at = cj - (cj > ci)  # the partner's cluster in others
-                    rest = others[:at] + others[at + 1:]
-                    status2, cycles2 = state[cj]
-                    d = cycles2[yj]
-                    b = d[t + 1:] + d[:t]
-                    other = [e for k, e in enumerate(cycles2) if k != yj]
-                    cost = 0
-                    if q == p:
-                        new = [a + _inverse(b)] + list(map(_inverse, other))
-                        st = max(status, status2, _PENDING)
-                    else:
-                        new, st = [a + b] + other, max(status, status2)
-                    new += [e for k, e in enumerate(cycles) if k != yi]
-                new = [e for e in new if e]
-                if not new:
-                    cost += closing[st]
-                yield (cj, yj, t), cost, st, new, rest
+                    new, st, cost = (head, tail), status, 0
+                new = [*filter(None, new), *kept]
+            else:
+                d = cycles[yj]
+                b = d[t + 1:] + d[:t]  # d = q b
+                cost = handle
+                if q == p:
+                    e, st = a + invert(b), _TWISTED
+                elif orientable:
+                    e, st = a + b, status
+                else:
+                    e, st = a + b, max(status, _PENDING)
+                k = yj - (yj > yi)  # the partner's cycle in kept
+                new = [e, *kept[:k], *kept[k + 1:]] if e else [*kept[:k], *kept[k + 1:]]
+        else:
+            at = cj - (cj > ci)  # the partner's cluster in others
+            rest = others[:at] + others[at + 1:]
+            status2, cycles2 = state[cj]
+            d = cycles2[yj]
+            b = d[t + 1:] + d[:t]
+            other = cycles2[:yj] + cycles2[yj + 1:]
+            cost = 0
+            if q == p:
+                e, other = a + invert(b), map(invert, other)
+                st = max(status, status2, _PENDING)
+            else:
+                e, st = a + b, max(status, status2)
+            new = [e, *other, *kept] if e else [*other, *kept]
+        if not new:
+            cost += closing[st]
+        yield (cj, yj, t), cost, st, new, rest
 
 
 class CancellationDiagrams:
     """Least-cost search over cancellation diagrams of the coefficient discs.
 
     A search state is the multiset of open clusters, each a status and the
-    multiset of its boundary cycles: tuples of letters packed as
-    ``2*sym + (sign < 0)``.  Every disc starts as a clean cluster with one
-    cycle, and each step glues a pivot letter to one of its partners by the
-    rules of the module docstring (``_gluings``).  Genus is charged as soon as
-    it appears -- a handle costs 1 in an orientable form and 2 in a
-    non-orientable one, a crosscap 1 -- and a pending cluster pays its last
-    crosscap when it closes, which adds up to the cost table.
+    multiset of its boundary cycles: packed words (``words.pack``), so
+    ``bytes``.  Every disc starts as a clean cluster with one cycle, and each
+    step glues a pivot letter to one of its partners by the rules of the
+    module docstring (``_gluings``).  Genus is charged as soon as it appears
+    -- a handle costs 1 in an orientable form and 2 in a non-orientable one,
+    a crosscap 1 -- and a pending cluster pays its last crosscap when it
+    closes, which adds up to the cost table.
 
     States are canonical: cycles by least rotation, a twisted cluster's
     cycles each up to inversion, a pending cluster up to inverting all its
@@ -215,17 +253,18 @@ class CancellationDiagrams:
     flip depends on its orientation.)  The instance keeps a table of the
     largest budget proven infeasible per state across ``solvable_within``
     calls, so rising budgets reuse it, and each call tries each distinct
-    (cost, state) child once.  The pivot is a letter with the fewest
-    partners, on the shortest cycle among those.  For each state on the path
-    of the diagram found last it keeps the gluing it chose there, which
-    ``certificate`` replays.  Children of budget 0 that no set of whole
-    clusters balances (the cut of the module docstring) are dropped; they
-    have no diagram, so the diagram found, and its certificate, do not
-    depend on the cut.  In a non-orientable form the mod-2 cut of the module
-    docstring drops children with at most 1 left whose cycles lie outside the
-    span of the other clusters' contents mod 2, each content mod 2 a bit
-    mask of symbols, cached per cycle; it keeps the diagram found for the
-    same reason.
+    (cost, state) child once; the search itself is set up once per instance.
+    The pivot is a letter with the fewest partners, on the shortest cycle
+    among those.  For each state on the path of the diagram found last it
+    keeps the gluing it chose there, which ``certificate`` replays.  Children
+    of budget 0 that no set of whole clusters balances (the cut of the module
+    docstring) are dropped; they have no diagram, so the diagram found, and
+    its certificate, do not depend on the cut.  In a non-orientable form the
+    mod-2 cut of the module docstring drops children with at most 1 left
+    whose cycles lie outside the span of the other clusters' contents mod 2,
+    each content mod 2 a bit mask of symbols, cached per cycle; it keeps the
+    diagram found for the same reason.  A search that tables MAX_STATES
+    states as failed raises SearchLimitError.
     """
 
     def __init__(self, coefficients: Sequence[Word], kind: str):
@@ -233,140 +272,154 @@ class CancellationDiagrams:
             if len(w) == 0 or not w.is_cyclically_reduced():
                 raise SolverError("coefficients must be nonempty and cyclically reduced")
         self.kind = kind
-        self.cycles = [tuple([2 * g.sym + (g.sign < 0) for g in w]) for w in coefficients]
+        self.cycles = [pack(w) for w in coefficients]
         self.n = sum(map(len, self.cycles))
         self._failed: dict[tuple, int] = {}   # state -> largest budget proven infeasible
         # state -> (budget, pivot, partner, child) on the path of the last diagram found
         self._chosen: dict[tuple, tuple] = {}
-        self._forms: dict[tuple, tuple] = {}  # cycle -> least rotations of it and of its inverse
-        self._mirrors: dict[tuple, tuple] = {}  # clean cluster -> the cluster inverted
-        # cycle -> its content, packed by ``solvable_within``; mod 2 in a non-orientable form
-        self._contents: dict[tuple, int] = {}
-
-    def balanced(self) -> bool:
-        """Can every letter be glued?  Inverse letters pair up in an
-        orientable form; any two letters of a symbol in a non-orientable one."""
-        count = Counter(x for c in self.cycles for x in c)
-        if self.kind == ORIENTABLE:
-            return all(count[x] == count[x ^ 1] for x in count)
-        return all((count[x] + count[x ^ 1]) % 2 == 0 for x in count)
+        self._within = None  # budget -> bool, set up by the first search
 
     def solvable_within(self, budget: int) -> bool:
         """Does some diagram cost at most ``budget``?"""
-        if self.n == 0:
-            return budget >= 0
-        if self.n % 2 or not self.balanced():
-            return False
+        if self._within is None:
+            self._within = self._setup()
+        return self._within(budget)
+
+    def _setup(self):
+        """The search of ``solvable_within``, as a function of the budget."""
+        n, joined = self.n, b"".join(self.cycles)
+        if n == 0:
+            return lambda budget: budget >= 0
+        letters = range(2 * (max(joined) // 2 + 1))
+        count = [joined.count(x) for x in letters]
         orientable = self.kind == ORIENTABLE
-        failed, chosen, forms, mirrors = self._failed, self._chosen, self._forms, self._mirrors
-        contents = self._contents
-        symbols = max(x for c in self.cycles for x in c) // 2 + 1
+        # can every letter be glued?  Inverse letters pair up in an
+        # orientable form; any two letters of a symbol in a non-orientable one
+        if n % 2 or any(count[x] != count[x ^ 1] if orientable else (count[x] + count[x ^ 1]) % 2
+                        for x in letters):
+            return lambda budget: False
+        failed, chosen = self._failed, self._chosen
         if orientable:
             # a content as one integer, the exponent sum of symbol s times
             # base^s: sums of contents have exponents within +-n, so the
             # integer is exact
-            base = 2 * self.n + 1
-            weight = [(-1) ** (x & 1) * base ** (x >> 1) for x in range(2 * symbols)]
+            base = 2 * n + 1
+            weight = [(-1) ** (x & 1) * base ** (x >> 1) for x in letters]
             total = sum
+
+            def tally(c: bytes) -> int:
+                return sum(map(mul, weight, map(c.count, letters)))
         else:
             # a content mod 2 as a bit mask, bit s for symbol s
-            weight = [1 << (x >> 1) for x in range(2 * symbols)]
+            weight = [1 << (x >> 1) for x in letters]
 
-            def total(vs: list[int]) -> int:
+            def total(vs: Iterable[int]) -> int:
                 return reduce(xor, vs, 0)
 
-        def form(c: tuple) -> tuple:
-            f = forms.get(c)
-            if f is None:
-                f = forms[c] = (_least_rotation(c), _least_rotation(_inverse(c)))
-            return f
+            def tally(c: bytes) -> int:  # the weights of the letters that c has an odd count of
+                return total(compress(weight, map((1).__and__, map(c.count, letters))))
 
-        def content(c: tuple) -> int:
-            v = contents.get(c)
-            if v is None:
-                v = contents[c] = total([weight[x] for x in c])
-            return v
+        def rotate(c: bytes) -> bytes:
+            i = least_rotation(c)
+            return c[i:] + c[:i]
 
-        def closable(clusters: list[Sequence[tuple]]) -> bool:
+        # cycle -> its least rotation, and that of its inverse
+        rotation = _Memo(rotate).__getitem__
+        mirrored = _Memo(lambda c: rotate(packed_inverse(c))).__getitem__
+        content = _Memo(tally).__getitem__  # cycle -> its content; mod 2 in a non-orientable form
+        whole = _Memo(lambda cycles: total(map(content, cycles))).__getitem__  # of a cluster
+        # cluster -> the cluster inverted, when it is clean
+        mirror = _Memo(lambda cl: (_CLEAN, tuple(sorted(map(mirrored, cl[1]))))
+                       if cl[0] == _CLEAN else cl).__getitem__
+
+        # A gluing removes two letters whose contents cancel (mod 2 in a
+        # non-orientable form), so the clusters it joins keep their content,
+        # which children take from the state.  The contents of all clusters
+        # of a state add up to 0, as the root's do by the balance test, so
+        # the other clusters balance the cycle of a one-cycle cluster, and
+        # both cuts test only the cycles of the other clusters.
+
+        def closable(clusters: list[Sequence[bytes]], totals: list[int]) -> bool:
             """Does some set of other clusters balance each cycle?"""
-            cycles = [[content(c) for c in cycles] for cycles in clusters]
-            totals = [sum(vs) for vs in cycles]
-            for i, vs in enumerate(cycles):
-                sums = {0}
-                for j, t in enumerate(totals):
-                    if t and j != i:
-                        sums |= {v + t for v in sums}
-                if any(-v not in sums for v in vs):
-                    return False
+            for i, cycles in enumerate(clusters):
+                if len(cycles) > 1:
+                    sums = {0}
+                    for j, t in enumerate(totals):
+                        if t and j != i:
+                            sums |= {v + t for v in sums}
+                    if not sums.issuperset(map(neg, map(content, cycles))):
+                        return False
             return True
 
-        def spanned(clusters: list[Sequence[tuple]]) -> bool:
+        def spanned(clusters: list[Sequence[bytes]], totals: list[int]) -> bool:
             """Is each cycle, mod 2, in the span of the other clusters?"""
-            cycles = [[content(c) for c in cycles] for cycles in clusters]
-            totals = [total(vs) for vs in cycles]
-            for i, vs in enumerate(cycles):
-                basis: list[int] = []  # an XOR basis, leading bits distinct
-                for j, t in enumerate(totals):
-                    if j != i:
+            for i, cycles in enumerate(clusters):
+                if len(cycles) > 1:
+                    basis: list[int] = []  # an XOR basis, leading bits distinct
+                    for j, t in enumerate(totals):
+                        if j != i:
+                            for b in basis:
+                                t = min(t, t ^ b)
+                            if t:
+                                basis.append(t)
+                    for v in map(content, cycles):
                         for b in basis:
-                            t = min(t, t ^ b)
-                        if t:
-                            basis.append(t)
-                for v in vs:
-                    for b in basis:
-                        v = min(v, v ^ b)
-                    if v:
-                        return False
+                            v = min(v, v ^ b)
+                        if v:
+                            return False
             return True
 
         # the cut: what may be left over when it applies, and its test
         tight, cut = (0, closable) if orientable else (1, spanned)
 
-        def cluster(status: int, cycles: list[tuple]) -> tuple:
-            fs = [form(c) for c in cycles]
+        def passes(state: tuple, ci: int, cj: int, new: list[bytes], rest: list[tuple]) -> bool:
+            """Does the child that gluing clusters ci and cj of ``state``
+            leaves, the cycles ``new`` and the clusters ``rest``, pass the cut?"""
+            clusters = [new, *map(_second, rest)]
+            if max(map(len, clusters)) <= 1:
+                return True
+            merged = whole(state[ci][1])
+            if cj != ci:
+                merged = total((merged, whole(state[cj][1])))
+            return cut(clusters, [merged, *map(whole, clusters[1:])])
+
+        def cluster(status: int, cycles: list[bytes]) -> tuple:
             if status == _TWISTED:
-                return status, tuple(sorted(map(min, fs)))
-            key = tuple(sorted([f[0] for f in fs]))
+                return status, tuple(sorted(map(min, map(rotation, cycles), map(mirrored, cycles))))
+            key = tuple(sorted(map(rotation, cycles)))
             if status == _PENDING:
-                key = min(key, tuple(sorted([f[1] for f in fs])))
+                key = min(key, tuple(sorted(map(mirrored, cycles))))
             return status, key
 
         def canonical(clusters: list[tuple]) -> tuple:
             state = tuple(sorted(clusters))
-            if all(s != _CLEAN for s, _ in clusters):
+            if not state or state[0][0] != _CLEAN:  # clean clusters sort first
                 return state
-            mirror = []
-            for cl in clusters:
-                if cl[0] == _CLEAN:
-                    m = mirrors.get(cl)
-                    if m is None:
-                        m = mirrors[cl] = (_CLEAN, tuple(sorted([form(c)[1] for c in cl[1]])))
-                    cl = m
-                mirror.append(cl)
-            return min(state, tuple(sorted(mirror)))
+            return min(state, tuple(sorted(map(mirror, clusters))))
 
         def children(state: tuple, left: int) -> tuple[tuple, dict]:
             """The pivot, and (cost, state) -> partner for each gluing of the
             pivot that fits in ``left`` and leaves a child that passes the
             cut when at most ``tight`` is left."""
-            count = Counter([x for _, cycles in state for c in cycles for x in c])
-            if orientable:
-                partners = {x: count[x ^ 1] for x in count}
-            else:
-                partners = {x: count[x] + count[x ^ 1] - 1 for x in count}
-            least = min(partners.values())
-            size = self.n + 1
+            # a letter's partners are the other letters of its symbol in a
+            # non-orientable form, and half its symbol's letters in an
+            # orientable one, where a letter and its inverse are equally
+            # many in every state: the rarest symbols have the fewest
+            joined = b"".join(chain.from_iterable(map(_second, state)))
+            symbols = [joined.count(x) + joined.count(x + 1) for x in letters[::2]]
+            least = min(filter(None, symbols))
+            fewest = [x for x in letters if symbols[x >> 1] == least]
+            size = n + 1
             for i, (_, cycles) in enumerate(state):
                 for j, c in enumerate(cycles):
                     if len(c) < size:
-                        for k, x in enumerate(c):
-                            if partners[x] == least:
-                                size, pivot = len(c), (i, j, k)
-                                break
+                        at = [k for k in map(c.find, fewest) if k >= 0]
+                        if at:
+                            size, pivot = len(c), (i, j, min(at))
             out = {}
-            for partner, cost, st, new, rest in _gluings(state, state, pivot, orientable):
-                if cost > left or left - cost <= tight and not cut(
-                        [new] + [cycles for _, cycles in rest]):
+            for partner, cost, st, new, rest in _gluings(state, state, pivot, orientable, left):
+                if cost > left or left - cost <= tight and not passes(
+                        state, pivot[0], partner[0], new, rest):
                     continue
                 if new:
                     rest.append(cluster(st, new))
@@ -384,11 +437,17 @@ class CancellationDiagrams:
                     chosen[state] = (left, pivot, moves[cost, child], child)
                     return True
             failed[state] = left
+            if len(failed) >= MAX_STATES:
+                raise SearchLimitError(f"the diagram search tabled {len(failed)} states")
             return False
 
         root = canonical([cluster(_CLEAN, [c]) for c in self.cycles])
-        last = chosen.get(root)
-        return (last is not None and last[0] <= budget) or search(root, budget)
+
+        def within(budget: int) -> bool:
+            last = chosen.get(root)
+            return (last is not None and last[0] <= budget) or search(root, budget)
+
+        return within
 
     def min_genus(self, cutoff: int, start: int = 0) -> int | None:
         """Least budget in ``start..cutoff`` that some diagram fits, or None."""
@@ -400,10 +459,11 @@ class CancellationDiagrams:
 
         The descent replays the gluings ``solvable_within`` chose on the path
         of the diagram it found, on states whose letters carry their identity:
-        letter i of the discs is ``2*i``, and ``2*i + 1`` once it is read
-        inverted, so ``_gluings`` acts on it as on a packed letter.  After each
-        gluing the state is put in the search's canonical arrangement, where
-        the next chosen gluing applies; no state is searched again.
+        labels, tuples of ints, since they reach 2n.  Letter i of the discs is
+        ``2*i``, and ``2*i + 1`` once it is read inverted, so ``_gluings``
+        acts on it as on a packed letter.  After each gluing the state is put
+        in the search's canonical arrangement, where the next chosen gluing
+        applies; no state is searched again.
         """
         if not self.solvable_within(budget):
             return None
@@ -417,50 +477,59 @@ class CancellationDiagrams:
             inverted, each as (packed view, labelled cycle)."""
             f = turns.get(c)
             if f is None:
-                v = tuple([packed[x] for x in c])
+                v = bytes(map(packed.__getitem__, c))
                 f = []
-                for w, d in ((v, c), (_inverse(v), _inverse(c))):
-                    n, twice, m = len(w), w + w, min(w)
-                    r, i = min([(twice[i:i + n], i) for i, x in enumerate(w) if x == m])
-                    f.append((r, d[i:] + d[:i]))
+                for w, d in ((v, c), (packed_inverse(v), _inverse_labels(c))):
+                    i = least_rotation(w)
+                    f.append((w[i:] + w[:i], d[i:] + d[:i]))
                 f = turns[c] = turns[f[0][1]] = tuple(f)
                 turns[f[1][1]] = f[::-1]
             return f
 
-        def arranged(clusters: list[tuple]) -> tuple[tuple, list[tuple]]:
+        def arrange(cl: tuple) -> tuple:
+            """A labelled cluster read forward and with every cycle inverted,
+            each as ((status, views), (status, labelled cycles)): the rules of
+            ``solvable_within``'s ``cluster``, applied to (packed view,
+            labelled cycle) pairs and decided by the views."""
+            st, cycles = cl
+            fs = list(map(turned, cycles))
+            if st == _TWISTED:
+                a = b = sorted(map(min, fs))
+            else:
+                a, b = sorted(map(itemgetter(0), fs)), sorted(map(_second, fs))
+                if st == _PENDING:
+                    if [v for v, _ in b] < [v for v, _ in a]:
+                        a = b
+                    b = a
+            (va, la), (vb, lb) = zip(*a), zip(*b)
+            return ((st, va), (st, la)), ((st, vb), (st, lb))
+
+        arrangement = _Memo(arrange).__getitem__  # labelled cluster -> its arrangements
+
+        def arranged(clusters: list[tuple]) -> tuple[tuple, tuple]:
             """The canonical state that labelled clusters read as, and the
-            clusters in its order, rotations and orientations: the rules of
-            ``solvable_within``'s ``cluster`` and ``canonical``, applied to
-            (packed view, labelled cycle) pairs and decided by the views."""
-            plain, mirror = [], []
-            for st, cycles in clusters:
-                fs = [turned(c) for c in cycles]
-                if st == _TWISTED:
-                    a = b = sorted(map(min, fs))
-                else:
-                    a, b = sorted([f[0] for f in fs]), sorted([f[1] for f in fs])
-                    if st == _PENDING:
-                        if [v for v, _ in b] < [v for v, _ in a]:
-                            a = b
-                        b = a
-                plain.append(((st, tuple([v for v, _ in a])), (st, tuple([c for _, c in a]))))
-                mirror.append(((st, tuple([v for v, _ in b])), (st, tuple([c for _, c in b]))))
-            plain.sort()
-            mirror.sort()
-            if [v for v, _ in mirror] < [v for v, _ in plain]:
-                plain = mirror
-            return tuple([v for v, _ in plain]), [c for _, c in plain]
+            clusters in its order, rotations and orientations: the rule of
+            ``solvable_within``'s ``canonical``."""
+            if not clusters:
+                return (), ()
+            plain, mirror = (zip(*sorted(x)) for x in zip(*map(arrangement, clusters)))
+            views, labelled = plain
+            mirror_views, mirror_labelled = mirror
+            if mirror_views < views:
+                return mirror_views, mirror_labelled
+            return views, labelled
 
         ids = iter(range(0, 2 * self.n, 2))
-        view, state = arranged([(_CLEAN, [tuple(next(ids) for _ in c)]) for c in self.cycles])
+        view, state = arranged([(_CLEAN, (tuple(next(ids) for _ in c),)) for c in self.cycles])
         pairs = []
         while state:
-            _, pivot, partner, child = self._chosen[view]
-            _, _, st, new, rest = next(_gluings(state, view, pivot, orientable, partner))
+            left, pivot, partner, child = self._chosen[view]
+            _, _, st, new, rest = next(_gluings(state, view, pivot, orientable, left,
+                                                _inverse_labels, partner))
             (ci, yi, pos), (cj, yj, t) = pivot, partner
             pairs.append((where[state[ci][1][yi][pos] >> 1], where[state[cj][1][yj][t] >> 1]))
             if new:
-                rest.append((st, new))
+                rest.append((st, tuple(new)))
             view, state = arranged(rest)
             if view != child:
                 raise AssertionError("internal: the descent left the path of the diagram found")
@@ -507,7 +576,7 @@ class SolveResult:
     none.  It is always 0 for orientable relators, whose witnesses are built
     from their diagrams."""
 
-    status: str  # "sat" | "unsat" | "bound_exceeded"
+    status: str  # "sat" | "unsat" | "bound_exceeded" | "inconclusive"
     witness: dict[str, Word] | None
     bound_used: int
 
@@ -721,7 +790,9 @@ def solve_quadratic(
 
     UNSAT verdicts are complete (diagram search is finite); the bound only
     caps the oracle's witness search for non-orientable equations,
-    defaulting to the cited free-group bound (``default_bound``).
+    defaulting to the cited free-group bound (``default_bound``).  A
+    diagram search that reaches MAX_STATES leaves the verdict
+    ``inconclusive``.
     """
     if not system.is_quadratic():
         raise SolverError("system is not quadratic")
@@ -734,8 +805,11 @@ def solve_quadratic(
     for rel in relators:
         nz = standardize(EquationSystem(system.gens, system.variables, (Equation(rel),)))
         diag = _diagrams(nz.form)
-        if not diag.solvable_within(nz.form.genus):
-            return SolveResult("unsat", None, used_bound)
+        try:
+            if not diag.solvable_within(nz.form.genus):
+                return SolveResult("unsat", None, used_bound)
+        except SearchLimitError:
+            return SolveResult("inconclusive", None, used_bound)
         found, ell = _witness(nz.form, diag, nz.system, bound)
         used_bound = max(used_bound, ell)
         if found is None:

@@ -6,9 +6,16 @@ immutable value: words, cyclic words and decompositions can be shared freely.
 
 The canonical letter order is ``a < a^-1 < b < b^-1 < ...`` in declaration
 order of the alphabet; it drives cyclic-word canonicalization and the
-length-lex enumeration used by the oracle.  It is the integer order of
-letters packed as ``2*sym + (sign < 0)``, the form the diagram search and
-the oracle work on.
+length-lex enumeration used by the oracle.
+
+Packed words.  The diagram search and the oracle work on words packed as
+``bytes``, letter ``2*sym + (sign < 0)`` (``pack``, ``unpack``), so the
+inverse of a letter is ``x ^ 1``.  With at most MAX_GENERATORS = 64 symbols
+every packed letter is below 128, and bytes compare, sort, slice and
+concatenate exactly as tuples of those ints do; the integer order is the
+canonical letter order, so a packed word's order is ``Word.key``'s.  Bytes
+also cache their hash, and reversal, ``translate``, ``count`` and ``find``
+run in C.
 """
 
 from __future__ import annotations
@@ -198,9 +205,6 @@ class Word:
     def key(self) -> tuple:
         return (len(self._letters), tuple(g.key for g in self._letters))
 
-    def symbols(self) -> set[int]:
-        return {g.sym for g in self._letters}
-
     def count(self, sym: int) -> int:
         return sum(1 for g in self._letters if g.sym == sym)
 
@@ -276,13 +280,71 @@ def cyclic_normalize(w: Word) -> CyclicWord:
     core, _ = w.cyclic_reduce()
     if len(core) == 0:
         return CyclicWord(Word())
-    rots = [core.letters[i:] + core.letters[:i] for i in range(len(core))]
-    best = min(rots, key=lambda t: tuple(g.key for g in t))
-    return CyclicWord(Word._raw(best))
+    i = least_rotation(pack(core))
+    return CyclicWord(Word._raw(core.letters[i:] + core.letters[:i]))
 
 
 def cyclically_equal(u: Word, v: Word) -> bool:
     return cyclic_normalize(u) == cyclic_normalize(v)
+
+
+# --- packed words -------------------------------------------------------------
+
+# the letter of each packed value
+_LETTERS = tuple(Generator(p >> 1, -1 if p & 1 else 1) for p in range(2 * MAX_GENERATORS))
+# byte x -> x ^ 1, the inverse letter
+FLIP = bytes(x ^ 1 for x in range(256))
+
+
+def pack(w: Word) -> bytes:
+    """The packed letters of w."""
+    return bytes([2 * g.sym + (g.sign < 0) for g in w])
+
+
+def unpack(t: bytes) -> Word:
+    """The Word of a reduced packed word."""
+    return Word._raw(tuple([_LETTERS[p] for p in t]))
+
+
+def packed_inverse(t: bytes) -> bytes:
+    return t[::-1].translate(FLIP)
+
+
+def packed_product(*parts: bytes) -> bytes:
+    """Free reduction of the product of reduced packed words."""
+    out = bytearray()
+    for t in parts:
+        k = 0
+        while out and k < len(t) and out[-1] == t[k] ^ 1:
+            out.pop()
+            k += 1
+        out += t[k:]
+    return bytes(out)
+
+
+def packed_cyclic_reduce(t: bytes) -> tuple[bytes, bytes]:
+    """``(core, u)`` with ``t == u core u^-1``, core cyclically reduced."""
+    n, k = len(t), 0
+    while n - 2 * k >= 2 and t[k] == t[n - 1 - k] ^ 1:
+        k += 1
+    return t[k:n - k], t[:k]
+
+
+def least_rotation(t: bytes) -> int:
+    """Where the least rotation of the nonempty word t starts, the first
+    such place.  Only the starts of runs of the least letter m can win: a
+    rotation that starts inside a run reads fewer m's before a larger letter
+    than the one that starts at the run's start.  When t is m^k, 0."""
+    m, n, twice = min(t), len(t), t + t
+    best, start = None, 0
+    i = t.find(m)
+    while i >= 0:
+        if t[i - 1] != m:
+            r = twice[i:i + n]
+            if best is None or r < best:
+                best, start = r, i
+        i = t.find(m, i + 1)
+    return start
 
 
 @dataclass(frozen=True)

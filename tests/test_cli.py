@@ -479,3 +479,32 @@ def test_check_equivalence_sweep(capsys):
     )
     assert code == 0
     assert "verdict: agree" in out
+
+
+def _spacer_files(tmp_path):
+    """The paper's spacer form of items (2,2,2), N=2, B=3 (unsat at genus 0
+    after 648 tabled states), as a system file and a coefficient file."""
+    from quadeq.binpack import BinPackInstance, build_equation
+    from quadeq.standardize import standardize
+
+    system = build_equation(BinPackInstance((2, 2, 2), 2, 3))
+    form = standardize(system).form
+    words = [system.alphabet.format(c) for c in (*form.coefficients, form.tail)]
+    return (write(tmp_path, "eq.txt", system.render()),
+            write(tmp_path, "c.txt", f"gens: {' '.join(system.gens)}\n" + "\n".join(words) + "\n"))
+
+
+def test_state_cap_is_inconclusive(tmp_path, capsys, monkeypatch):
+    import quadeq.solver as sv
+
+    system, coefficients = _spacer_files(tmp_path)
+    code, out, _ = run(capsys, "solve", system)
+    assert code == 0 and "verdict: unsat" in out
+    code, out, _ = run(capsys, "genus", coefficients, "--at", "0")
+    assert code == 0 and "verdict: unsolvable" in out
+    monkeypatch.setattr(sv, "MAX_STATES", 100)
+    code, out, _ = run(capsys, "solve", system)
+    assert code == 3 and "verdict: inconclusive" in out
+    for at in (("--at", "0"), ()):
+        code, out, err = run(capsys, "genus", coefficients, *at)
+        assert code == 3 and "verdict: inconclusive" in out and err == ""

@@ -3,11 +3,14 @@ import random
 
 import pytest
 
-from quadeq.binpack import build_equation, exhaustive_pack, sweep_instances
+from quadeq import solver
+from quadeq.binpack import BinPackInstance, build_equation, exhaustive_pack, sweep_instances
 from quadeq.equations import parse_system
 from quadeq.oracle import SearchBound, is_satisfiable
 from quadeq.solver import (
     CancellationDiagrams,
+    SearchLimitError,
+    SolveResult,
     SolverError,
     _commutators,
     _diagrams,
@@ -347,6 +350,17 @@ def test_spacer_forms_match_packing():
     assert verdicts == [exhaustive_pack(inst) is not None for inst in instances]
     assert sum(verdicts) == 11
 
+
+def test_state_cap_makes_the_verdict_inconclusive(monkeypatch):
+    # the spacer form of (2,2,2), N=2, B=3 is unsat after 648 tabled states
+    system = build_equation(BinPackInstance((2, 2, 2), 2, 3))
+    assert solve_quadratic(system).status == "unsat"
+    monkeypatch.setattr(solver, "MAX_STATES", 100)
+    assert solve_quadratic(system) == SolveResult("inconclusive", None, 0)
+    diag = _diagrams(standardize(system).form)
+    with pytest.raises(SearchLimitError):
+        diag.solvable_within(0)
+    assert len(diag._failed) == 100
 
 def _genus_words():
     """47 products of k commutators of random words of length 1..L, for

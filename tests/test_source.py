@@ -125,6 +125,30 @@ def test_no_unreferenced_definitions():
     assert found == []
 
 
+
+def _is_packing(node: ast.AST) -> bool:
+    """Is node ``2 * X.sym + (Y.sign < 0)``, the packed letter of words.pack?"""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    left, right = node.left, node.right
+    return (isinstance(left, ast.BinOp) and isinstance(left.op, ast.Mult)
+            and isinstance(left.left, ast.Constant) and left.left.value == 2
+            and isinstance(left.right, ast.Attribute) and left.right.attr == "sym"
+            and isinstance(right, ast.Compare) and isinstance(right.ops[0], ast.Lt)
+            and isinstance(right.left, ast.Attribute) and right.left.attr == "sign"
+            and isinstance(right.comparators[0], ast.Constant) and right.comparators[0].value == 0)
+
+
+def test_letter_packing_has_one_owner():
+    # a packed letter is spelled out only in words.pack; docstrings may show it
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted(SRC.glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if _is_packing(n)]
+    assert [f.split(":")[0] for f in found] == ["words.py"]
+
 # the modules the benchmark imports; its setup_s times their import
 SOLVE_PATH = ("words", "parsing", "equations", "oracle", "standardize", "solver")
 

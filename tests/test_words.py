@@ -10,10 +10,16 @@ from quadeq.words import (
     cyclic_normalize,
     cyclically_equal,
     is_proper_power,
+    least_rotation,
+    pack,
+    packed_cyclic_reduce,
+    packed_inverse,
+    packed_product,
     reduce,
     root_of,
     substitute,
     u_decompose,
+    unpack,
 )
 
 AB = Alphabet(("a", "b", "c"))
@@ -114,6 +120,54 @@ def test_cyclically_equal():
     assert cyclically_equal(W("a", "b"), W("b", "a"))
     assert not cyclically_equal(W("a", "b"), W("a", "-b"))
 
+
+
+# --- packed words ----------------------------------------------------------
+
+@given(raw_words)
+def test_pack_round_trip(seq):
+    w = reduce(seq)
+    assert unpack(pack(w)) == w
+    assert list(pack(w)) == [2 * sym + (sign < 0) for sym, sign in w]
+
+
+@given(raw_words)
+def test_packed_inverse_is_the_word_inverse(seq):
+    w = reduce(seq)
+    assert packed_inverse(pack(w)) == pack(w.inverse())
+
+
+@given(raw_words, raw_words, raw_words)
+def test_packed_product_is_the_word_product(s1, s2, s3):
+    u, v, w = reduce(s1), reduce(s2), reduce(s3)
+    assert packed_product(pack(u), pack(v), pack(w)) == pack(u * v * w)
+    assert packed_product() == b""
+
+
+@given(raw_words)
+def test_packed_cyclic_reduce_is_the_word_one(seq):
+    w = reduce(seq)
+    core, u = w.cyclic_reduce()
+    assert packed_cyclic_reduce(pack(w)) == (pack(core), pack(u))
+
+
+def _least_rotation_naive(t):
+    rotations = [t[i:] + t[:i] for i in range(len(t))]
+    return rotations.index(min(rotations))
+
+
+@given(raw_words, st.integers(1, 4))
+def test_least_rotation_is_the_first_least(seq, k):
+    t = pack(reduce(seq)) * k  # powers have several least rotations
+    if t:
+        assert least_rotation(t) == _least_rotation_naive(t)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_least_rotation_of_a_power_of_a_letter(k):
+    t = pack(W("b")) * k
+    assert least_rotation(t) == 0
+    assert least_rotation(pack(W("b", "a")) * k) == 1
 
 # --- powers and roots -------------------------------------------------------
 
