@@ -91,7 +91,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress
-from operator import itemgetter, mul, neg, xor
+import operator
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .equations import EquationSystem, Equation
@@ -305,19 +306,20 @@ class CancellationDiagrams:
             # integer is exact
             base = 2 * n + 1
             weight = [(-1) ** (x & 1) * base ** (x >> 1) for x in letters]
-            total = sum
+            add, opposite = operator.add, operator.neg
 
             def tally(c: bytes) -> int:
-                return sum(map(mul, weight, map(c.count, letters)))
+                return sum(map(operator.mul, weight, map(c.count, letters)))
         else:
-            # a content mod 2 as a bit mask, bit s for symbol s
+            # a content mod 2 as a bit mask, bit s for symbol s, added by XOR
             weight = [1 << (x >> 1) for x in letters]
-
-            def total(vs: Iterable[int]) -> int:
-                return reduce(xor, vs, 0)
+            add, opposite = operator.xor, operator.pos
 
             def tally(c: bytes) -> int:  # the weights of the letters that c has an odd count of
                 return total(compress(weight, map((1).__and__, map(c.count, letters))))
+
+        def total(vs: Iterable[int]) -> int:
+            return reduce(add, vs, 0)
 
         def rotate(c: bytes) -> bytes:
             i = least_rotation(c)
@@ -337,40 +339,27 @@ class CancellationDiagrams:
         # which children take from the state.  The contents of all clusters
         # of a state add up to 0, as the root's do by the balance test, so
         # the other clusters balance the cycle of a one-cycle cluster, and
-        # both cuts test only the cycles of the other clusters.
+        # the cut tests only the cycles of the other clusters.  Mod 2, the
+        # sums of subsets of the other clusters are their span.
 
-        def closable(clusters: list[Sequence[bytes]], totals: list[int]) -> bool:
+        def reachable(totals: tuple[int, ...]) -> set[int]:
+            """The sums of the subsets of ``totals``."""
+            sums = {0}
+            for t in totals:
+                sums |= {add(v, t) for v in sums}
+            return sums
+
+        reach = _Memo(reachable).__getitem__
+
+        def cut(clusters: list[Sequence[bytes]], totals: list[int]) -> bool:
             """Does some set of other clusters balance each cycle?"""
             for i, cycles in enumerate(clusters):
-                if len(cycles) > 1:
-                    sums = {0}
-                    for j, t in enumerate(totals):
-                        if t and j != i:
-                            sums |= {v + t for v in sums}
-                    if not sums.issuperset(map(neg, map(content, cycles))):
-                        return False
+                if len(cycles) > 1 and not reach(tuple(sorted(totals[:i] + totals[i + 1:]))).issuperset(
+                        map(opposite, map(content, cycles))):
+                    return False
             return True
 
-        def spanned(clusters: list[Sequence[bytes]], totals: list[int]) -> bool:
-            """Is each cycle, mod 2, in the span of the other clusters?"""
-            for i, cycles in enumerate(clusters):
-                if len(cycles) > 1:
-                    basis: list[int] = []  # an XOR basis, leading bits distinct
-                    for j, t in enumerate(totals):
-                        if j != i:
-                            for b in basis:
-                                t = min(t, t ^ b)
-                            if t:
-                                basis.append(t)
-                    for v in map(content, cycles):
-                        for b in basis:
-                            v = min(v, v ^ b)
-                        if v:
-                            return False
-            return True
-
-        # the cut: what may be left over when it applies, and its test
-        tight, cut = (0, closable) if orientable else (1, spanned)
+        tight = 0 if orientable else 1  # what may be left over when the cut applies
 
         def passes(state: tuple, ci: int, cj: int, new: list[bytes], rest: list[tuple]) -> bool:
             """Does the child that gluing clusters ci and cj of ``state``
