@@ -73,8 +73,7 @@ no diagram.
 The diagram the search finds is the certificate of a SAT answer: the search
 keeps the gluing it chose at each state of its path, and
 ``CancellationDiagrams.certificate`` replays them on letters that carry
-their positions, which gives the pairs of glued letters.  The search's
-cycles are packed words (``bytes``); the replay's are tuples of labels.  An orientable
+their positions, which gives the pairs of glued letters.  An orientable
 form's witness is built from those pairs (``_built_witness``): merging a face
 X p Y with a disc U p^-1 V leaves the face X V U Y = (w^-1 D w)(X p Y),
 w = U p^-1 X^-1, so each component's last face is a product of conjugates of
@@ -83,7 +82,8 @@ one interleaved couple at a time, as in the classification of surfaces,
 each couple a commutator of face pieces (``_commutators``).  Hurwitz moves
 put the conjugates in the form's order.  A non-orientable form's witness is
 the oracle's first solution within the bound.  Either is transported back
-to the input's variables and checked.
+to the input's variables and checked.  The search's cycles are packed words
+(``bytes``); the replay's are tuples of labels.
 """
 
 from __future__ import annotations
@@ -91,8 +91,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress
-import operator
-from operator import itemgetter
+from operator import add, itemgetter, mul, neg, pos, xor
 from typing import Iterable, Sequence
 
 from .equations import EquationSystem, Equation
@@ -144,13 +143,18 @@ _second = itemgetter(1)
 class _Memo(dict):
     """A dict that fills in a missing key with ``fn(key)``."""
 
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
+    __slots__ = ("fn",)
 
     def __missing__(self, key):
         value = self[key] = self.fn(key)
         return value
+
+
+def _memo(fn):
+    """``fn``, remembering each value it returns."""
+    memo = _Memo()
+    memo.fn = fn
+    return memo.__getitem__
 
 
 def _gluings(state: Sequence[tuple], view: Sequence[tuple], pivot: tuple[int, int, int],
@@ -239,13 +243,13 @@ class CancellationDiagrams:
     """Least-cost search over cancellation diagrams of the coefficient discs.
 
     A search state is the multiset of open clusters, each a status and the
-    multiset of its boundary cycles: packed words (``words.pack``), so
-    ``bytes``.  Every disc starts as a clean cluster with one cycle, and each
-    step glues a pivot letter to one of its partners by the rules of the
-    module docstring (``_gluings``).  Genus is charged as soon as it appears
-    -- a handle costs 1 in an orientable form and 2 in a non-orientable one,
-    a crosscap 1 -- and a pending cluster pays its last crosscap when it
-    closes, which adds up to the cost table.
+    multiset of its boundary cycles: packed words (``words.pack``), which
+    are ``bytes``.  Every disc starts as a clean cluster with one
+    cycle, and each step glues a pivot letter to one of its partners by the
+    rules of the module docstring (``_gluings``).  Genus is charged as soon as
+    it appears -- a handle costs 1 in an orientable form and 2 in a
+    non-orientable one, a crosscap 1 -- and a pending cluster pays its last
+    crosscap when it closes, which adds up to the cost table.
 
     States are canonical: cycles by least rotation, a twisted cluster's
     cycles each up to inversion, a pending cluster up to inverting all its
@@ -254,18 +258,19 @@ class CancellationDiagrams:
     flip depends on its orientation.)  The instance keeps a table of the
     largest budget proven infeasible per state across ``solvable_within``
     calls, so rising budgets reuse it, and each call tries each distinct
-    (cost, state) child once; the search itself is set up once per instance.
-    The pivot is a letter with the fewest partners, on the shortest cycle
-    among those.  For each state on the path of the diagram found last it
-    keeps the gluing it chose there, which ``certificate`` replays.  Children
-    of budget 0 that no set of whole clusters balances (the cut of the module
-    docstring) are dropped; they have no diagram, so the diagram found, and
-    its certificate, do not depend on the cut.  In a non-orientable form the
-    mod-2 cut of the module docstring drops children with at most 1 left
-    whose cycles lie outside the span of the other clusters' contents mod 2,
-    each content mod 2 a bit mask of symbols, cached per cycle; it keeps the
-    diagram found for the same reason.  A search that tables MAX_STATES
-    states as failed raises SearchLimitError.
+    (cost, state) child once; the search is set up once per instance, at its
+    first call.  The pivot is a letter with the fewest
+    partners, on the shortest cycle among those.  For each state on the path
+    of the diagram found last it keeps the gluing it chose there, which
+    ``certificate`` replays.  Children of budget 0 that no set of whole
+    clusters balances (the cut of the module docstring) are dropped; they
+    have no diagram, so the diagram found, and its certificate, do not
+    depend on the cut.  In a non-orientable form the mod-2 cut of the module
+    docstring drops children with at most 1 left whose cycles lie outside the
+    span of the other clusters' contents mod 2, each content mod 2 a bit
+    mask of symbols, cached per cycle; it keeps the diagram found for the
+    same reason.  A search that tables MAX_STATES states as failed raises
+    SearchLimitError.
     """
 
     def __init__(self, coefficients: Sequence[Word], kind: str):
@@ -306,33 +311,34 @@ class CancellationDiagrams:
             # integer is exact
             base = 2 * n + 1
             weight = [(-1) ** (x & 1) * base ** (x >> 1) for x in letters]
-            add, opposite = operator.add, operator.neg
+            plus, opposite = add, neg
 
             def tally(c: bytes) -> int:
-                return sum(map(operator.mul, weight, map(c.count, letters)))
+                return sum(map(mul, weight, map(c.count, letters)))
         else:
-            # a content mod 2 as a bit mask, bit s for symbol s, added by XOR
+            # a content mod 2 as a bit mask, bit s for symbol s: added by XOR,
+            # it is its own opposite
             weight = [1 << (x >> 1) for x in letters]
-            add, opposite = operator.xor, operator.pos
+            plus, opposite = xor, pos
 
             def tally(c: bytes) -> int:  # the weights of the letters that c has an odd count of
                 return total(compress(weight, map((1).__and__, map(c.count, letters))))
 
         def total(vs: Iterable[int]) -> int:
-            return reduce(add, vs, 0)
+            return reduce(plus, vs, 0)
 
         def rotate(c: bytes) -> bytes:
             i = least_rotation(c)
             return c[i:] + c[:i]
 
         # cycle -> its least rotation, and that of its inverse
-        rotation = _Memo(rotate).__getitem__
-        mirrored = _Memo(lambda c: rotate(packed_inverse(c))).__getitem__
-        content = _Memo(tally).__getitem__  # cycle -> its content; mod 2 in a non-orientable form
-        whole = _Memo(lambda cycles: total(map(content, cycles))).__getitem__  # of a cluster
+        rotation = _memo(rotate)
+        mirrored = _memo(lambda c: rotate(packed_inverse(c)))
+        content = _memo(tally)  # cycle -> its content; mod 2 in a non-orientable form
+        whole = _memo(lambda cycles: total(map(content, cycles)))  # of a cluster
         # cluster -> the cluster inverted, when it is clean
-        mirror = _Memo(lambda cl: (_CLEAN, tuple(sorted(map(mirrored, cl[1]))))
-                       if cl[0] == _CLEAN else cl).__getitem__
+        mirror = _memo(lambda cl: (_CLEAN, tuple(sorted(map(mirrored, cl[1]))))
+                       if cl[0] == _CLEAN else cl)
 
         # A gluing removes two letters whose contents cancel (mod 2 in a
         # non-orientable form), so the clusters it joins keep their content,
@@ -346,31 +352,30 @@ class CancellationDiagrams:
             """The sums of the subsets of ``totals``."""
             sums = {0}
             for t in totals:
-                sums |= {add(v, t) for v in sums}
+                sums |= {plus(v, t) for v in sums}
             return sums
 
-        reach = _Memo(reachable).__getitem__
-
-        def cut(clusters: list[Sequence[bytes]], totals: list[int]) -> bool:
-            """Does some set of other clusters balance each cycle?"""
-            for i, cycles in enumerate(clusters):
-                if len(cycles) > 1 and not reach(tuple(sorted(totals[:i] + totals[i + 1:]))).issuperset(
-                        map(opposite, map(content, cycles))):
-                    return False
-            return True
+        reach = _memo(reachable)
 
         tight = 0 if orientable else 1  # what may be left over when the cut applies
 
         def passes(state: tuple, ci: int, cj: int, new: list[bytes], rest: list[tuple]) -> bool:
             """Does the child that gluing clusters ci and cj of ``state``
-            leaves, the cycles ``new`` and the clusters ``rest``, pass the cut?"""
+            leaves, the cycles ``new`` and the clusters ``rest``, pass the
+            cut: does some set of other clusters balance each cycle?"""
             clusters = [new, *map(_second, rest)]
             if max(map(len, clusters)) <= 1:
                 return True
             merged = whole(state[ci][1])
             if cj != ci:
                 merged = total((merged, whole(state[cj][1])))
-            return cut(clusters, [merged, *map(whole, clusters[1:])])
+            totals = [merged, *map(whole, clusters[1:])]
+            for i, cycles in enumerate(clusters):
+                if len(cycles) > 1:
+                    others = reach(tuple(sorted(totals[:i] + totals[i + 1:])))
+                    if not others.issuperset(map(opposite, map(content, cycles))):
+                        return False
+            return True
 
         def cluster(status: int, cycles: list[bytes]) -> tuple:
             if status == _TWISTED:
@@ -493,7 +498,7 @@ class CancellationDiagrams:
             (va, la), (vb, lb) = zip(*a), zip(*b)
             return ((st, va), (st, la)), ((st, vb), (st, lb))
 
-        arrangement = _Memo(arrange).__getitem__  # labelled cluster -> its arrangements
+        arrangement = _memo(arrange)  # labelled cluster -> its arrangements
 
         def arranged(clusters: list[tuple]) -> tuple[tuple, tuple]:
             """The canonical state that labelled clusters read as, and the
