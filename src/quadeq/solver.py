@@ -357,25 +357,37 @@ class CancellationDiagrams:
 
         reach = _memo(reachable)
 
+        def sums_without(totals: list[int], i: int) -> set[int]:
+            """The sums of the subsets of ``totals`` other than totals[i]."""
+            return reach(tuple(sorted(totals[:i] + totals[i + 1:])))
+
+        def balanced(cycles: Sequence[bytes], sums: set[int]) -> bool:
+            return sums.issuperset(map(opposite, map(content, cycles)))
+
         tight = 0 if orientable else 1  # what may be left over when the cut applies
 
         def passes(state: tuple, ci: int, cj: int, new: list[bytes], rest: list[tuple]) -> bool:
-            """Does the child that gluing clusters ci and cj of ``state``
+            """Does the child that merging clusters ci and cj of ``state``
             leaves, the cycles ``new`` and the clusters ``rest``, pass the
             cut: does some set of other clusters balance each cycle?"""
             clusters = [new, *map(_second, rest)]
             if max(map(len, clusters)) <= 1:
                 return True
-            merged = whole(state[ci][1])
-            if cj != ci:
-                merged = total((merged, whole(state[cj][1])))
-            totals = [merged, *map(whole, clusters[1:])]
-            for i, cycles in enumerate(clusters):
-                if len(cycles) > 1:
-                    others = reach(tuple(sorted(totals[:i] + totals[i + 1:])))
-                    if not others.issuperset(map(opposite, map(content, cycles))):
-                        return False
-            return True
+            totals = [total((whole(state[ci][1]), whole(state[cj][1]))), *map(whole, clusters[1:])]
+            return all(len(cycles) == 1 or balanced(cycles, sums_without(totals, i))
+                       for i, cycles in enumerate(clusters))
+
+        def inside(state: tuple, ci: int) -> set[int]:
+            """A child that glues two letters of cluster ci keeps every
+            cluster's content, so the other clusters pass the cut as they do
+            in ``state``: the sums of the subsets of the clusters other than
+            ci, which the cycles of the new cluster must balance, or the
+            empty set when some other cluster fails."""
+            totals = [whole(cycles) for _, cycles in state]
+            if all(k == ci or len(cycles) == 1 or balanced(cycles, sums_without(totals, k))
+                   for k, (_, cycles) in enumerate(state)):
+                return sums_without(totals, ci)
+            return set()
 
         def cluster(status: int, cycles: list[bytes]) -> tuple:
             if status == _TWISTED:
@@ -410,11 +422,19 @@ class CancellationDiagrams:
                         at = [k for k in map(c.find, fewest) if k >= 0]
                         if at:
                             size, pivot = len(c), (i, j, min(at))
-            out = {}
+            out, ci, sums = {}, pivot[0], None
             for partner, cost, st, new, rest in _gluings(state, state, pivot, orientable, left):
-                if cost > left or left - cost <= tight and not passes(
-                        state, pivot[0], partner[0], new, rest):
+                if cost > left:
                     continue
+                if left - cost <= tight:
+                    if partner[0] != ci:
+                        if not passes(state, ci, partner[0], new, rest):
+                            continue
+                    else:
+                        if sums is None:
+                            sums = inside(state, ci)
+                        if not sums or not balanced(new, sums):
+                            continue
                 if new:
                     rest.append(cluster(st, new))
                 out[cost, canonical(rest)] = partner
