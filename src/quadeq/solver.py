@@ -345,8 +345,8 @@ class CancellationDiagrams:
         # which children take from the state.  The contents of all clusters
         # of a state add up to 0, as the root's do by the balance test, so
         # the other clusters balance the cycle of a one-cycle cluster, and
-        # the cut tests only the cycles of the other clusters.  Mod 2, the
-        # sums of subsets of the other clusters are their span.
+        # the cut tests only the cycles of clusters with more than one.
+        # Mod 2, the sums of subsets of the other clusters are their span.
 
         def reachable(totals: tuple[int, ...]) -> set[int]:
             """The sums of the subsets of ``totals``."""
@@ -362,14 +362,16 @@ class CancellationDiagrams:
             return reach(tuple(sorted(totals[:i] + totals[i + 1:])))
 
         def balanced(cycles: Sequence[bytes], sums: set[int]) -> bool:
+            """Is the opposite of each cycle's content in ``sums``?"""
             return sums.issuperset(map(opposite, map(content, cycles)))
 
         tight = 0 if orientable else 1  # what may be left over when the cut applies
 
         def passes(state: tuple, ci: int, cj: int, new: list[bytes], rest: list[tuple]) -> bool:
-            """Does the child that merging clusters ci and cj of ``state``
-            leaves, the cycles ``new`` and the clusters ``rest``, pass the
-            cut: does some set of other clusters balance each cycle?"""
+            """Does the child that a gluing across clusters ci and cj of
+            ``state`` leaves, the cycles ``new`` and the clusters ``rest``,
+            pass the cut: does some set of other clusters balance each
+            cycle?"""
             clusters = [new, *map(_second, rest)]
             if max(map(len, clusters)) <= 1:
                 return True

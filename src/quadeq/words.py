@@ -293,7 +293,7 @@ def cyclically_equal(u: Word, v: Word) -> bool:
 # the letter of each packed value
 _LETTERS = tuple(Generator(p >> 1, -1 if p & 1 else 1) for p in range(2 * MAX_GENERATORS))
 # byte x -> x ^ 1, the inverse letter
-FLIP = bytes(x ^ 1 for x in range(256))
+_FLIP = bytes(x ^ 1 for x in range(256))
 
 
 def pack(w: Word) -> bytes:
@@ -307,7 +307,7 @@ def unpack(t: bytes) -> Word:
 
 
 def packed_inverse(t: bytes) -> bytes:
-    return t[::-1].translate(FLIP)
+    return t[::-1].translate(_FLIP)
 
 
 def packed_product(*parts: bytes) -> bytes:
