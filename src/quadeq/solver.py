@@ -150,6 +150,14 @@ class _Memo(dict):
         return value
 
 
+def _nonnegative(budget: int) -> bool:
+    return budget >= 0
+
+
+def _never(budget: int) -> bool:
+    return False
+
+
 def _memo(fn):
     """``fn``, remembering each value it returns."""
     memo = _Memo()
@@ -295,15 +303,17 @@ class CancellationDiagrams:
         """The search of ``solvable_within``, as a function of the budget."""
         n, joined = self.n, b"".join(self.cycles)
         if n == 0:
-            return lambda budget: budget >= 0
+            return _nonnegative
+        if n % 2:
+            return _never
         letters = range(2 * (max(joined) // 2 + 1))
-        count = [joined.count(x) for x in letters]
+        count = list(map(joined.count, letters))
         orientable = self.kind == ORIENTABLE
         # can every letter be glued?  Inverse letters pair up in an
         # orientable form; any two letters of a symbol in a non-orientable one
-        if n % 2 or any(count[x] != count[x ^ 1] if orientable else (count[x] + count[x ^ 1]) % 2
-                        for x in letters):
-            return lambda budget: False
+        plain, inverse = count[0::2], count[1::2]
+        if plain != inverse if orientable else any(map((1).__and__, map(add, plain, inverse))):
+            return _never
         failed, chosen = self._failed, self._chosen
         if orientable:
             # a content as one integer, the exponent sum of symbol s times
@@ -442,14 +452,17 @@ class CancellationDiagrams:
                 out[cost, canonical(rest)] = partner
             return pivot, out
 
-        def search(state: tuple, left: int) -> bool:
+        # search is handed itself, so that no closure cell refers back to it:
+        # that reference cycle would keep every table and memo of a
+        # discarded instance alive until the garbage collector runs
+        def search(state: tuple, left: int, search) -> bool:
             if not state:
                 return True
             if failed.get(state, -1) >= left:
                 return False
             pivot, moves = children(state, left)
             for cost, child in sorted(moves, key=itemgetter(0)):
-                if search(child, left - cost):
+                if search(child, left - cost, search):
                     chosen[state] = (left, pivot, moves[cost, child], child)
                     return True
             failed[state] = left
@@ -461,7 +474,7 @@ class CancellationDiagrams:
 
         def within(budget: int) -> bool:
             last = chosen.get(root)
-            return (last is not None and last[0] <= budget) or search(root, budget)
+            return (last is not None and last[0] <= budget) or search(root, budget, search)
 
         return within
 
