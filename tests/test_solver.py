@@ -397,10 +397,10 @@ def test_mod2_cut_keeps_least_genus_and_cuts_states():
     assert states == 10_519  # under 40 % of the 27,460 without the cut
 
 
-def _random_word(rng, length):
+def _random_word(rng, length, alphabet=AB):
     letters = []
     while len(letters) < length:
-        g = AB.gen(rng.choice(GENS), rng.choice((1, -1)))
+        g = alphabet.gen(rng.choice(alphabet.names), rng.choice((1, -1)))
         if not letters or letters[-1] != g.inv():
             letters.append(g)
     return Word(letters)
@@ -742,14 +742,34 @@ def test_solve_quadratic_pinned_corpus():
 # --- parity pins of the non-orientable pruning ----------------------------------
 
 # SHA-256 digests recorded before the oracle's constant-run bound and the
-# diagram search's mod-2 cut: both only drop work that cannot succeed, so
-# verdicts, oracle bounds, witnesses and certificates stay as they were.
+# diagram search's mod-2 cut, and, for the random tuples, before the exact
+# cuts: each only drops work that cannot succeed, so verdicts, oracle
+# bounds, witnesses and certificates stay as they were.
 PRUNING_PINS = {
     "squares": "e36d9bae0f73c09a30411cf83da995088948f07b571b6d8a0c398554337a01e2",
     "binpack_free": "695f464a6390d717a2d9e52c8d62b0834257367a6208b67a902eb2f584526670",
     "nonorientable_certificates":
         "19d8f7b1002c5ce1ce1f089783ea4a5462fcca6ca7a0fb3a944a39f396605f2c",
+    "random_tuples": "46ad5910ed6a800764f078214e3e53933c37b6c6dfc4c352d87167c143d02ddd",
 }
+
+
+def _random_tuples():
+    """200 non-orientable tuples of 2-4 random cyclically reduced discs of
+    2-9 letters over a, b, c, each with an even count of every symbol, so
+    that the balance test passes and the search runs."""
+    rng = random.Random(2)
+    tuples = []
+    while len(tuples) < 200:
+        discs, count = [], rng.randint(2, 4)
+        while len(discs) < count:
+            w = _random_word(rng, rng.randint(2, 9), ABC)
+            if w[0] != w[-1].inv():
+                discs.append(w)
+        symbols = [g.sym for d in discs for g in d]
+        if all(symbols.count(s) % 2 == 0 for s in symbols):
+            tuples.append((NONORIENTABLE, discs, None))
+    return tuples
 
 
 def _solve_digest(systems):
@@ -786,6 +806,7 @@ def test_nonorientable_pruning_parity_pinned():
         "squares": _solve_digest(_squares_systems()),
         "binpack_free": _solve_digest(binpack),
         "nonorientable_certificates": _certificate_digest(nonorientable),
+        "random_tuples": _certificate_digest(_random_tuples()),
     }
     assert got == PRUNING_PINS
 
