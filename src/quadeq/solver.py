@@ -282,6 +282,8 @@ class CancellationDiagrams:
     """
 
     def __init__(self, coefficients: Sequence[Word], kind: str):
+        if kind not in LEAST_GENUS:
+            raise SolverError(f"unknown kind {kind!r}: {ORIENTABLE} or {NONORIENTABLE}")
         for w in coefficients:
             if len(w) == 0 or not w.is_cyclically_reduced():
                 raise SolverError("coefficients must be nonempty and cyclically reduced")
@@ -881,10 +883,10 @@ def _genus_at(
     coefficients: Sequence[Word], g: int, kind: str, gens: tuple[str, ...],
     want_witness: bool,
 ) -> GenusResult:
+    form = _tuple_form(coefficients, g, kind)
+    diag = _diagrams(form)  # refuses an unknown kind
     if g < LEAST_GENUS[kind]:
         raise SolverError(f"{kind} genus must be >= {LEAST_GENUS[kind]}")
-    form = _tuple_form(coefficients, g, kind)
-    diag = _diagrams(form)
     if not diag.solvable_within(g):
         return GenusResult(False, None)
     if not want_witness:

@@ -105,6 +105,22 @@ def test_genus_monotone():
         assert genus_orientable([commutator(a, b)], g, GENS, want_witness=False).solvable
 
 
+# each entry point that takes a kind, with its orientable answer on abab; a
+# misspelt kind once picked the non-orientable rules (genus 1) or raised
+# KeyError
+@pytest.mark.parametrize("call, orientable", [
+    (lambda kind: CancellationDiagrams([a * b * a * b], kind).min_genus(3), None),
+    (lambda kind: tuple_genus([a * b * a * b], kind, GENS), None),
+    (lambda kind: solver._genus_at([a * b * a * b], 1, kind, GENS, False),
+     solver.GenusResult(False, None)),
+], ids=["diagrams", "tuple_genus", "genus_at"])
+def test_unknown_kind_is_refused(call, orientable):
+    assert call(ORIENTABLE) == orientable
+    for kind in ("typo", "non-orientable", "Orientable"):
+        with pytest.raises(SolverError, match="unknown kind"):
+            call(kind)
+
+
 # --- solve_quadratic ----------------------------------------------------------------
 
 def solve_text(text, bound=None):
