@@ -70,6 +70,42 @@ which exact contents lack; the abelian cut's proof follows regions
 instead.  So a state with at most 1 left and a cycle outside that span has
 no diagram.
 
+Exact contents cut a non-orientable state in two more ways.  Both proofs
+follow a diagram as the gluing rules build it from the state as it is
+stored.  The search tables a state and its re-arrangements (the canonical
+forms of ``CancellationDiagrams``) as one, since they have diagrams of the
+same costs, so a state with a diagram has one of the same cost in which no
+state on the way is re-arranged.
+
+One open cluster.  Its gluings are splits (inverse letters of one cycle,
+cost 0), crosscaps (1) and joins of two cycles (2); no merge is left.
+Call the cycles that splits leave of a cycle C its lineage.  A split keeps
+the lineage's content, so when no costed gluing touches the lineage, its
+letters are glued in inverse pairs among themselves and content(C) = 0.  A
+costed gluing is the first to touch at most as many lineages as it costs:
+a crosscap acts on one cycle, a join on two, and a pending cluster's
+closing crosscap on none.  So a state with one open cluster and more
+cycles of nonzero content than it has left has no diagram.
+
+Nothing left.  A crosscap costs 1 and a join 2, so only splits and merges
+follow, and each cycle C closes in a region of C and whole other clusters,
+as in the abelian cut.  Give each letter the orientation its cluster has
+once the diagram is done.  A split or a merge across inverse letters glues
+a letter to its inverse as they are read, a merge across equal letters
+inverts the other cluster first, and a later inversion turns both letters
+of a glued pair, so every glued pair is a letter and its inverse in these
+orientations.  The letters of a cluster of the state stay in one cluster,
+so they share an orientation, and summing over the region
+
+    content(C) + sum of +-content(K) over some set of other clusters K = 0,
+
+with one sign per cluster K.  A canonical form inverts a clean or pending
+cluster as a whole but a twisted cluster's cycles one at a time, so the
+test gives each cycle of a twisted cluster a sign of its own, and a state
+with nothing left and a cycle that no such signed set balances has no
+diagram.  A state that passes this test passes the mod-2 cut, so the
+search runs the mod-2 cut at 1 left only.
+
 The diagram the search finds is the certificate of a SAT answer: the search
 keeps the gluing it chose at each state of its path, and
 ``CancellationDiagrams.certificate`` replays them on letters that carry
@@ -270,15 +306,18 @@ class CancellationDiagrams:
     first call.  The pivot is a letter with the fewest
     partners, on the shortest cycle among those.  For each state on the path
     of the diagram found last it keeps the gluing it chose there, which
-    ``certificate`` replays.  Children of budget 0 that no set of whole
-    clusters balances (the cut of the module docstring) are dropped; they
-    have no diagram, so the diagram found, and its certificate, do not
-    depend on the cut.  In a non-orientable form the mod-2 cut of the module
-    docstring drops children with at most 1 left whose cycles lie outside the
-    span of the other clusters' contents mod 2, each content mod 2 a bit
-    mask of symbols, cached per cycle; it keeps the diagram found for the
-    same reason.  A search that tables MAX_STATES states as failed raises
-    SearchLimitError.
+    ``certificate`` replays.  In an orientable form, children of budget 0
+    that no set of whole clusters balances (the abelian cut of the module
+    docstring) are dropped; they have no diagram, so the diagram found, and
+    its certificate, do not depend on the cut.  In a non-orientable form the
+    exact cuts of the module docstring drop children with one open cluster
+    and more cycles of nonzero content than budget left, and children of
+    budget 0 with a cycle that no signed set of whole other clusters
+    balances; the mod-2 cut drops children with 1 left whose cycles lie
+    outside the span of the other clusters' contents mod 2.  Contents are
+    cached per cycle, exact ones as one integer and mod-2 ones as a bit mask
+    of symbols.  Each cut keeps the diagram found for the same reason.  A
+    search that tables MAX_STATES states as failed raises SearchLimitError.
     """
 
     def __init__(self, coefficients: Sequence[Word], kind: str):
@@ -317,24 +356,24 @@ class CancellationDiagrams:
         if plain != inverse if orientable else any(map((1).__and__, map(add, plain, inverse))):
             return _never
         failed, chosen = self._failed, self._chosen
+        # a content as one integer, the exponent sum of symbol s times
+        # base^s: signed sums of contents have exponents within +-n, so the
+        # integer is exact
+        base = 2 * n + 1
+        signed = [(-1) ** (x & 1) * base ** (x >> 1) for x in letters]
+        exact = _memo(lambda c: sum(map(mul, signed, map(c.count, letters))))  # cycle -> content
         if orientable:
-            # a content as one integer, the exponent sum of symbol s times
-            # base^s: sums of contents have exponents within +-n, so the
-            # integer is exact
-            base = 2 * n + 1
-            weight = [(-1) ** (x & 1) * base ** (x >> 1) for x in letters]
-            plus, opposite = add, neg
-
-            def tally(c: bytes) -> int:
-                return sum(map(mul, weight, map(c.count, letters)))
+            content, plus, opposite = exact, add, neg
         else:
             # a content mod 2 as a bit mask, bit s for symbol s: added by XOR,
             # it is its own opposite
             weight = [1 << (x >> 1) for x in letters]
             plus, opposite = xor, pos
 
-            def tally(c: bytes) -> int:  # the weights of the letters that c has an odd count of
+            def parity(c: bytes) -> int:  # the weights of the letters that c has an odd count of
                 return total(compress(weight, map((1).__and__, map(c.count, letters))))
+
+            content = _memo(parity)
 
         def total(vs: Iterable[int]) -> int:
             return reduce(plus, vs, 0)
@@ -346,7 +385,6 @@ class CancellationDiagrams:
         # cycle -> its least rotation, and that of its inverse
         rotation = _memo(rotate)
         mirrored = _memo(lambda c: rotate(packed_inverse(c)))
-        content = _memo(tally)  # cycle -> its content; mod 2 in a non-orientable form
         whole = _memo(lambda cycles: total(map(content, cycles)))  # of a cluster
         # cluster -> the cluster inverted, when it is clean
         mirror = _memo(lambda cl: (_CLEAN, tuple(sorted(map(mirrored, cl[1]))))
@@ -377,7 +415,7 @@ class CancellationDiagrams:
             """Is the opposite of each cycle's content in ``sums``?"""
             return sums.issuperset(map(opposite, map(content, cycles)))
 
-        tight = 0 if orientable else 1  # what may be left over when the cut applies
+        tight = 0 if orientable else 1  # what is left when the abelian or mod-2 cut applies
 
         def passes(state: tuple, ci: int, cj: int, new: list[bytes], rest: list[tuple]) -> bool:
             """Does the child that a gluing across clusters ci and cj of
@@ -403,6 +441,45 @@ class CancellationDiagrams:
                 return sums_without(totals, ci)
             return set()
 
+        def signs(cl: tuple) -> tuple[int, ...]:
+            """What a cluster may add to a signed set of whole clusters in a
+            non-orientable form: 0 when it is left out, else its content
+            with one sign, or with a sign per cycle when it is twisted."""
+            status, cycles = cl
+            if status != _TWISTED:
+                w = sum(map(exact, cycles))
+                return 0, w, -w
+            sums = {0}
+            for v in map(exact, cycles):
+                sums = {s + v for s in sums} | {s - v for s in sums}
+            return 0, *sums
+
+        def signed_sums(options: tuple[tuple[int, ...], ...]) -> set[int]:
+            """The sums of one value from each of ``options``."""
+            sums = {0}
+            for values in options:
+                sums = {s + v for s in sums for v in values}
+            return sums
+
+        signed_options, signed_reach = _memo(signs), _memo(signed_sums)
+
+        def fits(spare: int, status: int, new: list[bytes], rest: list[tuple]) -> bool:
+            """Does a child of a non-orientable form, the cycles ``new`` of
+            ``status`` and the clusters ``rest`` with ``spare`` left, pass the
+            exact cuts: with one open cluster, at most ``spare`` cycles of
+            nonzero content; at 0 left, each cycle balanced by a signed set
+            of whole other clusters?"""
+            if len(rest) + bool(new) == 1:
+                cycles = new or rest[0][1]
+                return len(cycles) - [*map(exact, cycles)].count(0) <= spare
+            if spare:
+                return True
+            clusters = [(status, tuple(new)), *rest] if new else rest
+            options = list(map(signed_options, clusters))
+            return all(signed_reach(tuple(sorted(options[:i] + options[i + 1:])))
+                       .issuperset(map(exact, cycles))
+                       for i, (_, cycles) in enumerate(clusters))
+
         def cluster(status: int, cycles: list[bytes]) -> tuple:
             if status == _TWISTED:
                 return status, tuple(sorted(map(min, map(rotation, cycles), map(mirrored, cycles))))
@@ -420,7 +497,8 @@ class CancellationDiagrams:
         def children(state: tuple, left: int) -> tuple[tuple, dict]:
             """The pivot, and (cost, state) -> partner for each gluing of the
             pivot that fits in ``left`` and leaves a child that passes the
-            cut when at most ``tight`` is left."""
+            cuts: the exact ones in a non-orientable form, and the abelian
+            or mod-2 cut when ``tight`` is left."""
             # a letter's partners are the other letters of its symbol in a
             # non-orientable form, and half its symbol's letters in an
             # orientable one, where a letter and its inverse are equally
@@ -440,7 +518,9 @@ class CancellationDiagrams:
             for partner, cost, st, new, rest in _gluings(state, state, pivot, orientable, left):
                 if cost > left:
                     continue
-                if left - cost <= tight:
+                if not orientable and not fits(left - cost, st, new, rest):
+                    continue
+                if left - cost == tight:
                     if partner[0] != ci:
                         if not passes(state, ci, partner[0], new, rest):
                             continue

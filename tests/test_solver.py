@@ -397,7 +397,8 @@ def _genus_words():
 
 
 # the least non-orientable genus of each _genus_words() word, found by the
-# search without the mod-2 cut, which tabled 27,460 states for them
+# search without the mod-2 cut, which tabled 27,460 states for them; with
+# the mod-2 cut it tabled 10,519
 GENUS_WORDS_LEAST = "33333233333334323332333335233443343331333332223"
 
 
@@ -410,7 +411,10 @@ def test_mod2_cut_keeps_least_genus_and_cuts_states():
         least.append(diag.min_genus(len(w) // 2 + 1, 1))
         states += len(diag._failed)
     assert "".join(map(str, least)) == GENUS_WORDS_LEAST
-    assert states == 10_519  # under 40 % of the 27,460 without the cut
+    # 27,460 without the cuts, 10,519 with the mod-2 cut, 2,374 with the
+    # exact cuts too (under 30 % of 10,519); one-disc words meet only the
+    # one-cluster cut
+    assert states == 2_374
 
 
 def _random_word(rng, length, alphabet=AB):
@@ -825,6 +829,18 @@ def test_nonorientable_pruning_parity_pinned():
         "random_tuples": _certificate_digest(_random_tuples()),
     }
     assert got == PRUNING_PINS
+
+
+def test_exact_cuts_keep_multi_disc_states_down():
+    # failed states of min_genus on the random tuples: 45,351 with the mod-2
+    # cut alone, 9,886 with the exact cuts; the count is exact, so dropping
+    # either exact cut shows here
+    states = 0
+    for kind, discs, _ in _random_tuples():
+        diag = CancellationDiagrams(discs, kind)
+        diag.min_genus(sum(map(len, discs)) // 2 + 1)
+        states += len(diag._failed)
+    assert states == 9_886
 
 
 # --- parity pin of the search tables ----------------------------------------------
