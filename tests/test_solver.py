@@ -105,9 +105,9 @@ def test_genus_monotone():
         assert genus_orientable([commutator(a, b)], g, GENS, want_witness=False).solvable
 
 
-# each entry point that takes a kind, with its orientable answer on abab; a
-# misspelt kind once picked the non-orientable rules (genus 1) or raised
-# KeyError
+# each entry point that takes a kind, with its orientable answer on abab: a
+# kind it does not know raises SolverError, and does not run the
+# non-orientable rules (genus 1) or raise KeyError
 @pytest.mark.parametrize("call, orientable", [
     (lambda kind: CancellationDiagrams([a * b * a * b], kind).min_genus(3), None),
     (lambda kind: tuple_genus([a * b * a * b], kind, GENS), None),
