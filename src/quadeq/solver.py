@@ -92,10 +92,11 @@ follow, and each cycle C closes in a region of C and whole other clusters,
 as in the abelian cut.  Give each letter the orientation its cluster has
 once the diagram is done.  A split or a merge across inverse letters glues
 a letter to its inverse as they are read, a merge across equal letters
-inverts the other cluster first, and a later inversion turns both letters
-of a glued pair, so every glued pair is a letter and its inverse in these
-orientations.  The letters of a cluster of the state stay in one cluster,
-so they share an orientation, and summing over the region
+first inverts the other cluster, after which they read so too, and a later
+inversion turns both letters of a glued pair, so every glued pair is a
+letter and its inverse in these orientations.  The letters of a cluster of
+the state stay in one cluster, so they share an orientation, and summing
+over the region
 
     content(C) + sum of +-content(K) over some set of other clusters K = 0,
 
