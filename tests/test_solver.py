@@ -401,20 +401,30 @@ def _genus_words():
 # the mod-2 cut it tabled 10,519
 GENUS_WORDS_LEAST = "33333233333334323332333335233443343331333332223"
 
+# SHA-256 over the search tables and certificates of the _genus_words() at
+# their least genus, and of the _random_tuples() at theirs (see
+# ``_tables``): a change of state, pivot, child order or chosen gluing in a
+# non-orientable search shows here
+GENUS_WORDS_TABLES = "ef941136a3739964a672fa73f35ab4e2053b09e922a0c464cc72bd697e3b2790"
+RANDOM_TUPLES_TABLES = "7741d962f064fb1b624add13029fdc24f02fa426257327183677d0a8e11d017e"
+
 
 def test_mod2_cut_keeps_least_genus_and_cuts_states():
     words = _genus_words()
     assert len(words) == 47
-    least, states = [], 0
+    least, states, h = [], 0, hashlib.sha256()
     for w in words:
         diag = CancellationDiagrams([w], NONORIENTABLE)
-        least.append(diag.min_genus(len(w) // 2 + 1, 1))
+        g = diag.min_genus(len(w) // 2 + 1, 1)
+        least.append(g)
         states += len(diag._failed)
+        h.update(_tables(diag, g, diag.certificate(g)))
     assert "".join(map(str, least)) == GENUS_WORDS_LEAST
-    # 27,460 without the cuts, 10,519 with the mod-2 cut, 2,374 with the
-    # exact cuts too (under 30 % of 10,519); one-disc words meet only the
-    # one-cluster cut
+    # 2,374 with every cut.  A search of one disc keeps one open cluster,
+    # so only the one-cluster cut acts: without it 23,319, without the
+    # mod-2 or the signed cut still 2,374, without all three 27,460
     assert states == 2_374
+    assert h.hexdigest() == GENUS_WORDS_TABLES
 
 
 def _random_word(rng, length, alphabet=AB):
@@ -832,15 +842,18 @@ def test_nonorientable_pruning_parity_pinned():
 
 
 def test_exact_cuts_keep_multi_disc_states_down():
-    # failed states of min_genus on the random tuples: 45,351 with the mod-2
-    # cut alone, 9,886 with the exact cuts; the count is exact, so dropping
-    # either exact cut shows here
-    states = 0
+    # failed states of min_genus on the random tuples: 9,886 with every cut,
+    # 10,573 without the mod-2 cut, 78,298 without the one-cluster cut,
+    # 13,771 without the signed cut, 126,722 without all three; the count
+    # is exact, so dropping any one of them shows here
+    states, h = 0, hashlib.sha256()
     for kind, discs, _ in _random_tuples():
         diag = CancellationDiagrams(discs, kind)
-        diag.min_genus(sum(map(len, discs)) // 2 + 1)
+        g = diag.min_genus(sum(map(len, discs)) // 2 + 1)
         states += len(diag._failed)
+        h.update(_tables(diag, g, None if g is None else diag.certificate(g)))
     assert states == 9_886
+    assert h.hexdigest() == RANDOM_TUPLES_TABLES
 
 
 # --- parity pin of the search tables ----------------------------------------------
