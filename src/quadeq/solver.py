@@ -31,51 +31,41 @@ The equation is solvable at genus g iff some diagram has total cost <= g.
 UNSAT is a complete verdict (there are finitely many diagrams), so it is not
 bound-limited.
 
-Once the budget is spent, an orientable state can be cut.  In an orientable
-form no gluing changes a cluster's content, the exponent sum of each symbol
-over its letters: a gluing removes a letter and its inverse, or adds two
-clusters.  Joining two cycles of one cluster costs a handle, so without one
-each cycle C closes in a region of its own: C and whole other clusters,
-since a cluster that merges into the region brings its other cycles, which
-close there too.  Every letter of the region is glued inside it, so
+Once little budget is left, a state can be cut.  A join, the gluing of
+two cycles of one cluster, costs a handle: 1 in an orientable form, 2 in a
+non-orientable one.  With no join left, each cycle C closes in a region of
+its own, made of C and whole other clusters: a cluster that merges into the
+region brings its other cycles, which close there too, and no gluing
+reaches another cycle of C's cluster, since that would be a join.  Every
+letter of the region is glued inside it.  Read in a group where the two
+letters of each glued pair cancel, the values of C and of the clusters of
+its region add up to 0, so a state with a cycle that no set of whole other
+clusters balances has no diagram.  Three cuts read it so:
 
-    content(C) + sum of content(K) over some set of other clusters K = 0,
+    abelian:  an orientable form with nothing left, read in exact contents,
+              the exponent sum of each symbol over the letters: every glued
+              pair is a letter and its inverse;
+    mod 2:    a non-orientable form with at most 1 left, read in contents
+              mod 2, the set of symbols with an odd count: a glued pair is
+              a letter and its inverse or two letters of one symbol, and
+              inverting a cluster to merge it keeps every count;
+    signed:   a non-orientable form with nothing left, read in exact
+              contents with a sign per cluster, as shown below.
 
-and a state of budget 0 with a cycle that no such set balances has no
-diagram.
+A gluing keeps the abelian and mod-2 values of the clusters it joins: it
+removes a letter and its inverse (or, mod 2, two letters of one symbol), or
+adds two clusters.  The root's values add up to 0, by the balance test, so a
+state's do too, and all the other clusters balance the cycle of a one-cycle
+cluster: these two cuts test only clusters of more than one cycle.  A
+non-orientable state's exact contents need not add up to 0, since an
+equal-letter gluing removes 2x, so the signed cut tests every cycle.
 
-A non-orientable state can be cut mod 2 once at most 1 is left.  Read a
-content mod 2, the set of symbols with an odd count.  No gluing changes a
-cluster's content mod 2: an inverse gluing removes a letter and its
-inverse, an equal-letter gluing two letters of one symbol, and inverting a
-cluster to merge it keeps every count.  Joining two cycles of one cluster
-costs 2 (a handle or two crosscaps), so a diagram with at most 1 left joins
-none.  Then, in every state on its way, each cycle's content mod 2 lies in
-the span over GF(2) of the contents of the other clusters.  By induction
-on the gluings left, since the state after the next gluing has the
-property; take a cycle C of a cluster K:
-
-    the gluing misses K:          the clusters it glues, P and maybe Q,
-                                  become one cluster of content P + Q;
-    it glues two letters of C:    C leaves A and B, or A B^-1, and
-                                  C = A + B, each in the span;
-    it glues a letter of another  C is still a cycle, and its cluster's
-      cycle of K, not to C:       other clusters are among those of K;
-    it merges C with the cycle E  C = C' + M + (the other cycles of M),
-      of another cluster M into   and C' and those cycles lie in the span
-      the cycle C':               of the clusters other than K and M.
-
-Mod 2, sums over two overlapping sets of clusters are a sum over one set,
-which exact contents lack; the abelian cut's proof follows regions
-instead.  So a state with at most 1 left and a cycle outside that span has
-no diagram.
-
-Exact contents cut a non-orientable state in two more ways.  Both proofs
-follow a diagram as the gluing rules build it from the state as it is
-stored.  The search tables a state and its re-arrangements (the canonical
-forms of ``CancellationDiagrams``) as one, since they have diagrams of the
-same costs, so a state with a diagram has one of the same cost in which no
-state on the way is re-arranged.
+Exact contents cut a non-orientable state in two ways.  Both proofs follow
+a diagram as the gluing rules build it from the state as it is stored.  The
+search tables a state and its re-arrangements (the canonical forms of
+``CancellationDiagrams``) as one, since they have diagrams of the same
+costs, so a state with a diagram has one of the same cost in which no state
+on the way is re-arranged.
 
 One open cluster.  Its gluings are splits (inverse letters of one cycle,
 cost 0), crosscaps (1) and joins of two cycles (2); no merge is left.
@@ -87,25 +77,23 @@ a crosscap acts on one cycle, a join on two, and a pending cluster's
 closing crosscap on none.  So a state with one open cluster and more
 cycles of nonzero content than it has left has no diagram.
 
-Nothing left.  A crosscap costs 1 and a join 2, so only splits and merges
-follow, and each cycle C closes in a region of C and whole other clusters,
-as in the abelian cut.  Give each letter the orientation its cluster has
+Nothing left: the signed cut.  A crosscap costs 1 and a join 2, so only
+splits and merges follow.  Give each letter the orientation its cluster has
 once the diagram is done.  A split or a merge across inverse letters glues
 a letter to its inverse as they are read, a merge across equal letters
 first inverts the other cluster, after which they read so too, and a later
 inversion turns both letters of a glued pair, so every glued pair is a
 letter and its inverse in these orientations.  The letters of a cluster of
 the state stay in one cluster, so they share an orientation, and summing
-over the region
+over the region of a cycle C
 
     content(C) + sum of +-content(K) over some set of other clusters K = 0,
 
 with one sign per cluster K.  A canonical form inverts a clean or pending
 cluster as a whole but a twisted cluster's cycles one at a time, so the
-test gives each cycle of a twisted cluster a sign of its own, and a state
-with nothing left and a cycle that no such signed set balances has no
-diagram.  A state that passes this test passes the mod-2 cut, so the
-search runs the mod-2 cut at 1 left only.
+test gives each cycle of a twisted cluster a sign of its own.  A state
+that passes this test passes the mod-2 cut, so the search runs the mod-2
+cut at 1 left only.
 
 The diagram the search finds is the certificate of a SAT answer: the search
 keeps the gluing it chose at each state of its path, and
@@ -128,8 +116,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress
-from operator import add, itemgetter, mul, neg, pos, xor
-from typing import Iterable, Sequence
+from operator import add, itemgetter, mul, xor
+from typing import Sequence
 
 from .equations import EquationSystem, Equation
 from .oracle import SearchBound, is_satisfiable
@@ -307,18 +295,13 @@ class CancellationDiagrams:
     first call.  The pivot is a letter with the fewest
     partners, on the shortest cycle among those.  For each state on the path
     of the diagram found last it keeps the gluing it chose there, which
-    ``certificate`` replays.  In an orientable form, children of budget 0
-    that no set of whole clusters balances (the abelian cut of the module
-    docstring) are dropped; they have no diagram, so the diagram found, and
-    its certificate, do not depend on the cut.  In a non-orientable form the
-    exact cuts of the module docstring drop children with one open cluster
-    and more cycles of nonzero content than budget left, and children of
-    budget 0 with a cycle that no signed set of whole other clusters
-    balances; the mod-2 cut drops children with 1 left whose cycles lie
-    outside the span of the other clusters' contents mod 2.  Contents are
-    cached per cycle, exact ones as one integer and mod-2 ones as a bit mask
-    of symbols.  Each cut keeps the diagram found for the same reason.  A
-    search that tables MAX_STATES states as failed raises SearchLimitError.
+    ``certificate`` replays.  Children that a cut of the module docstring
+    rules out are dropped: the one-cluster bound of a non-orientable form,
+    and the abelian, mod-2 and signed cuts, which one balance test applies.
+    They have no diagram, so the diagram found, and its certificate, do not
+    depend on the cuts.  Contents are cached per cycle, exact ones as one
+    integer and mod-2 ones as a bit mask of symbols.  A search that tables
+    MAX_STATES states as failed raises SearchLimitError.
     """
 
     def __init__(self, coefficients: Sequence[Word], kind: str):
@@ -359,25 +342,14 @@ class CancellationDiagrams:
         failed, chosen = self._failed, self._chosen
         # a content as one integer, the exponent sum of symbol s times
         # base^s: signed sums of contents have exponents within +-n, so the
-        # integer is exact
+        # integer is exact; a content mod 2 as a bit mask, bit s for symbol s
         base = 2 * n + 1
         signed = [(-1) ** (x & 1) * base ** (x >> 1) for x in letters]
-        exact = _memo(lambda c: sum(map(mul, signed, map(c.count, letters))))  # cycle -> content
-        if orientable:
-            content, plus, opposite = exact, add, neg
-        else:
-            # a content mod 2 as a bit mask, bit s for symbol s: added by XOR,
-            # it is its own opposite
-            weight = [1 << (x >> 1) for x in letters]
-            plus, opposite = xor, pos
-
-            def parity(c: bytes) -> int:  # the weights of the letters that c has an odd count of
-                return total(compress(weight, map((1).__and__, map(c.count, letters))))
-
-            content = _memo(parity)
-
-        def total(vs: Iterable[int]) -> int:
-            return reduce(plus, vs, 0)
+        weight = [1 << (x >> 1) for x in letters]
+        # cycle -> its content, and the weights of the letters it has an odd
+        # count of
+        exact = _memo(lambda c: sum(map(mul, signed, map(c.count, letters))))
+        odd = _memo(lambda c: reduce(xor, compress(weight, map((1).__and__, map(c.count, letters))), 0))
 
         def rotate(c: bytes) -> bytes:
             i = least_rotation(c)
@@ -386,100 +358,50 @@ class CancellationDiagrams:
         # cycle -> its least rotation, and that of its inverse
         rotation = _memo(rotate)
         mirrored = _memo(lambda c: rotate(packed_inverse(c)))
-        whole = _memo(lambda cycles: total(map(content, cycles)))  # of a cluster
         # cluster -> the cluster inverted, when it is clean
         mirror = _memo(lambda cl: (_CLEAN, tuple(sorted(map(mirrored, cl[1]))))
                        if cl[0] == _CLEAN else cl)
 
-        # A gluing removes two letters whose contents cancel (mod 2 in a
-        # non-orientable form), so the clusters it joins keep their content,
-        # which children take from the state.  The contents of all clusters
-        # of a state add up to 0, as the root's do by the balance test, so
-        # the other clusters balance the cycle of a one-cycle cluster, and
-        # the cut tests only the cycles of clusters with more than one.
-        # Mod 2, the sums of subsets of the other clusters are their span.
+        def sums(key: tuple) -> set[int]:
+            """The sums of one value from each of ``options``, added by
+            ``plus``, for key = (plus, options)."""
+            plus, options = key
+            out = {0}
+            for values in options:
+                out = {plus(s, v) for s in out for v in values}
+            return out
 
-        def reachable(totals: tuple[int, ...]) -> set[int]:
-            """The sums of the subsets of ``totals``."""
-            sums = {0}
-            for t in totals:
-                sums |= {plus(v, t) for v in sums}
-            return sums
-
-        reach = _memo(reachable)
-
-        def sums_without(totals: list[int], i: int) -> set[int]:
-            """The sums of the subsets of ``totals`` other than totals[i]."""
-            return reach(tuple(sorted(totals[:i] + totals[i + 1:])))
-
-        def balanced(cycles: Sequence[bytes], sums: set[int]) -> bool:
-            """Is the opposite of each cycle's content in ``sums``?"""
-            return sums.issuperset(map(opposite, map(content, cycles)))
-
-        tight = 0 if orientable else 1  # what is left when the abelian or mod-2 cut applies
-
-        def passes(state: tuple, ci: int, cj: int, new: list[bytes], rest: list[tuple]) -> bool:
-            """Does the child that a gluing across clusters ci and cj of
-            ``state`` leaves, the cycles ``new`` and the clusters ``rest``,
-            pass the cut: does some set of other clusters balance each
-            cycle?"""
-            clusters = [new, *map(_second, rest)]
-            if max(map(len, clusters)) <= 1:
-                return True
-            totals = [total((whole(state[ci][1]), whole(state[cj][1]))), *map(whole, clusters[1:])]
-            return all(len(cycles) == 1 or balanced(cycles, sums_without(totals, i))
-                       for i, cycles in enumerate(clusters))
-
-        def inside(state: tuple, ci: int) -> set[int]:
-            """A child that glues two letters of cluster ci keeps every
-            cluster's content, so the other clusters pass the cut as they do
-            in ``state``: the sums of the subsets of the clusters other than
-            ci, which the cycles of the new cluster must balance, or the
-            empty set when some other cluster fails."""
-            totals = [whole(cycles) for _, cycles in state]
-            if all(k == ci or len(cycles) == 1 or balanced(cycles, sums_without(totals, k))
-                   for k, (_, cycles) in enumerate(state)):
-                return sums_without(totals, ci)
-            return set()
+        reach = _memo(sums)
 
         def signs(cl: tuple) -> tuple[int, ...]:
-            """What a cluster may add to a signed set of whole clusters in a
-            non-orientable form: 0 when it is left out, else its content
-            with one sign, or with a sign per cycle when it is twisted."""
+            """0, or a cluster's content with either sign, or with a sign
+            per cycle when it is twisted."""
             status, cycles = cl
             if status != _TWISTED:
                 w = sum(map(exact, cycles))
                 return 0, w, -w
-            sums = {0}
-            for v in map(exact, cycles):
-                sums = {s + v for s in sums} | {s - v for s in sums}
-            return 0, *sums
+            return 0, *reach((add, tuple((v, -v) for v in map(exact, cycles))))
 
-        def signed_sums(options: tuple[tuple[int, ...], ...]) -> set[int]:
-            """The sums of one value from each of ``options``."""
-            sums = {0}
-            for values in options:
-                sums = {s + v for s in sums for v in values}
-            return sums
+        # The cuts of the module docstring by what is left, each as (the
+        # group's addition, cycle -> its value, cluster -> what it may add
+        # to a set that balances a cycle, does every gluing keep the values
+        # of the clusters it joins).  Where it does, a cluster adds 0 or its
+        # value, and a merged cluster's value is the sum of its parents'.
+        if orientable:
+            cuts = {0: (add, exact, _memo(lambda cl: (0, -sum(map(exact, cl[1])))), True)}
+        else:
+            cuts = {1: (xor, odd, _memo(lambda cl: (0, reduce(xor, map(odd, cl[1]), 0))), True),
+                    0: (add, exact, _memo(signs), False)}
 
-        signed_options, signed_reach = _memo(signs), _memo(signed_sums)
-
-        def fits(spare: int, status: int, new: list[bytes], rest: list[tuple]) -> bool:
-            """Does a child of a non-orientable form, the cycles ``new`` of
-            ``status`` and the clusters ``rest`` with ``spare`` left, pass the
-            exact cuts: with one open cluster, at most ``spare`` cycles of
-            nonzero content; at 0 left, each cycle balanced by a signed set
-            of whole other clusters?"""
-            if len(rest) + bool(new) == 1:
-                cycles = new or rest[0][1]
-                return len(cycles) - [*map(exact, cycles)].count(0) <= spare
-            if spare:
+        def balances(cut: tuple, adds: list[tuple], k: int, cycles: Sequence[bytes]) -> bool:
+            """Does some set of whole clusters other than cluster k, cluster
+            i adding one of adds[i], balance each of ``cycles`` in ``cut``?
+            Where every gluing keeps the values, the other clusters balance
+            a cluster's only cycle."""
+            plus, value, _, kept = cut
+            if kept and len(cycles) <= 1:
                 return True
-            clusters = [(status, tuple(new)), *rest] if new else rest
-            options = list(map(signed_options, clusters))
-            return all(signed_reach(tuple(sorted(options[:i] + options[i + 1:])))
-                       .issuperset(map(exact, cycles))
-                       for i, (_, cycles) in enumerate(clusters))
+            return reach((plus, tuple(sorted(adds[:k] + adds[k + 1:])))).issuperset(map(value, cycles))
 
         def cluster(status: int, cycles: list[bytes]) -> tuple:
             if status == _TWISTED:
@@ -498,8 +420,7 @@ class CancellationDiagrams:
         def children(state: tuple, left: int) -> tuple[tuple, dict]:
             """The pivot, and (cost, state) -> partner for each gluing of the
             pivot that fits in ``left`` and leaves a child that passes the
-            cuts: the exact ones in a non-orientable form, and the abelian
-            or mod-2 cut when ``tight`` is left."""
+            cuts."""
             # a letter's partners are the other letters of its symbol in a
             # non-orientable form, and half its symbol's letters in an
             # orientable one, where a letter and its inverse are equally
@@ -515,20 +436,39 @@ class CancellationDiagrams:
                         at = [k for k in map(c.find, fewest) if k >= 0]
                         if at:
                             size, pivot = len(c), (i, j, min(at))
-            out, ci, sums = {}, pivot[0], None
+            # a child that glues inside the pivot's cluster keeps the other
+            # clusters, and where gluings keep values, the value of the
+            # pivot's cluster too: spare -> what the state's clusters add, or
+            # None when one other than the pivot's fails, found once per state
+            out, ci, inside = {}, pivot[0], {}
             for partner, cost, st, new, rest in _gluings(state, state, pivot, orientable, left):
-                if cost > left:
+                spare = left - cost
+                if spare < 0:
                     continue
-                if not orientable and not fits(left - cost, st, new, rest):
-                    continue
-                if left - cost == tight:
-                    if partner[0] != ci:
-                        if not passes(state, ci, partner[0], new, rest):
+                if not orientable and len(rest) + bool(new) == 1:
+                    cycles = new or rest[0][1]
+                    if len(cycles) - [*map(exact, cycles)].count(0) > spare:
+                        continue
+                elif spare in cuts:
+                    cut = cuts[spare]
+                    plus, _, whole, kept = cut
+                    if kept and partner[0] == ci:
+                        if spare not in inside:
+                            adds = [*map(whole, state)]
+                            inside[spare] = adds if all(
+                                k == ci or balances(cut, adds, k, cycles)
+                                for k, (_, cycles) in enumerate(state)) else None
+                        adds = inside[spare]
+                        if adds is None or not balances(cut, adds, ci, new):
                             continue
                     else:
-                        if sums is None:
-                            sums = inside(state, ci)
-                        if not sums or not balanced(new, sums):
+                        if kept:
+                            head = 0, plus(whole(state[ci])[1], whole(state[partner[0]])[1])
+                        else:
+                            head = whole((st, tuple(new)))
+                        adds = [head, *map(whole, rest)]
+                        clusters = [new, *map(_second, rest)]
+                        if not all(balances(cut, adds, k, cycles) for k, cycles in enumerate(clusters)):
                             continue
                 if new:
                     rest.append(cluster(st, new))
