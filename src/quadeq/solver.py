@@ -610,11 +610,6 @@ def _diagrams(form: StandardForm) -> CancellationDiagrams:
     return CancellationDiagrams([core for _, core, _ in _normalized_discs(form)], form.kind)
 
 
-def form_solvable(form: StandardForm) -> bool:
-    """Complete decision at the form's own genus."""
-    return _diagrams(form).solvable_within(form.genus)
-
-
 # --- the solver -----------------------------------------------------------------
 
 

@@ -14,7 +14,6 @@ from quadeq.solver import (
     SolverError,
     _commutators,
     _diagrams,
-    form_solvable,
     genus_nonorientable,
     genus_orientable,
     solve_quadratic,
@@ -351,7 +350,7 @@ def test_form_solvable_matches_packing():
     states = 0
     for inst in instances:
         form = standardize(build_equation(inst, free_form=True)).form
-        diag = _diagrams(form)  # what form_solvable searches
+        diag = _diagrams(form)  # what solve_quadratic searches
         assert diag.solvable_within(form.genus) == (exhaustive_pack(inst) is not None), inst
         states += len(diag._failed)
     assert states == 3_596
@@ -362,7 +361,8 @@ def test_spacer_forms_match_packing():
     # orientable genus-0 form over the spacer words
     instances = sweep_instances(3, 3, 2)
     assert len(instances) == 19
-    verdicts = [form_solvable(standardize(build_equation(inst)).form) for inst in instances]
+    forms = [standardize(build_equation(inst)).form for inst in instances]
+    verdicts = [_diagrams(form).solvable_within(form.genus) for form in forms]
     assert verdicts == [exhaustive_pack(inst) is not None for inst in instances]
     assert sum(verdicts) == 11
 
@@ -551,7 +551,8 @@ def _certified_surface(discs, kind, genus):
 
 def test_certificate_glues_inverse_pairs_within_the_genus():
     forms = [f for f in (standardize(build_equation(inst, free_form=True)).form
-                         for inst in sweep_instances(4, 3, 2)) if form_solvable(f)]
+                         for inst in sweep_instances(4, 3, 2))
+             if _diagrams(f).solvable_within(f.genus)]
     assert len(forms) == 14
     forms.append(StandardForm(ORIENTABLE, 2, (), commutator(a, b) ** 3))
     rng = random.Random(5)
