@@ -346,10 +346,12 @@ class CancellationDiagrams:
         base = 2 * n + 1
         signed = [(-1) ** (x & 1) * base ** (x >> 1) for x in letters]
         weight = [1 << (x >> 1) for x in letters]
-        # cycle -> its content, and the weights of the letters it has an odd
-        # count of
-        exact = _memo(lambda c: sum(map(mul, signed, map(c.count, letters))))
-        odd = _memo(lambda c: reduce(xor, compress(weight, map((1).__and__, map(c.count, letters))), 0))
+        exact = _memo(lambda c: sum(map(mul, signed, map(c.count, letters))))  # cycle -> content
+
+        def parity(c: bytes) -> int:  # the weights of the letters that c has an odd count of
+            return reduce(xor, compress(weight, map((1).__and__, map(c.count, letters))), 0)
+
+        odd = _memo(parity)
 
         def rotate(c: bytes) -> bytes:
             i = least_rotation(c)
@@ -401,7 +403,8 @@ class CancellationDiagrams:
             plus, value, _, kept = cut
             if kept and len(cycles) <= 1:
                 return True
-            return reach((plus, tuple(sorted(adds[:k] + adds[k + 1:])))).issuperset(map(value, cycles))
+            others = tuple(sorted(adds[:k] + adds[k + 1:]))
+            return reach((plus, others)).issuperset(map(value, cycles))
 
         def cluster(status: int, cycles: list[bytes]) -> tuple:
             if status == _TWISTED:
@@ -467,8 +470,8 @@ class CancellationDiagrams:
                         else:
                             head = whole((st, tuple(new)))
                         adds = [head, *map(whole, rest)]
-                        clusters = [new, *map(_second, rest)]
-                        if not all(balances(cut, adds, k, cycles) for k, cycles in enumerate(clusters)):
+                        clusters = enumerate([new, *map(_second, rest)])
+                        if not all(balances(cut, adds, k, cycles) for k, cycles in clusters):
                             continue
                 if new:
                     rest.append(cluster(st, new))
