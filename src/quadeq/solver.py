@@ -117,7 +117,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress
 from operator import add, itemgetter, mul, xor
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .equations import EquationSystem, Equation
 from .oracle import SearchBound, is_satisfiable
@@ -364,16 +364,16 @@ class CancellationDiagrams:
         mirror = _memo(lambda cl: (_CLEAN, tuple(sorted(map(mirrored, cl[1]))))
                        if cl[0] == _CLEAN else cl)
 
-        def sums(key: tuple) -> set[int]:
+        def totals(key: tuple) -> set[int]:
             """The sums of one value from each of ``options``, added by
-            ``plus``, for key = (plus, options)."""
-            plus, options = key
+            ``op``, for key = (op, options)."""
+            op, options = key
             out = {0}
             for values in options:
-                out = {plus(s, v) for s in out for v in values}
+                out = {op(s, v) for s in out for v in values}
             return out
 
-        reach = _memo(sums)
+        reach = _memo(totals)
 
         def signs(cl: tuple) -> tuple[int, ...]:
             """0, or a cluster's content with either sign, or with a sign
@@ -395,16 +395,26 @@ class CancellationDiagrams:
             cuts = {1: (xor, odd, _memo(lambda cl: (0, reduce(xor, map(odd, cl[1]), 0))), True),
                     0: (add, exact, _memo(signs), False)}
 
-        def balances(cut: tuple, adds: list[tuple], k: int, cycles: Sequence[bytes]) -> bool:
-            """Does some set of whole clusters other than cluster k, cluster
-            i adding one of adds[i], balance each of ``cycles`` in ``cut``?
+        def without(cut: tuple, adds: list[tuple], k: int) -> set[int]:
+            """The values of the sets of whole clusters other than cluster k
+            in ``cut``, cluster i adding one of adds[i]."""
+            return reach((cut[0], tuple(sorted(adds[:k] + adds[k + 1:]))))
+
+        def balanced(cut: tuple, adds: list[tuple], clusters: Iterable[tuple[int, Sequence[bytes]]],
+                     sums: set[int] | None = None) -> bool:
+            """Is each cycle of each cluster (k, cycles) of ``clusters``
+            balanced by some set of whole clusters other than k: is its value
+            in without(cut, adds, k), which ``sums`` is when given?
             Where every gluing keeps the values, the other clusters balance
             a cluster's only cycle."""
-            plus, value, _, kept = cut
-            if kept and len(cycles) <= 1:
-                return True
-            others = tuple(sorted(adds[:k] + adds[k + 1:]))
-            return reach((plus, others)).issuperset(map(value, cycles))
+            _, value, _, kept = cut
+            for k, cycles in clusters:
+                if kept and len(cycles) <= 1:
+                    continue
+                reached = without(cut, adds, k) if sums is None else sums
+                if not reached.issuperset(map(value, cycles)):
+                    return False
+            return True
 
         def cluster(status: int, cycles: list[bytes]) -> tuple:
             if status == _TWISTED:
@@ -441,9 +451,10 @@ class CancellationDiagrams:
                             size, pivot = len(c), (i, j, min(at))
             # a child that glues inside the pivot's cluster keeps the other
             # clusters, and where gluings keep values, the value of the
-            # pivot's cluster too: spare -> what the state's clusters add, or
-            # None when one other than the pivot's fails, found once per state
-            out, ci, inside = {}, pivot[0], {}
+            # pivot's cluster too.  So once per state, spare -> what its
+            # clusters add and the sums of those other than the pivot's, the
+            # sums None when one of those others fails
+            out, ci, shared = {}, pivot[0], {}
             for partner, cost, st, new, rest in _gluings(state, state, pivot, orientable, left):
                 spare = left - cost
                 if spare < 0:
@@ -454,24 +465,23 @@ class CancellationDiagrams:
                         continue
                 elif spare in cuts:
                     cut = cuts[spare]
-                    plus, _, whole, kept = cut
+                    op, _, whole, kept = cut
                     if kept and partner[0] == ci:
-                        if spare not in inside:
+                        if spare not in shared:
                             adds = [*map(whole, state)]
-                            inside[spare] = adds if all(
-                                k == ci or balances(cut, adds, k, cycles)
-                                for k, (_, cycles) in enumerate(state)) else None
-                        adds = inside[spare]
-                        if adds is None or not balances(cut, adds, ci, new):
+                            others = [(k, cl[1]) for k, cl in enumerate(state) if k != ci]
+                            ok = balanced(cut, adds, others)
+                            shared[spare] = adds, without(cut, adds, ci) if ok else None
+                        adds, sums = shared[spare]
+                        if sums is None or not balanced(cut, adds, [(ci, new)], sums):
                             continue
                     else:
                         if kept:
-                            head = 0, plus(whole(state[ci])[1], whole(state[partner[0]])[1])
+                            head = 0, op(whole(state[ci])[1], whole(state[partner[0]])[1])
                         else:
                             head = whole((st, tuple(new)))
                         adds = [head, *map(whole, rest)]
-                        clusters = enumerate([new, *map(_second, rest)])
-                        if not all(balances(cut, adds, k, cycles) for k, cycles in clusters):
+                        if not balanced(cut, adds, enumerate([new, *map(_second, rest)])):
                             continue
                 if new:
                     rest.append(cluster(st, new))
