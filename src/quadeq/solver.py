@@ -400,19 +400,17 @@ class CancellationDiagrams:
             in ``cut``, cluster i adding one of adds[i]."""
             return reach((cut[0], tuple(sorted(adds[:k] + adds[k + 1:]))))
 
-        def balanced(cut: tuple, adds: list[tuple], clusters: Iterable[tuple[int, Sequence[bytes]]],
-                     sums: set[int] | None = None) -> bool:
+        def balanced(cut: tuple, adds: list[tuple],
+                     clusters: Iterable[tuple[int, Sequence[bytes]]]) -> bool:
             """Is each cycle of each cluster (k, cycles) of ``clusters``
             balanced by some set of whole clusters other than k: is its value
-            in without(cut, adds, k), which ``sums`` is when given?
-            Where every gluing keeps the values, the other clusters balance
-            a cluster's only cycle."""
+            in without(cut, adds, k)?  Where every gluing keeps the values,
+            the other clusters balance a cluster's only cycle."""
             _, value, _, kept = cut
             for k, cycles in clusters:
                 if kept and len(cycles) <= 1:
                     continue
-                reached = without(cut, adds, k) if sums is None else sums
-                if not reached.issuperset(map(value, cycles)):
+                if not without(cut, adds, k).issuperset(map(value, cycles)):
                     return False
             return True
 
@@ -451,9 +449,9 @@ class CancellationDiagrams:
                             size, pivot = len(c), (i, j, min(at))
             # a child that glues inside the pivot's cluster keeps the other
             # clusters, and where gluings keep values, the value of the
-            # pivot's cluster too.  So once per state, spare -> what its
-            # clusters add and the sums of those other than the pivot's, the
-            # sums None when one of those others fails
+            # pivot's cluster too.  So once per state, spare -> the sums of
+            # the clusters other than the pivot's, or None when one of those
+            # fails
             out, ci, shared = {}, pivot[0], {}
             for partner, cost, st, new, rest in _gluings(state, state, pivot, orientable, left):
                 spare = left - cost
@@ -465,15 +463,17 @@ class CancellationDiagrams:
                         continue
                 elif spare in cuts:
                     cut = cuts[spare]
-                    op, _, whole, kept = cut
+                    op, value, whole, kept = cut
                     if kept and partner[0] == ci:
                         if spare not in shared:
                             adds = [*map(whole, state)]
                             others = [(k, cl[1]) for k, cl in enumerate(state) if k != ci]
                             ok = balanced(cut, adds, others)
-                            shared[spare] = adds, without(cut, adds, ci) if ok else None
-                        adds, sums = shared[spare]
-                        if sums is None or not balanced(cut, adds, [(ci, new)], sums):
+                            shared[spare] = without(cut, adds, ci) if ok else None
+                        # the test of ``balanced`` on the new cluster, against
+                        # the sums found for the state
+                        sums = shared[spare]
+                        if sums is None or len(new) > 1 and not sums.issuperset(map(value, new)):
                             continue
                     else:
                         if kept:
