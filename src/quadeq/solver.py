@@ -54,11 +54,12 @@ clusters balances has no diagram.  Three cuts read it so:
 
 A gluing keeps the abelian and mod-2 values of the clusters it joins: it
 removes a letter and its inverse (or, mod 2, two letters of one symbol), or
-adds two clusters.  The root's values add up to 0, by the balance test, so a
-state's do too, and all the other clusters balance the cycle of a one-cycle
-cluster: these two cuts test only clusters of more than one cycle.  A
-non-orientable state's exact contents need not add up to 0, since an
-equal-letter gluing removes 2x, so the signed cut tests every cycle.
+adds two clusters.  The root's values add up to 0, or not every letter can
+be glued and the search does not start, so a state's do too, and all the
+other clusters balance the cycle of a one-cycle cluster: these two cuts
+test only clusters of more than one cycle.  A non-orientable state's exact
+contents need not add up to 0, since an equal-letter gluing removes 2x, so
+the signed cut tests every cycle.
 
 Exact contents cut a non-orientable state in two ways.  Both proofs follow
 a diagram as the gluing rules build it from the state as it is stored.  The
