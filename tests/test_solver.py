@@ -421,8 +421,10 @@ def test_mod2_cut_keeps_least_genus_and_cuts_states():
         h.update(_tables(diag, g, diag.certificate(g)))
     assert "".join(map(str, least)) == GENUS_WORDS_LEAST
     # 2,374 with every cut.  A search of one disc keeps one open cluster,
-    # so only the one-cluster cut acts: without it 23,319, without the
-    # mod-2 or the signed cut still 2,374, without all three 27,460
+    # which the one-cluster bound tests in place of the balance cuts.
+    # Without the bound 5,236 when the mod-2 and signed cuts test those
+    # children instead, 27,460 when nothing does; without the mod-2 or the
+    # signed cut still 2,374
     assert states == 2_374
     assert h.hexdigest() == GENUS_WORDS_TABLES
 
@@ -844,9 +846,11 @@ def test_nonorientable_pruning_parity_pinned():
 
 def test_exact_cuts_keep_multi_disc_states_down():
     # failed states of min_genus on the random tuples: 9,886 with every cut,
-    # 10,573 without the mod-2 cut, 78,298 without the one-cluster cut,
-    # 13,771 without the signed cut, 126,722 without all three; the count
-    # is exact, so dropping any one of them shows here
+    # 10,573 without the mod-2 cut, 13,771 without the signed cut; without
+    # the one-cluster bound 15,673 when the mod-2 and signed cuts test
+    # one-cluster children instead, 100,227 when nothing does; 126,722
+    # without all three.  The count is exact, so dropping any one of them
+    # shows here
     states, h = 0, hashlib.sha256()
     for kind, discs, _ in _random_tuples():
         diag = CancellationDiagrams(discs, kind)
