@@ -284,11 +284,10 @@ def cmd_surface(args) -> int:
     text = _read(args.file)
     rep = Report("surface").digest(text)
     alphabet, words = _read_words(text, "edges", "word")
-    q = sf.classify(words)
-    surf = sf.glue(q)
+    surf = sf.glue(words)
     if args.dot:
-        _write(args.dot, _dot_export(words, alphabet))
-    rep.add("kind", q.kind)
+        _write(args.dot, _dot_export(surf, alphabet))
+    rep.add("kind", surf.qset.kind)
     rep.add("vertices", surf.vertex_count)
     rep.add("edges", surf.edge_count)
     rep.add("faces", surf.face_count)
@@ -305,8 +304,7 @@ def cmd_surface(args) -> int:
     return EXIT_OK
 
 
-def _dot_export(words: list[Word], alphabet: Alphabet) -> str:
-    cx = sf.build_complex(words)
+def _dot_export(cx: sf.SurfaceComplex, alphabet: Alphabet) -> str:
     lines = ["graph surface {"]
     for f, letters in enumerate(cx.faces):
         for i, g in enumerate(letters):

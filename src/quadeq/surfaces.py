@@ -37,12 +37,8 @@ class QuadraticSet:
     words: tuple[CyclicWord, ...]
     kind: str  # ORIENTABLE or NONORIENTABLE
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(w) for w in self.words) // 2
 
-
-def classify(words: Iterable[CyclicWord | Word]) -> QuadraticSet:
+def classify(words: Iterable[Word]) -> QuadraticSet:
     """Check the exactly-twice condition and classify orientability.
 
     Orientable: every letter's two occurrences have opposite signs.
@@ -52,11 +48,6 @@ def classify(words: Iterable[CyclicWord | Word]) -> QuadraticSet:
     """
     cyc: list[CyclicWord] = []
     for w in words:
-        if isinstance(w, CyclicWord):
-            if len(w) == 0:
-                raise NotQuadraticError("empty boundary word")
-            cyc.append(w)
-            continue
         canon = cyclic_normalize(w)
         if len(canon) != len(w) or len(w) == 0:
             raise NotQuadraticError(
@@ -94,31 +85,6 @@ class Component:
 
 
 @dataclass(frozen=True)
-class GluedSurface:
-    vertex_count: int
-    edge_count: int
-    face_count: int
-    components: tuple[Component, ...]
-
-    @property
-    def chi(self) -> int:
-        return self.vertex_count - self.edge_count + self.face_count
-
-    @property
-    def orientable(self) -> bool:
-        return all(c.orientable for c in self.components)
-
-    @property
-    def genus(self) -> int:
-        """Sum of the component genera (mixed orientability: plain sum)."""
-        return sum(c.genus for c in self.components)
-
-    @property
-    def kind(self) -> str:
-        return ORIENTABLE if self.orientable else NONORIENTABLE
-
-
-@dataclass(frozen=True)
 class GirthCorner:
     """One corner of the vertex link: the word slot between two darts.
 
@@ -146,7 +112,8 @@ class Girth:
 
 
 class SurfaceComplex:
-    """The identified cell complex of a quadratic set.
+    """The identified cell complex of a quadratic set: its counts, components,
+    chi, orientability and genus.
 
     Corner (f, i) sits before letter i of face f: the tail of dart (f, i) and
     the head of dart (f, i - 1) meet there.
@@ -175,6 +142,14 @@ class SurfaceComplex:
             for i in range(len(letters)):
                 if (f, i) not in self._vertex:
                     self._girths.append(self._walk(f, i))
+        self.components = self._components()
+        # a one-polygon gluing has no disc-flip freedom: the letter signs decide
+        # orientability.  (Multi-disc sets can classify non-orientable yet glue
+        # orientably, e.g. {ab, ab} is a sphere.)
+        if len(self.faces) == 1 and self.kind != qset.kind:
+            raise AssertionError(
+                "internal: orientability of a one-word gluing disagrees with the letter signs"
+            )
 
     def _cross(self, f: int, i: int, rev: bool) -> tuple[tuple[int, int], bool]:
         """The corner after (f, i) on its vertex link, and whether the walk
@@ -224,9 +199,26 @@ class SurfaceComplex:
     def vertices(self) -> list[int]:
         return list(range(len(self._girths)))
 
-    def summary(self) -> GluedSurface:
-        """Counts and components, by one 2-colouring of the faces: a face is
-        flipped against a neighbour when the link walk turns between them."""
+    @property
+    def chi(self) -> int:
+        return self.vertex_count - self.edge_count + self.face_count
+
+    @property
+    def orientable(self) -> bool:
+        return all(c.orientable for c in self.components)
+
+    @property
+    def genus(self) -> int:
+        """Sum of the component genera (mixed orientability: plain sum)."""
+        return sum(c.genus for c in self.components)
+
+    @property
+    def kind(self) -> str:
+        return ORIENTABLE if self.orientable else NONORIENTABLE
+
+    def _components(self) -> tuple[Component, ...]:
+        """By one 2-colouring of the faces: a face is flipped against a
+        neighbour when the link walk turns between them."""
         flipped: dict[int, bool] = {}
         comps = []
         for start in range(len(self.faces)):
@@ -250,12 +242,7 @@ class SurfaceComplex:
             v = len({self._vertex[c] for c in corners})
             e = len(corners) // 2
             comps.append(Component(tuple(faces), v, e, v - e + len(faces), orientable))
-        return GluedSurface(
-            vertex_count=self.vertex_count,
-            edge_count=self.edge_count,
-            face_count=self.face_count,
-            components=tuple(comps),
-        )
+        return tuple(comps)
 
     # --- vertex links ---------------------------------------------------------
 
@@ -267,23 +254,9 @@ class SurfaceComplex:
         return self._girths[vertex]
 
 
-def build_complex(words: Iterable[CyclicWord | Word]) -> SurfaceComplex:
+def glue(words: Iterable[Word]) -> SurfaceComplex:
+    """Classify the boundary words and glue their discs."""
     return SurfaceComplex(classify(words))
-
-
-def glue(qset: QuadraticSet | Iterable[CyclicWord | Word]) -> GluedSurface:
-    """Glue the discs and return counts, per-component chi/orientability/genus."""
-    if not isinstance(qset, QuadraticSet):
-        qset = classify(qset)
-    surf = SurfaceComplex(qset).summary()
-    # a one-polygon gluing has no disc-flip freedom: the letter signs decide
-    # orientability.  (Multi-disc sets can classify non-orientable yet glue
-    # orientably, e.g. {ab, ab} is a sphere.)
-    if len(qset.words) == 1 and surf.kind != qset.kind:
-        raise AssertionError(
-            "internal: orientability of a one-word gluing disagrees with the letter signs"
-        )
-    return surf
 
 
 # --- hole-genus formulas ------------------------------------------------------
@@ -379,8 +352,7 @@ class AugmentResult:
     w_def: Word              # product psi_1 ... psi_l
 
 
-def augment(girth: Girth, psis: Sequence[Word], names: Sequence[str] | None = None,
-            w_name: str = "W") -> AugmentResult:
+def augment(girth: Girth, psis: Sequence[Word]) -> AugmentResult:
     """Collapse an extended vertex onto accumulated edge letters.
 
     With corners ``a_i^-1 psi_i a_{i+1}`` the rewrite is ``A_i^-1 A_{i+1}``
@@ -391,10 +363,7 @@ def augment(girth: Girth, psis: Sequence[Word], names: Sequence[str] | None = No
     if len(psis) != ell:
         raise SurfaceError("need one psi per corner")
     a = [Word((c.entry,)) for c in girth.corners]
-    names = tuple(names) if names is not None else tuple(f"A{i+1}" for i in range(ell))
-    if len(names) != ell:
-        raise SurfaceError("need one name per corner")
-    alpha = Alphabet(names + (w_name,))
+    alpha = Alphabet(tuple(f"A{i+1}" for i in range(ell)) + ("W",))
     defs: list[Word] = []
     acc = Word()
     for i in range(ell):
@@ -465,7 +434,7 @@ class MultiForm:
     framing_genus: int | None = None  # computed from the gluing when None
 
     def resolved_framing(self) -> tuple[str, int]:
-        surf = glue(self.framing)
+        surf = SurfaceComplex(self.framing)
         k = surf.genus if self.framing_genus is None else self.framing_genus
         return self.framing.kind, k
 

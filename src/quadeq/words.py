@@ -95,10 +95,8 @@ class Alphabet:
                 letters.append(Generator(self.index(n), 1))
         return Word(letters)
 
-    def format(self, w: "Word | CyclicWord") -> str:
+    def format(self, w: "Word") -> str:
         """Render a word with collapsed powers, ``1`` for the empty word."""
-        if isinstance(w, CyclicWord):
-            w = w.representative
         if len(w) == 0:
             return "1"
         out: list[str] = []

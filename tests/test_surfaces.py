@@ -10,7 +10,6 @@ from quadeq.surfaces import (
     NotQuadraticError,
     SurfaceError,
     augment,
-    build_complex,
     classify,
     extend_vertex,
     extension_product,
@@ -118,7 +117,7 @@ def test_genus2_orientable():
 
 def test_girth_torus_single_vertex():
     al, ws = words_over("ab", "a b -a -b")
-    cx = build_complex(ws)
+    cx = glue(ws)
     assert cx.vertices() == [0]
     g = cx.girth(0)
     assert g.degree == 4
@@ -126,7 +125,7 @@ def test_girth_torus_single_vertex():
 
 def test_girth_projective():
     al, ws = words_over("a", "a a")
-    cx = build_complex(ws)
+    cx = glue(ws)
     assert cx.vertex_count == 1
     assert cx.girth(0).degree == 2
 
@@ -134,7 +133,7 @@ def test_girth_projective():
 def test_girth_no_degree_one():
     # every edge has two endpoints-incidences; a vertex of degree 1 cannot occur
     al, ws = words_over("ab", "a b -a -b")
-    cx = build_complex(ws)
+    cx = glue(ws)
     for v in cx.vertices():
         assert cx.girth(v).degree >= 2
 
@@ -145,7 +144,7 @@ def test_extend_vertex_worked_example():
     # word A B^-1 A C^-1 B C^-1 over edges A,B,C; insert three elements at
     # one vertex and reproduce A B^-1 p3 A C^-1 p2 B C^-1 p1.
     edges, ws = words_over("ABC", "A -B A -C B -C")
-    cx = build_complex(ws)
+    cx = glue(ws)
     factor = Alphabet(("p1", "p2", "p3"))
     combined, off = merge_alphabets(edges, factor)
 
@@ -172,7 +171,7 @@ def test_extend_vertex_worked_example():
 
 def test_extend_trivial_psis_identity():
     edges, ws = words_over("ab", "a b -a -b")
-    cx = build_complex(ws)
+    cx = glue(ws)
     v = cx.vertices()[0]
     deg = cx.girth(v).degree
     out = extend_vertex(cx, v, [Word()] * deg)
@@ -184,7 +183,7 @@ def test_extend_cancelling_pair_keeps_surface():
     # corners forward.  Inserting w, w^-1 around one vertex is a trivial
     # decoration: the glued invariants stay those of the sphere.
     edges, ws = words_over("ab", "a -b", "b -a")
-    cx = build_complex(ws)
+    cx = glue(ws)
     s0 = glue(ws)
     assert s0.chi == 2 and s0.orientable
     v = cx.vertices()[0]
@@ -206,7 +205,7 @@ def test_extend_cancelling_pair_reversed_corner():
     # pair that cancels around the vertex is (w, w): the walk reads the
     # second insertion backwards.
     edges, ws = words_over("a", "a a")
-    cx = build_complex(ws)
+    cx = glue(ws)
     v = cx.vertices()[0]
     girth = cx.girth(v)
     assert girth.degree == 2
@@ -223,7 +222,7 @@ def test_extend_cancelling_pair_reversed_corner():
 
 def test_extend_arity_mismatch():
     edges, ws = words_over("a", "a a")
-    cx = build_complex(ws)
+    cx = glue(ws)
     with pytest.raises(SurfaceError):
         extend_vertex(cx, cx.vertices()[0], [Word()])
 
@@ -233,7 +232,7 @@ def test_extend_arity_mismatch():
 def test_augment_shapes_and_roundtrip():
     # degree-4 extended vertex: corners a1^-1 p1 a2, ..., a4^-1 p4 a1
     edges, ws = words_over("abcd", "a b -a -b c d -c -d")
-    cx = build_complex(ws)
+    cx = glue(ws)
     v = max(cx.vertices(), key=lambda u: cx.girth(u).degree)
     girth = cx.girth(v)
     ell = girth.degree
@@ -395,7 +394,7 @@ def _random_complexes(seed, count):
         n_edges = rng.randint(1, 7)
         # a a^-1 alone is not cyclically reduced, so one orientable edge needs two faces
         n_words = rng.randint(2 if orientable and n_edges == 1 else 1, min(4, 2 * n_edges))
-        yield build_complex(_random_quadratic_set(rng, n_edges, n_words, orientable))
+        yield glue(_random_quadratic_set(rng, n_edges, n_words, orientable))
 
 
 def test_link_walk_places_every_corner_once():
@@ -430,7 +429,7 @@ def test_vertices_and_components_numbered_by_least_corner_and_face():
     for cx in _random_complexes(13, 400):
         least = [min((c.face, c.pos) for c in cx.girth(v).corners) for v in cx.vertices()]
         assert all(a < b for a, b in zip(least, least[1:]))
-        comps = cx.summary().components
+        comps = cx.components
         assert all(a.faces[0] < b.faces[0] for a, b in zip(comps, comps[1:]))
         assert sorted(f for c in comps for f in c.faces) == list(range(len(cx.faces)))
         for comp in comps:
@@ -491,7 +490,7 @@ def test_multiform_paper_style_example_total_15():
     assert (surf.vertex_count, surf.edge_count, surf.face_count) == (9, 15, 3)
     assert surf.genus == 5
 
-    cx = build_complex(ws)
+    cx = glue(ws)
     # the two decorated vertices: one carries the three xi-slots of word 1,
     # the other the psi-slots (word1 pos 3, word2 pos 1, word3 pos 1)
     v_xi = cx.vertex_of(0, 1)
