@@ -256,9 +256,8 @@ def cmd_genus(args) -> int:
     rep.add("kind", kind)
     if args.at is not None:
         rep.add("genus", args.at)
-        fn = sv.genus_orientable if kind == "orientable" else sv.genus_nonorientable
         try:
-            res = fn(coeffs, args.at, gens, want_witness=not args.no_witness)
+            res = sv.genus_at(coeffs, args.at, kind, gens, want_witness=not args.no_witness)
         except sv.SearchLimitError:
             return _inconclusive(rep, args)
         rep.add("verdict", "solvable" if res.solvable else "unsolvable")

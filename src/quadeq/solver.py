@@ -129,7 +129,7 @@ from .standardize import (
     StandardForm,
     standardize,
 )
-from .words import Word, least_rotation, pack, packed_inverse, replay, solve_letter, substitute
+from .words import MAX_GENERATORS, Word, least_rotation, pack, packed_inverse, replay, solve_letter, substitute
 
 
 class SolverError(ValueError):
@@ -909,14 +909,21 @@ def _tuple_form(coefficients: Sequence[Word], g: int, kind: str) -> StandardForm
     )
 
 
-def _genus_at(
+def genus_at(
     coefficients: Sequence[Word], g: int, kind: str, gens: tuple[str, ...],
-    want_witness: bool,
+    want_witness: bool = True,
 ) -> GenusResult:
+    """Is the standard-form equation of this kind solvable at genus g?"""
     form = _tuple_form(coefficients, g, kind)
     diag = _diagrams(form)  # refuses an unknown kind
     if g < LEAST_GENUS[kind]:
         raise SolverError(f"{kind} genus must be >= {LEAST_GENUS[kind]}")
+    symbols = len(gens) + g * (2 if kind == ORIENTABLE else 1) + form.n_conjugators
+    if want_witness and symbols > MAX_GENERATORS:
+        raise SolverError(
+            f"a witness at genus {g} needs {symbols} symbols, more than the "
+            f"{MAX_GENERATORS} an alphabet holds; --no-witness answers without one"
+        )
     if not diag.solvable_within(g):
         return GenusResult(False, None)
     if not want_witness:
@@ -928,22 +935,6 @@ def _genus_at(
     if not sysm.check(sol):
         raise AssertionError("internal: genus witness failed verification")
     return GenusResult(True, sol)
-
-
-def genus_orientable(
-    coefficients: Sequence[Word], g: int, gens: tuple[str, ...],
-    want_witness: bool = True,
-) -> GenusResult:
-    """Is the orientable-form equation solvable at genus g?"""
-    return _genus_at(coefficients, g, ORIENTABLE, gens, want_witness)
-
-
-def genus_nonorientable(
-    coefficients: Sequence[Word], g: int, gens: tuple[str, ...],
-    want_witness: bool = True,
-) -> GenusResult:
-    """Is the non-orientable-form equation solvable at genus g (g >= 1)?"""
-    return _genus_at(coefficients, g, NONORIENTABLE, gens, want_witness)
 
 
 def tuple_genus(

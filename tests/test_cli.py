@@ -159,6 +159,23 @@ def test_genus_at_below_the_least_genus(tmp_path, capsys, kind, at, message):
     assert out == "" and err.strip() == message
 
 
+@pytest.mark.parametrize("kind,coefficient,at,symbols", [
+    ("orientable", "[a,b]", "32", 66),
+    ("nonorientable", "[a,b]^2", "63", 65),
+])
+def test_genus_at_refuses_a_witness_no_alphabet_holds(tmp_path, capsys, kind, coefficient,
+                                                      at, symbols):
+    # the standard system has the 2 generators, 2 (orientable) or 1 symbols per
+    # genus and no conjugator: more than 64 is refused before the search
+    f = write(tmp_path, "c.txt", f"gens: a b\n{coefficient}\n")
+    code, out, err = run(capsys, "genus", f, "--kind", kind, "--at", at)
+    assert code == 2 and out == ""
+    assert err.strip() == (f"error: a witness at genus {at} needs {symbols} symbols, more than "
+                           "the 64 an alphabet holds; --no-witness answers without one")
+    code, out, _ = run(capsys, "genus", f, "--kind", kind, "--at", at, "--no-witness")
+    assert code == 0 and "verdict: solvable" in out
+
+
 def test_genus_at_builds_the_cliff_witness(tmp_path, capsys):
     # [a,b]^3 at genus 2: the witness is built from the diagram, where the
     # oracle ran to its length bound 24 and did not end

@@ -14,8 +14,7 @@ from quadeq.solver import (
     SolverError,
     _commutators,
     _diagrams,
-    genus_nonorientable,
-    genus_orientable,
+    genus_at,
     solve_quadratic,
     tuple_genus,
 )
@@ -80,28 +79,28 @@ def test_flipped_sphere_costs_one():
 # --- genus_* operations (spec-level shapes) -----------------------------------------
 
 def test_genus_orientable_examples():
-    r = genus_orientable([commutator(a, b)], 1, GENS)
+    r = genus_at([commutator(a, b)], 1, ORIENTABLE, GENS)
     assert r.solvable and r.witness is not None
-    r0 = genus_orientable([commutator(a, b)], 0, GENS, want_witness=False)
+    r0 = genus_at([commutator(a, b)], 0, ORIENTABLE, GENS, want_witness=False)
     assert not r0.solvable
-    triv = genus_orientable([Word()], 0, GENS)
+    triv = genus_at([Word()], 0, ORIENTABLE, GENS)
     assert triv.solvable
 
 
 def test_genus_nonorientable_examples():
-    r = genus_nonorientable([a * a], 1, GENS)
+    r = genus_at([a * a], 1, NONORIENTABLE, GENS)
     assert r.solvable and r.witness is not None
     # frozen from oracle exhaustion + Lyndon's theorem: [a,b] needs 3 squares
-    assert not genus_nonorientable([commutator(a, b)], 2, GENS, want_witness=False).solvable
-    assert genus_nonorientable([commutator(a, b)], 3, GENS, want_witness=False).solvable
-    assert not genus_nonorientable([a], 1, GENS, want_witness=False).solvable
+    assert not genus_at([commutator(a, b)], 2, NONORIENTABLE, GENS, want_witness=False).solvable
+    assert genus_at([commutator(a, b)], 3, NONORIENTABLE, GENS, want_witness=False).solvable
+    assert not genus_at([a], 1, NONORIENTABLE, GENS, want_witness=False).solvable
     with pytest.raises(SolverError):
-        genus_nonorientable([a], 0, GENS)
+        genus_at([a], 0, NONORIENTABLE, GENS)
 
 
 def test_genus_monotone():
     for g in range(1, 4):
-        assert genus_orientable([commutator(a, b)], g, GENS, want_witness=False).solvable
+        assert genus_at([commutator(a, b)], g, ORIENTABLE, GENS, want_witness=False).solvable
 
 
 # each entry point that takes a kind, with its orientable answer on abab: a
@@ -110,7 +109,7 @@ def test_genus_monotone():
 @pytest.mark.parametrize("call, orientable", [
     (lambda kind: CancellationDiagrams([a * b * a * b], kind).min_genus(3), None),
     (lambda kind: tuple_genus([a * b * a * b], kind, GENS), None),
-    (lambda kind: solver._genus_at([a * b * a * b], 1, kind, GENS, False),
+    (lambda kind: solver.genus_at([a * b * a * b], 1, kind, GENS, False),
      solver.GenusResult(False, None)),
 ], ids=["diagrams", "tuple_genus", "genus_at"])
 def test_unknown_kind_is_refused(call, orientable):
@@ -470,7 +469,7 @@ def test_witnesses_check_and_stay_linear():
     worst = dict.fromkeys(range(5), 0.0)
     for form in forms:
         system = form.system(GENS)
-        r = genus_orientable([*form.coefficients, form.tail], form.genus, GENS)
+        r = genus_at([*form.coefficients, form.tail], form.genus, ORIENTABLE, GENS)
         assert r.solvable and system.check(r.witness), form
         longest = max(map(len, r.witness.values()), default=0)
         assert longest <= WITNESS_PER_LETTER * system.total_length(), form
