@@ -265,14 +265,16 @@ def candidate_length_bound(q: int, delta: int, alphabet_size: int) -> CandidateB
 
 def _digit_count_shifted(q: int, e: int) -> int:
     """Exact decimal digit count of q * 2^e without building the integer."""
-    from decimal import Decimal, getcontext
+    from decimal import Decimal, localcontext
 
-    getcontext().prec = 60
-    log10 = Decimal(2).ln() / Decimal(10).ln()
-    val = Decimal(e) * log10 + Decimal(q).ln() / Decimal(10).ln()
-    floor = int(val)
-    frac = val - floor
-    if frac < Decimal("1e-30") or frac > 1 - Decimal("1e-30"):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        log10 = Decimal(2).ln() / Decimal(10).ln()
+        val = Decimal(e) * log10 + Decimal(q).ln() / Decimal(10).ln()
+        floor = int(val)
+        frac = val - floor
+        near = frac < Decimal("1e-30") or frac > 1 - Decimal("1e-30")
+    if near:
         # too close to a power of ten: settle by integer comparison
         n = q << e
         d = floor + 1

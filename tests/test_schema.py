@@ -1,3 +1,4 @@
+import decimal
 import random
 
 import pytest
@@ -42,6 +43,13 @@ def test_bound_exact_values():
 def test_bound_digits_small():
     b = candidate_length_bound(1, 0, 1)
     assert b.digits == len(str(1 << 5050))
+
+
+def test_bound_keeps_the_callers_decimal_precision():
+    with decimal.localcontext() as ctx:
+        ctx.prec = 17
+        candidate_length_bound(3, 1, 2)
+        assert decimal.getcontext().prec == 17
 
 
 def test_schema_rejects_negative_parameters():
