@@ -165,6 +165,15 @@ def test_solve_path_imports():
     assert out == sorted(f"quadeq.{m}" for m in SOLVE_PATH)
 
 
+def test_solve_path_is_the_benchmarks_module_list():
+    # perfbench/run.py times the import of MODULES in setup_s; SOLVE_PATH restates it
+    root = Path(__file__).resolve().parent.parent
+    tree = ast.parse((root / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    modules = [ast.literal_eval(n.value) for n in tree.body if isinstance(n, ast.Assign)
+               and [getattr(t, "id", None) for t in n.targets] == ["MODULES"]]
+    assert modules == [SOLVE_PATH]
+
+
 def test_tracer_hooks_find_their_targets():
     # the benchmark's tracer wraps named attributes of the solve-path modules;
     # a renamed or deleted one is a KeyError in every traced run
