@@ -20,7 +20,7 @@ from quadeq.geneq import (
     replay_trace,
 )
 from quadeq.oracle import SearchBound, enumerate_solutions
-from quadeq.words import Alphabet, Generator
+from quadeq.words import Alphabet, Generator, Word
 
 AL = Alphabet(("a", "b"))
 
@@ -561,3 +561,45 @@ def test_pull_inverts_push_on_corpus_stride(corpus_systems):
             assert b.pull(gsol) == {n: sol[n] for n in occurring}
             pushed += 1
     assert pushed >= 250
+
+
+# --- the encoding itself, pinned -----------------------------------------------------
+
+# from_system on hand-written systems: two-sided, a relator that is halved,
+# and a chain of bindings (the halving of the first equation comes before
+# the binding of z, as in corpus system 8730)
+BUILD_SYSTEMS = (
+    "gens: a b\nvars: x y\nx a y = y b x",
+    "gens: a b\nvars: x y\nx y x^-1 a y^-1 = 1",
+    "gens: a b\nvars: x y z\nx^2 y^2 z = 1\nz = 1",
+    "gens: a b\nvars: x y z\nx y z a = 1\ny = 1\nz y = 1",
+)
+BUILD_PIN = "e10a0b462764c51fddb897a9e47f378189b8498a6cbc18fae8e76534683a8f3a"
+
+
+def _build_record(system):
+    """Canonical text, item letters and normalized system of one encoding,
+    or the message it raises."""
+    try:
+        b = from_system(system)
+    except GenEqError as e:
+        return f"error {e}\n"
+    fmt = b.system.alphabet.format
+    letters = " ".join(f"{j}:{fmt(Word((g,)))}" for j, g in b.letters.items())
+    return b.geneq.canonical_text() + letters + "\n" + b.system.render()
+
+
+def test_from_system_encoding_pinned(corpus_systems):
+    systems = [parse_system(t) for t in BUILD_SYSTEMS] + list(corpus_systems[::7])
+    text = "".join(_build_record(s) for s in systems)
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILD_PIN
+
+
+@pytest.mark.parametrize("text", [
+    "gens: a b\nvars: x\nx a = a x\nb = 1",
+    # x = 1 leaves the second half alone: 1 = a^-1
+    "gens: a b\nvars: x\nx a = 1\nx = 1",
+])
+def test_from_system_refuses_a_constant_relator(text):
+    with pytest.raises(GenEqError, match="nontrivial constant relator"):
+        build(text)
