@@ -59,9 +59,6 @@ class Base:
         if (self.dual is None) != (self.label is not None):
             raise GenEqError(f"base {self.name}: constant bases carry labels")
 
-    def covers_item(self, j: int) -> bool:
-        return self.lo <= j < self.hi
-
     def on(self, p: int) -> bool:
         return self.lo <= p <= self.hi
 
@@ -79,6 +76,7 @@ class GenEq:
         if len(set(names)) != len(names):
             raise GenEqError("duplicate base names")
         by = {b.name: b for b in self.bases}
+        constant_spans = set()
         for b in self.bases:
             if b.hi > self.nbound:
                 raise GenEqError(f"base {b.name} exceeds boundary range")
@@ -86,14 +84,12 @@ class GenEq:
                 d = by.get(b.dual)
                 if d is None or d.dual != b.name:
                     raise GenEqError(f"base {b.name}: dual involution broken")
-        for i, ci in enumerate(self.bases):
-            if ci.label is None:
                 continue
-            if ci.lo < self.rho:
-                raise GenEqError(f"constant base {ci.name} must lie past rho")
-            for cj in self.bases[i + 1 :]:
-                if cj.label is not None and (ci.lo, ci.hi) == (cj.lo, cj.hi):
-                    raise GenEqError("constant bases must differ by endpoints")
+            if b.lo < self.rho:
+                raise GenEqError(f"constant base {b.name} must lie past rho")
+            if (b.lo, b.hi) in constant_spans:
+                raise GenEqError(f"constant base {b.name} repeats another's endpoints")
+            constant_spans.add((b.lo, b.hi))
         for p, name, q in self.connections:
             b = by.get(name)
             if b is None or b.dual is None:
@@ -117,9 +113,7 @@ class GenEq:
 
     def coverage(self, j: int) -> int:
         """gamma(j): non-constant bases covering item h_j."""
-        return sum(
-            1 for b in self.bases if b.dual is not None and b.covers_item(j)
-        )
+        return sum(1 for b in self.bases if b.dual is not None and b.lo <= j < b.hi)
 
     def is_quadratic(self) -> bool:
         return all(self.coverage(j) <= 2 for j in self.items())
@@ -194,12 +188,7 @@ class GenEqSolution:
             span = self.letters[at[b.lo] : at[b.hi]]
             if len(Word(span)) != len(span):
                 return False
-        seen = set()
         for b in geneq.nonconstant_bases():
-            if b.name in seen:
-                continue
-            seen.add(b.name)
-            seen.add(b.dual)
             if self.value(b) != self.value(geneq.dual_of(b.name)):
                 return False
         for c in geneq.constant_bases():
@@ -267,103 +256,68 @@ def from_system(system: EquationSystem) -> GenEqBuild:
     occurrences of each repeated variable, (c) each constant occurrence and
     its twin item past rho, where a constant base pins the twin.
     """
-    # normalize: every equation two-sided; `z = 1` bindings substituted away
+    # normalize until nothing changes: a one-letter variable relator binds
+    # that variable to 1, a longer relator becomes its two halves, empty
+    # equations drop out
     equations = list(system.equations)
     forced: dict[int, Word] = {}
-    changed = True
-    while changed:
-        changed = False
+    while True:
         nxt: list[Equation] = []
         for eq in equations:
             lhs = substitute(eq.lhs, forced)
             rhs = substitute(eq.rhs, forced)
-            if len(rhs) == 0 and len(lhs) == 1 and lhs[0].sym >= system.n_constants:
-                forced[lhs[0].sym] = Word()
-                changed = True
+            if len(lhs) and len(rhs):
+                nxt.append(Equation(lhs, rhs))
                 continue
-            if len(lhs) == 0 and len(rhs) == 0:
-                continue
-            if len(lhs) == 0 or len(rhs) == 0:
-                rel = lhs if len(rhs) == 0 else rhs
-                if len(rel) == 1:
-                    nxt.append(Equation(rel, Word()))
-                    continue
-                a, b = _halves(rel)
-                nxt.append(Equation(a, b))
-                changed = changed or (a, b) != (eq.lhs, eq.rhs)
-                continue
-            nxt.append(Equation(lhs, rhs))
+            rel = lhs if len(lhs) else rhs
+            if len(rel) == 1 and rel[0].sym >= system.n_constants:
+                forced[rel[0].sym] = Word()
+            elif len(rel) == 1:
+                nxt.append(Equation(rel))
+            elif len(rel):
+                nxt.append(Equation(*_halves(rel)))
+        if nxt == equations:
+            break
         equations = nxt
-    # a remaining one-sided equation must be a nontrivial constant relator
-    for eq in equations:
-        if len(eq.rhs) == 0:
-            if all(g.sym < system.n_constants for g in eq.lhs):
-                raise GenEqError("system contains a nontrivial constant relator")
-            raise GenEqError("cannot encode a one-letter variable relator")
+    # what stays one-sided is a one-letter constant relator
+    if any(len(eq.rhs) == 0 for eq in equations):
+        raise GenEqError("system contains a nontrivial constant relator")
 
     norm = EquationSystem(system.gens, system.variables, tuple(equations))
     nc = norm.n_constants
 
+    # item h_p reads letters[p - 1]: the equation sides, then the constant twins
+    letters: list[Generator] = []
     bases: list[Base] = []
-    pos = 1
-    spans: list[tuple[int, int, int, int]] = []  # (lhs_lo, lhs_hi, rhs_lo, rhs_hi)
-    letter_at: dict[int, Generator] = {}
-    for eq in norm.equations:
-        l0 = pos
-        for g in eq.lhs:
-            letter_at[pos] = g
-            pos += 1
-        l1 = pos
-        r0 = pos
-        for g in eq.rhs:
-            letter_at[pos] = g
-            pos += 1
-        r1 = pos
-        spans.append((l0, l1, r0, r1))
-    rho = pos
-    twins: list[tuple[int, Generator]] = []
-    for p in range(1, rho):
-        g = letter_at[p]
-        if g.sym < nc:
-            twins.append((p, g))
-    twin_pos: dict[int, int] = {}
-    for p, g in twins:
-        twin_pos[p] = pos
-        letter_at[pos] = Generator(g.sym, 1)
-        pos += 1
-    nbound = pos
+    for e, eq in enumerate(norm.equations, 1):
+        lo = len(letters) + 1
+        letters.extend(eq.lhs)
+        mid = len(letters) + 1
+        letters.extend(eq.rhs)
+        bases.append(Base(f"s{e}", lo, mid, 1, dual=f"s{e}*"))
+        bases.append(Base(f"s{e}*", mid, len(letters) + 1, 1, dual=f"s{e}"))
+    rho = len(letters) + 1
 
-    for e, (l0, l1, r0, r1) in enumerate(spans):
-        bases.append(Base(f"s{e+1}", l0, l1, 1, dual=f"s{e+1}*"))
-        bases.append(Base(f"s{e+1}*", r0, r1, 1, dual=f"s{e+1}"))
-
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for p in range(1, rho):
-        g = letter_at[p]
+    occurrences: dict[int, list[int]] = {}
+    for p, g in enumerate(letters, 1):
         if g.sym >= nc:
-            occurrences.setdefault(g.sym, []).append((p, g.sign))
-    vcount = 0
-    for _, slots in sorted(occurrences.items()):
-        for k in range(len(slots) - 1):
-            vcount += 1
-            (p1, s1), (p2, s2) = slots[k], slots[k + 1]
-            bases.append(Base(f"v{vcount}", p1, p1 + 1, s1, dual=f"v{vcount}*"))
-            bases.append(Base(f"v{vcount}*", p2, p2 + 1, s2, dual=f"v{vcount}"))
+            occurrences.setdefault(g.sym, []).append(p)
+    pairs = [pair for _, ps in sorted(occurrences.items()) for pair in zip(ps, ps[1:])]
+    for v, (p1, p2) in enumerate(pairs, 1):
+        bases.append(Base(f"v{v}", p1, p1 + 1, letters[p1 - 1].sign, dual=f"v{v}*"))
+        bases.append(Base(f"v{v}*", p2, p2 + 1, letters[p2 - 1].sign, dual=f"v{v}"))
 
-    for ccount, (p, g) in enumerate(twins, 1):
-        t = twin_pos[p]
-        bases.append(Base(f"c{ccount}", p, p + 1, g.sign, dual=f"c{ccount}*"))
-        bases.append(Base(f"c{ccount}*", t, t + 1, 1, dual=f"c{ccount}"))
-        bases.append(Base(f"k{ccount}", t, t + 1, 1, label=Generator(g.sym, 1)))
+    constants = [(p, g) for p, g in enumerate(letters, 1) if g.sym < nc]
+    for c, (p, g) in enumerate(constants, 1):
+        twin = rho + c - 1
+        bases.append(Base(f"c{c}", p, p + 1, g.sign, dual=f"c{c}*"))
+        bases.append(Base(f"c{c}*", twin, twin + 1, 1, dual=f"c{c}"))
+        bases.append(Base(f"k{c}", twin, twin + 1, 1, label=Generator(g.sym, 1)))
+        letters.append(Generator(g.sym, 1))
 
-    ge = GenEq(
-        gens=norm.gens,
-        nbound=nbound,
-        bases=tuple(bases),
-        connections=(),
-        rho=rho,
-    )
-    return GenEqBuild(geneq=ge, system=norm, letters=letter_at)
+    ge = GenEq(gens=norm.gens, nbound=len(letters) + 1, bases=tuple(bases), connections=(),
+               rho=rho)
+    return GenEqBuild(geneq=ge, system=norm, letters=dict(enumerate(letters, 1)))
 
 
 # --- elementary transformations --------------------------------------------------------
@@ -448,36 +402,21 @@ def et1_cut(ge: GenEq, name: str, p: int) -> GenEq:
     d = ge.dual_of(name)
     if not (d.lo < q < d.hi):
         raise GenEqError(f"tied boundary {q} is not internal to {d.name}")
-    (bp, bs) = _oriented_parts(b, p)
-    (dp, ds) = _oriented_parts(d, q)
-    n1, n2 = f"{name}.1", f"{name}.2"
-    m1, m2 = f"{d.name}.1", f"{d.name}.2"
-    parts = [
-        Base(n1, bp[0], bp[1], b.eps, dual=m1),
-        Base(n2, bs[0], bs[1], b.eps, dual=m2),
-        Base(m1, dp[0], dp[1], d.eps, dual=n1),
-        Base(m2, ds[0], ds[1], d.eps, dual=n2),
-    ]
+    # each side splits into its oriented prefix x.1 and suffix x.2
+    parts: dict[str, tuple[Base, Base]] = {}
+    for x, at in ((b, p), (d, q)):
+        prefix, suffix = _oriented_parts(x, at)
+        parts[x.name] = (Base(f"{x.name}.1", *prefix, x.eps, dual=f"{x.dual}.1"),
+                         Base(f"{x.name}.2", *suffix, x.eps, dual=f"{x.dual}.2"))
     conns: list[tuple[int, str, int]] = []
     for pp, nn, qq in ge.connections:
-        if nn == name:
-            if (pp, qq) == (p, q):
-                continue
-            part = n1 if _within(bp, pp) else n2
-            conns.append((pp, part, qq))
-        elif nn == d.name:
-            if (qq, pp) == (p, q):
-                continue
-            part = m1 if _within(dp, pp) else m2
-            conns.append((pp, part, qq))
-        else:
-            conns.append((pp, nn, qq))
-    return _replace_base(ge, name, d.name, add=parts, connections=conns)
-
-
-def _within(span: tuple[int, int], p: int) -> bool:
-    lo, hi = min(span), max(span)
-    return lo <= p <= hi
+        if (pp, nn, qq) in ((p, name, q), (q, d.name, p)):
+            continue
+        if nn in parts:
+            # a tie at the cut goes to the prefix
+            nn = next(part.name for part in parts[nn] if part.on(pp))
+        conns.append((pp, nn, qq))
+    return _replace_base(ge, name, d.name, add=parts[name] + parts[d.name], connections=conns)
 
 
 def et2_transfer(ge: GenEq, carrier: str, name: str) -> GenEq:
@@ -490,33 +429,26 @@ def et2_transfer(ge: GenEq, carrier: str, name: str) -> GenEq:
         raise GenEqError("cannot transfer a base onto itself")
     if not (lam.lo <= mu.lo and mu.hi <= lam.hi):
         raise GenEqError(f"{name} is not contained in {carrier}")
-    qlo = ge.tied(carrier, mu.lo)
-    qhi = ge.tied(carrier, mu.hi)
-    if qlo is None or qhi is None:
-        raise GenEqError(f"endpoints of {name} are not tied on {carrier}")
-    flip = lam.eps * ge.dual_of(carrier).eps
-    new_lo, new_hi = min(qlo, qhi), max(qlo, qhi)
+
+    def onto(x: int) -> int:
+        """The carrier's dual boundary tied to boundary x of ``name``."""
+        t = ge.tied(carrier, x)
+        if t is None:
+            raise GenEqError(f"boundary {x} of {name} is not tied on {carrier}")
+        return t
+
+    new_lo, new_hi = sorted((onto(mu.lo), onto(mu.hi)))
     if new_lo == new_hi:
         raise GenEqError("transfer would collapse the base to zero length")
+    flip = lam.eps * ge.dual_of(carrier).eps
     moved = replace(mu, lo=new_lo, hi=new_hi, eps=mu.eps * flip)
     conns: list[tuple[int, str, int]] = []
     for pp, nn, qq in ge.connections:
         if nn == name:
-            t = ge.tied(carrier, pp)
-            if t is None:
-                raise GenEqError(
-                    f"interior boundary {pp} of {name} is not tied on the carrier"
-                )
-            conns.append((t, nn, qq))
+            pp = onto(pp)
         elif nn == mu.dual:
-            t = ge.tied(carrier, qq)
-            if t is None:
-                raise GenEqError(
-                    f"interior boundary {qq} of {name} is not tied on the carrier"
-                )
-            conns.append((pp, nn, t))
-        else:
-            conns.append((pp, nn, qq))
+            qq = onto(qq)
+        conns.append((pp, nn, qq))
     return _replace_base(ge, name, add=[moved], connections=conns)
 
 
@@ -572,13 +504,6 @@ class TraceOp:
         return " ".join([self.op] + [str(a) for a in self.args])
 
 
-# the arguments of each trace op: INT a boundary or item, NAME a base
-_TRACE_ARGS = {
-    "contract": "INT", "match": "NAME", "tie": "NAME INT INT", "insert": "INT",
-    "transfer": "NAME NAME", "cutdrop": "NAME INT", "dropall": "NAME", "terminal": "",
-}
-
-
 def contract_item(ge: GenEq, j: int) -> GenEq:
     """Delete item h_j (its boundaries merge); bases collapsing to zero
     length are removed together with their duals."""
@@ -589,26 +514,34 @@ def contract_item(ge: GenEq, j: int) -> GenEq:
     return _renumber(ge, mv, drop=dead)
 
 
+def _cut_drop(ge: GenEq, name: str, j: int) -> GenEq:
+    """Cut ``name`` and its dual at boundary j, then drop the prefix pair and
+    the items before j."""
+    return _renumber(_drop_pair(et1_cut(ge, name, j), f"{name}.1"), _cut(1, j - 1))
+
+
+def _drop_all(ge: GenEq, name: str) -> GenEq:
+    """Drop the pair ``name`` and every item before its right end."""
+    return _renumber(_drop_pair(ge, name), _cut(1, ge.base(name).hi - 1))
+
+
+# each trace op: its arguments (INT a boundary or item, NAME a base) and its move
+_OPS: dict[str, tuple[str, Callable[..., GenEq]]] = {
+    "contract": ("INT", contract_item),
+    "match": ("NAME", et3_remove_matched),
+    "tie": ("NAME INT INT", et5_connect),
+    "insert": ("INT", et5_insert),
+    "transfer": ("NAME NAME", et2_transfer),
+    "cutdrop": ("NAME INT", _cut_drop),
+    "dropall": ("NAME", _drop_all),
+    "terminal": ("", lambda ge: ge),
+}
+
+
 def apply_trace_op(ge: GenEq, op: TraceOp) -> GenEq:
-    if op.op == "contract":
-        return contract_item(ge, op.args[0])
-    if op.op == "match":
-        return et3_remove_matched(ge, op.args[0])
-    if op.op == "tie":
-        return et5_connect(ge, *op.args)
-    if op.op == "insert":
-        return et5_insert(ge, *op.args)
-    if op.op == "transfer":
-        return et2_transfer(ge, *op.args)
-    if op.op == "cutdrop":
-        name, j = op.args
-        return _renumber(_drop_pair(et1_cut(ge, name, j), f"{name}.1"), _cut(1, j - 1))
-    if op.op == "dropall":
-        (name,) = op.args
-        return _renumber(_drop_pair(ge, name), _cut(1, ge.base(name).hi - 1))
-    if op.op == "terminal":
-        return ge
-    raise GenEqError(f"unknown trace op {op.op!r}")
+    if op.op not in _OPS:
+        raise GenEqError(f"unknown trace op {op.op!r}")
+    return _OPS[op.op][1](ge, *op.args)
 
 
 def replay_trace(ge: GenEq, trace: Sequence[TraceOp]) -> GenEq:
@@ -627,9 +560,9 @@ def parse_trace(text: str) -> list[TraceOp]:
     out = []
     for lineno, _, line in header_lines(text):
         op, *toks = line.split()
-        if op not in _TRACE_ARGS:
+        if op not in _OPS:
             raise GenEqError(f"trace line {lineno}: unknown op {op!r}")
-        kinds = _TRACE_ARGS[op].split()
+        kinds = _OPS[op][0].split()
         if len(toks) != len(kinds) or any(
             (re.fullmatch(r"-?[0-9]+", t) is not None) != (k == "INT") for k, t in zip(kinds, toks)
         ):
@@ -728,11 +661,7 @@ def entire_transform(
 
 
 def _terminal(ge: GenEq) -> bool:
-    if not ge.nonconstant_bases():
-        return True
-    if any(c.lo == 1 for c in ge.constant_bases()):
-        return True
-    return False
+    return not ge.nonconstant_bases() or any(c.lo == 1 for c in ge.constant_bases())
 
 
 def _drop_matched(ge: GenEq, trace: list[TraceOp]) -> GenEq:
@@ -866,10 +795,7 @@ def _entire_transform_search(ge: GenEq, budget: int) -> EntireTransformResult:
             d = g.dual_of(mu.name)
             # existing boundaries left to right, then splitting insertions
             for q in range(d.lo, d.hi + 1):
-                try:
-                    g2 = et5_connect(g, mu.name, p, q)
-                except GenEqError:
-                    continue
+                g2 = et5_connect(g, mu.name, p, q)
                 out = rec(g2, trace + [TraceOp("tie", (mu.name, p, q))], rounds)
                 if out is not None:
                     return out

@@ -4,6 +4,7 @@ import pytest
 
 from quadeq.cli import main
 from quadeq.equations import parse_system
+from quadeq.geneq import from_system
 from quadeq.parsing import parse_word
 
 
@@ -311,6 +312,18 @@ def test_geneq_trace(tmp_path, capsys):
     dump1 = out.split("bounds ", 1)[1]
     dump2 = out2.split("bounds ", 1)[1]
     assert dump1 == dump2
+
+
+def test_geneq_trace_binds_a_variable_relator_on_either_side(tmp_path, capsys):
+    # 1 = x binds x to 1 just as x = 1 does
+    texts = ["gens: a\nvars: x y\n1 = x\nx y = a\n", "gens: a\nvars: x y\nx = 1\nx y = a\n"]
+    builds = [from_system(parse_system(t)) for t in texts]
+    assert builds[0].geneq.canonical_text() == builds[1].geneq.canonical_text()
+    assert builds[0].system == builds[1].system
+    f = write(tmp_path, "s.txt", texts[0])
+    code, out, _ = run(capsys, "geneq-trace", f)
+    assert code == 0
+    assert "status: terminal" in out
 
 
 def test_geneq_trace_json_is_one_document(tmp_path, capsys):
