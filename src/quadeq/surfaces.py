@@ -436,7 +436,7 @@ class MultiForm:
     def resolved_framing(self) -> tuple[str, int]:
         surf = SurfaceComplex(self.framing)
         k = surf.genus if self.framing_genus is None else self.framing_genus
-        return self.framing.kind, k
+        return surf.kind, k
 
 
 def multiform_genus(m: MultiForm) -> int:

@@ -471,6 +471,19 @@ def test_multiform_case1():
     assert multiform_genus(m) == 3
 
 
+@pytest.mark.parametrize("words", [("a b", "a b"), ("a -b", "b -a")])
+def test_multiform_framing_kind_is_the_glued_surfaces(words):
+    # both framings glue to a sphere; {a b, a b} has letters of one sign
+    # only, which alone would call it non-orientable
+    _, ws = words_over("ab", *words)
+    al = Alphabet(("u",))
+    ext = JointExtension((0,), (al.word("u"),), genus=2,
+                         tuple_kind=ORIENTABLE, tuple_genus=2)
+    m = MultiForm(framing=classify(ws), extensions=(ext,))
+    assert m.resolved_framing() == (ORIENTABLE, 0)
+    assert multiform_genus(m) == 2
+
+
 def test_multiform_paper_style_example_total_15():
     names = ("A", "B", "C", "D", "E", "F", "G1", "G2", "H1", "H2",
              "O1", "O2", "I1", "I2", "Z")
