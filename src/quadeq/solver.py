@@ -855,7 +855,8 @@ def solve_quadratic(
     diagram search that reaches MAX_STATES leaves the verdict
     ``inconclusive``.
     """
-    if not system.is_quadratic():
+    # a declared variable that occurs nowhere is free; replay sets it to 1
+    if any(c not in (0, 2) for c in system.occurrence_counts().values()):
         raise SolverError("system is not quadratic")
     relators, elim, unsat = _decouple(system)
     if unsat:

@@ -39,6 +39,14 @@ def test_solve_unsat(tmp_path, capsys):
     assert "verdict: unsat" in out
 
 
+def test_solve_declared_variable_that_occurs_nowhere(tmp_path, capsys):
+    f = write(tmp_path, "eq.txt", "gens: a\nvars: x y\nx a x^-1 = a\n")
+    code, out, _ = run(capsys, "solve", f)
+    assert code == 0
+    assert "verdict: sat" in out
+    assert "witness: x = a^-1\nwitness: y = 1\n" in out
+
+
 def test_solve_bad_file(tmp_path, capsys):
     f = write(tmp_path, "eq.txt", "gens: a\nvars: x\nx q = 1\n")
     code, _, err = run(capsys, "solve", f)

@@ -174,6 +174,15 @@ def test_solve_non_quadratic_rejected():
         solve_text("gens: a\nvars: x\nx a = 1")
 
 
+def test_solve_sets_a_variable_that_occurs_nowhere_to_1():
+    # y is declared and never used; x occurs twice, so the system is quadratic
+    system = parse_system("gens: a\nvars: x y\nx a x^-1 = a")
+    r = solve_quadratic(system)
+    assert r.status == "sat"
+    assert r.witness["y"] == Word()
+    assert system.check(r.witness)
+
+
 def test_conjugation_equation():
     r = solve_text("gens: a b\nvars: z\nz^-1 (a b) z = b a")
     assert r.status == "sat"
