@@ -560,6 +560,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the errors that mean bad input: ``main`` reports each as an error line, exit 2
+BAD_INPUT = (
+    WordSyntaxError,
+    EquationError,
+    AlphabetError,
+    StandardizeError,
+    sv.SolverError,
+    sf.NotQuadraticError,
+    sf.SurfaceError,
+    sc.SchemaError,
+    bp.BinPackError,
+    gq.GenEqError,
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -569,18 +584,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(f"cannot read {e}")
     except _CannotWrite as e:
         return _fail(f"cannot write {e}")
-    except (
-        WordSyntaxError,
-        EquationError,
-        AlphabetError,
-        StandardizeError,
-        sv.SolverError,
-        sf.NotQuadraticError,
-        sf.SurfaceError,
-        sc.SchemaError,
-        bp.BinPackError,
-        gq.GenEqError,
-    ) as e:
+    except BAD_INPUT as e:
         return _fail(str(e))
     except Exception as e:  # a bug, not bad input: no traceback, its own code
         print(f"internal error: {e}", file=sys.stderr)

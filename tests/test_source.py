@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -148,6 +149,18 @@ def test_letter_packing_has_one_owner():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if _is_packing(n)]
     assert [f.split(":")[0] for f in found] == ["words.py"]
+
+def test_cli_reports_every_package_error_as_bad_input():
+    # a ValueError of the package that main does not catch ends as
+    # "internal error", exit 4, instead of an error line and exit 2
+    from quadeq.cli import BAD_INPUT
+
+    modules = [importlib.import_module(f"quadeq.{m.name}") for m in pkgutil.iter_modules([str(SRC)])]
+    errors = [c for m in modules for c in vars(m).values() if isinstance(c, type)
+              and issubclass(c, ValueError) and c.__module__ == m.__name__]
+    assert len(errors) >= 10
+    assert [c.__qualname__ for c in errors if not issubclass(c, BAD_INPUT)] == []
+
 
 # the modules the benchmark imports; its setup_s times their import
 SOLVE_PATH = ("words", "parsing", "equations", "oracle", "standardize", "solver")
