@@ -270,18 +270,15 @@ def from_system(system: EquationSystem) -> GenEqBuild:
                 nxt.append(Equation(lhs, rhs))
                 continue
             rel = lhs if len(lhs) else rhs
-            if len(rel) == 1 and rel[0].sym >= system.n_constants:
+            if len(rel) == 1 and rel[0].sym < system.n_constants:
+                raise GenEqError("system contains a nontrivial constant relator")
+            if len(rel) == 1:
                 forced[rel[0].sym] = Word()
-            elif len(rel) == 1:
-                nxt.append(Equation(rel))
             elif len(rel):
                 nxt.append(Equation(*_halves(rel)))
         if nxt == equations:
             break
         equations = nxt
-    # what stays one-sided is a one-letter constant relator
-    if any(len(eq.rhs) == 0 for eq in equations):
-        raise GenEqError("system contains a nontrivial constant relator")
 
     norm = EquationSystem(system.gens, system.variables, tuple(equations))
     nc = norm.n_constants
