@@ -150,6 +150,7 @@ def test_letter_packing_has_one_owner():
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if _is_packing(n)]
     assert [f.split(":")[0] for f in found] == ["words.py"]
 
+
 def test_cli_reports_every_package_error_as_bad_input():
     # a ValueError of the package that main does not catch ends as
     # "internal error", exit 4, instead of an error line and exit 2
