@@ -36,14 +36,16 @@ outside R, at most s - |R| of them.  Hence t is hopeless when
 needed: ``a x a^-1 x^-1`` has s = 2 > 0 yet x = 1 solves it.  For
 ``x^2 y^2 C`` the bound asks for ``limit >= |C| / 4``.
 
-Words appear only at the boundary: every solution is checked again with
-``words.substitute`` before it is yielded.
+Words appear only at the boundary: the values stay packed until a solution
+is unpacked, and it is checked again with ``words.substitute`` before it is
+yielded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator
 
 from .equations import EquationSystem
@@ -77,22 +79,23 @@ def _substitute(t: bytes, x: int, img: bytes) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _enumeration(n_gens: int, max_len: int) -> tuple[tuple[bytes, ...], tuple[Word, ...]]:
+def _enumeration(n_gens: int, max_len: int) -> tuple[bytes, ...]:
     """All reduced words over symbols 0..n_gens-1 of length <= max_len in
-    length-lex order, packed and as Words."""
+    length-lex order, packed."""
     letters = [bytes([p]) for p in range(2 * n_gens)]
     out, frontier = [b""], [b""]
     for _ in range(max_len):
         frontier = [w + x for w in frontier for x in letters if not w or x[0] != w[-1] ^ 1]
         out += frontier
-    return tuple(out), tuple(map(unpack, out))
+    return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def reduced_words(n_gens: int, max_len: int) -> tuple[Word, ...]:
     """All reduced words over symbols 0..n_gens-1 of length <= max_len,
     in length-lex order (letter order: sym asc, positive before negative).
     Cached: callers share the returned tuple."""
-    return _enumeration(n_gens, max_len)[1]
+    return tuple(map(unpack, _enumeration(n_gens, max_len)))
 
 
 def _key(t: bytes) -> tuple:
@@ -203,18 +206,15 @@ def enumerate_solutions(
     roots = [pack(r) for r in relators]
     if any(_hopeless(t, bound.per_var, first_var) for t in roots):
         return
-    packed, words = _enumeration(system.n_constants, bound.per_var)
-    values: list[Word] = [Word()] * len(var_syms)
-    emitted = 0
+    packed = _enumeration(system.n_constants, bound.per_var)
+    values = [b""] * len(var_syms)
 
     def solution() -> dict[str, Word]:
-        nonlocal emitted
         # the packed search is checked against the Word algebra
-        assign = dict(zip(var_syms, values))
-        if any(substitute(r, assign) for r in relators):
+        words = list(map(unpack, values))
+        if any(substitute(r, dict(zip(var_syms, words))) for r in relators):
             raise AssertionError("internal: packed search emitted a non-solution")
-        emitted += 1
-        return dict(zip(var_names, values))
+        return dict(zip(var_names, words))
 
     def descend(partials: list[bytes], x: int, img: bytes):
         """The partial images with x -> img, or None when one is hopeless."""
@@ -240,48 +240,38 @@ def enumerate_solutions(
 
     def rec(depth: int, partials: list[bytes], used: int) -> Iterator[dict[str, Word]]:
         # partials: each relator's image under the first ``depth`` values
-        if limit is not None and emitted >= limit:
-            return
         if depth == len(var_syms):
             if not any(partials):
                 yield solution()
             return
         x = 2 * var_syms[depth]
+        budget = bound.per_var if bound.total is None else min(bound.per_var, bound.total - used)
         if depth == len(var_syms) - 1:
             closed = close_last(partials)
             if closed is not None:
-                budget = bound.per_var if bound.total is None else min(bound.per_var, bound.total - used)
                 for w in closed:
-                    if limit is not None and emitted >= limit:
-                        return
                     if len(w) <= budget and not any(_substitute(t, x, w) for t in partials):
-                        values[depth] = unpack(w)
+                        values[depth] = w
                         yield solution()
                 return
-        for t, w in zip(packed, words):
-            if limit is not None and emitted >= limit:
-                return
-            if bound.total is not None and used + len(t) > bound.total:
-                continue
+        for t in packed:
+            if len(t) > budget:
+                break  # length-lex order: every later word is longer
             child = descend(partials, x, t)
             if child is not None:
-                values[depth] = w
+                values[depth] = t
                 yield from rec(depth + 1, child, used + len(t))
 
-    yield from rec(0, roots, 0)
+    yield from islice(rec(0, roots, 0), limit)
 
 
 def is_satisfiable(system: EquationSystem, bound: SearchBound) -> dict[str, Word] | None:
     """First solution within the bound, or None."""
-    for sol in enumerate_solutions(system, bound, limit=1):
-        return sol
-    return None
+    return next(enumerate_solutions(system, bound), None)
 
 
 def min_solution_stats(system: EquationSystem, bound: SearchBound) -> int | None:
     """Least L such that a solution exists with every variable of length <= L,
     or None when nothing is found within the bound."""
-    for ell in range(bound.per_var + 1):
-        if is_satisfiable(system, SearchBound(ell, bound.total)) is not None:
-            return ell
-    return None
+    return next((ell for ell in range(bound.per_var + 1)
+                 if is_satisfiable(system, SearchBound(ell, bound.total)) is not None), None)
