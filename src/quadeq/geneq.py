@@ -30,7 +30,8 @@ from typing import Callable, Collection, Iterable, Mapping, Sequence
 from .equations import Equation, EquationSystem, header_lines
 from .words import Generator, Word, substitute
 
-# The search mode of ``entire_transform`` gives up after this many nodes.
+# The search mode of ``entire_transform`` gives up after this many nodes
+# (calls and transfers).
 _SEARCH_NODES = 10_000
 
 
@@ -694,11 +695,16 @@ def _untied(ge: GenEq, name: str) -> list[int]:
 
 
 def _finish_round(
-    ge: GenEq, sol: GenEqSolution | None, mu: str, trace: list[TraceOp]
+    ge: GenEq, sol: GenEqSolution | None, mu: str, trace: list[TraceOp],
+    tick: Callable[[], None] | None = None,
 ) -> tuple[GenEq, GenEqSolution | None]:
     """Transfer everything under the fully tied base ``mu`` (except its dual)
     onto the dual, then cut at the first doubly covered item and drop the
-    consumed prefix; a carried solution loses the dropped items."""
+    consumed prefix; a carried solution loses the dropped items.
+
+    A searched tie can send two boundaries of ``mu`` to one, and then a
+    transfer can put a base back under ``mu`` forever, so the search passes
+    ``tick`` to count each transfer against its node budget."""
     while True:
         mu_now = ge.base(mu)
         inside = [
@@ -710,6 +716,8 @@ def _finish_round(
         ]
         if not inside:
             break
+        if tick is not None:
+            tick()
         ge = et2_transfer(ge, mu, inside[0].name)
         trace.append(TraceOp("transfer", (mu, inside[0].name)))
 
@@ -753,22 +761,27 @@ def _entire_transform_search(ge: GenEq, budget: int) -> EntireTransformResult:
     """Depth-first tie search: enumerate placements left to right.
 
     The round budget alone does not bound the search, so it also gives up
-    after ``_SEARCH_NODES`` nodes.  A search that finds no terminal equation
-    returns the deepest branch it reached (the first to complete the most
-    rounds), with status ``budget`` when the round or node budget cut the
-    tree and ``exhausted`` when every branch was pruned.
+    after ``_SEARCH_NODES`` nodes, counting each call and each transfer.  A
+    search that finds no terminal equation returns the deepest branch it
+    reached (the first to complete the most rounds), with status ``budget``
+    when the round or node budget cut the tree and ``exhausted`` when every
+    branch was pruned.
     """
     seen: set[str] = set()
     nodes = 0
     cut = False
     deepest = EntireTransformResult(ge, [], -1, "budget")
 
-    # every call owns ``trace``: branches pass extended copies
-    def rec(g: GenEq, trace: list[TraceOp], rounds: int) -> EntireTransformResult | None:
-        nonlocal nodes, cut, deepest
+    def tick() -> None:
+        nonlocal nodes
         nodes += 1
         if nodes > _SEARCH_NODES:
             raise _OutOfNodes
+
+    # every call owns ``trace``: branches pass extended copies
+    def rec(g: GenEq, trace: list[TraceOp], rounds: int) -> EntireTransformResult | None:
+        nonlocal cut, deepest
+        tick()
         g = _drop_matched(g, trace)
         if rounds > deepest.rounds:
             deepest = EntireTransformResult(g, list(trace), rounds, "budget")
@@ -804,7 +817,7 @@ def _entire_transform_search(ge: GenEq, budget: int) -> EntireTransformResult:
             return None
         # an error in this round or in any deeper one prunes this branch
         try:
-            g, _ = _finish_round(g, None, mu.name, trace)
+            g, _ = _finish_round(g, None, mu.name, trace, tick)
             return rec(g, trace, rounds + 1)
         except GenEqError:
             return None

@@ -247,6 +247,13 @@ def test_entire_transform_constant_equation_terminal():
     assert res.solution.verify(res.terminal)
 
 
+def test_entire_transform_with_solution_and_no_round_allowed():
+    b = build("gens: a b\nvars: x\nx = a")
+    res = entire_transform(b.geneq, budget=0, solution=b.push({"x": AL.word("a")}))
+    assert res.status == "budget" and res.rounds == 0
+    assert res.solution.verify(res.terminal)
+
+
 def test_entire_transform_triangular_with_constants():
     s = parse_system(
         "gens: a b c\nvars: x y z\nx y z = 1\nx = a\ny = b\nz = (c^-1 b a)^-1"
@@ -537,6 +544,30 @@ def test_entire_transform_pinned_search_mode(corpus_systems):
         ge = from_system(corpus_systems[row[0]]).geneq
         res = entire_transform(ge, budget=6)
         assert _pin_row(row[0], res) == row
+        assert replay_trace(ge, res.trace).canonical_text() == res.terminal.canonical_text()
+
+
+def test_search_counts_transfers_against_its_node_budget(monkeypatch):
+    # corpus 13926 and 24054: a searched tie sends two boundaries of the
+    # leading base to one, and a transfer then puts a base back under it
+    # again and again; the node budget must end the search
+    import quadeq.geneq as geneq
+
+    transfer = geneq.et2_transfer
+    for text in ("x a^-3 = 1\ny x z y^-1 z = 1", "x a^-1 b^-2 = 1\ny z y^-1 z^-1 x = 1"):
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            if calls > 20_000:
+                raise RuntimeError("the transfer loop outran the node budget")
+            return transfer(*args)
+
+        monkeypatch.setattr(geneq, "et2_transfer", counted)
+        ge = build("gens: a b\nvars: x y z\n" + text).geneq
+        res = entire_transform(ge, budget=6)
+        assert res.status == "budget"
         assert replay_trace(ge, res.trace).canonical_text() == res.terminal.canonical_text()
 
 
