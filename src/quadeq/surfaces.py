@@ -420,10 +420,6 @@ class JointExtension:
                 f"extension genus {self.genus} (expected {expected})"
             )
 
-    @property
-    def length(self) -> int:
-        return sum(len(w) for w in self.words)
-
 
 @dataclass(frozen=True)
 class MultiForm:

@@ -203,9 +203,6 @@ class Word:
     def key(self) -> tuple:
         return (len(self._letters), tuple(g.key for g in self._letters))
 
-    def count(self, sym: int) -> int:
-        return sum(1 for g in self._letters if g.sym == sym)
-
     def is_cyclically_reduced(self) -> bool:
         return len(self) < 2 or self._letters[0] != self._letters[-1].inv()
 
