@@ -322,6 +322,14 @@ def test_geneq_trace(tmp_path, capsys):
     assert dump1 == dump2
 
 
+def test_geneq_trace_solve_first_finds_no_witness_within_the_bound(tmp_path, capsys):
+    # x = b conjugates a to b a b^-1, but no value of length 0 does
+    f = write(tmp_path, "s.txt", "gens: a b\nvars: x\nx a x^-1 = b a b^-1\n")
+    code, out, _ = run(capsys, "geneq-trace", f, "--solve-first", "--max-len", "0")
+    assert code == 3
+    assert "verdict: no graphical witness within the bound" in out
+
+
 def test_geneq_trace_binds_a_variable_relator_on_either_side(tmp_path, capsys):
     # 1 = x binds x to 1 just as x = 1 does
     texts = ["gens: a\nvars: x y\n1 = x\nx y = a\n", "gens: a\nvars: x y\nx = 1\nx y = a\n"]

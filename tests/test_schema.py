@@ -45,6 +45,14 @@ def test_bound_digits_small():
     assert b.digits == len(str(1 << 5050))
 
 
+def test_bound_digits_settle_a_power_of_ten_exactly():
+    # 5^k 2^k = 10^k sits on a power of ten, where the logarithm cannot decide
+    from quadeq.schema import _digit_count_shifted
+
+    for k in range(1, 41):
+        assert _digit_count_shifted(5**k, k) == k + 1
+
+
 def test_bound_keeps_the_callers_decimal_precision():
     with decimal.localcontext() as ctx:
         ctx.prec = 17
@@ -157,7 +165,7 @@ def test_identity_solution_roundtrip():
 @pytest.mark.parametrize("seed", range(25))
 def test_random_quadratic_roundtrip(seed):
     from quadeq.schema import tripod_solution
-    from tests.test_standardize import random_quadratic_equation
+    from test_standardize import random_quadratic_equation
 
     rng = random.Random(31415 + seed)
     system = random_quadratic_equation(rng)
