@@ -8,7 +8,7 @@ generalized-equation construction can see both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .parsing import WordSyntaxError, parse_word
@@ -44,21 +44,18 @@ class EquationSystem:
     gens: tuple[str, ...]
     variables: tuple[str, ...]
     equations: tuple[Equation, ...]
+    alphabet: Alphabet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if set(self.gens) & set(self.variables):
             raise EquationError("generator/variable name clash")
-        alpha = self.alphabet  # validates names and count
-        nsym = len(alpha)
+        # built and validated once
+        object.__setattr__(self, "alphabet", Alphabet(self.gens + self.variables))
+        nsym = len(self.alphabet)
         for eq in self.equations:
             for w in (eq.lhs, eq.rhs):
-                for g in w:
-                    if not 0 <= g.sym < nsym:
-                        raise EquationError(f"undeclared symbol index {g.sym}")
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(self.gens + self.variables)
+                if w and max(w.packed) >> 1 >= nsym:
+                    raise EquationError(f"undeclared symbol index {max(w.packed) >> 1}")
 
     @property
     def n_constants(self) -> int:

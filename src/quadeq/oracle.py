@@ -16,7 +16,7 @@ duplicate-free and in order:
   sign ``u z K z v`` through the unique square root, or the conjugation
   sandwich ``u z^-1 K z v``); the closed candidates are emitted sorted, so
   the global order is unchanged;
-* packed words (``words.pack``) and carried partials: each node
+* packed words (``Word.packed``) and carried partials: each node
   substitutes only its own variable's value into its parent's partial
   images of the relators.  Substitution is a homomorphism and reduced words
   are unique, so the partials, prunes and closed candidates are those of
@@ -37,8 +37,9 @@ needed: ``a x a^-1 x^-1`` has s = 2 > 0 yet x = 1 solves it.  For
 ``x^2 y^2 C`` the bound asks for ``limit >= |C| / 4``.
 
 Words appear only at the boundary: the values stay packed until a solution
-is unpacked, and it is checked again with ``words.substitute`` before it is
-yielded.
+is yielded.  Before that, the solution is checked by substituting it into
+each relator afresh with ``words.substitute``: the same packed algebra, but
+not the carried partials, prunes or closed candidates of the search.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from itertools import islice
 from typing import Iterator
 
 from .equations import EquationSystem
-from .words import Word, pack, packed_cyclic_reduce, packed_inverse, packed_product, substitute, unpack
+from .words import Word, length_lex, packed_cyclic_reduce, packed_inverse, packed_product, substitute
 
 
 @dataclass(frozen=True)
@@ -95,12 +96,7 @@ def reduced_words(n_gens: int, max_len: int) -> tuple[Word, ...]:
     """All reduced words over symbols 0..n_gens-1 of length <= max_len,
     in length-lex order (letter order: sym asc, positive before negative).
     Cached: callers share the returned tuple."""
-    return tuple(map(unpack, _enumeration(n_gens, max_len)))
-
-
-def _key(t: bytes) -> tuple:
-    """``Word.key`` order on packed words."""
-    return (len(t), t)
+    return tuple(map(Word.from_packed, _enumeration(n_gens, max_len)))
 
 
 @lru_cache(maxsize=None)
@@ -158,7 +154,7 @@ def _solve_last(t: bytes, sym: int, limit: int) -> list[bytes] | None:
     # u z^s mid z^-s v = 1.  For s = -1 this is the conjugation sandwich
     # z^-1 mid z = u^-1 v^-1; for s = 1 it is that with z' = z^-1.
     sols = _conjugators(mid, packed_product(packed_inverse(u), packed_inverse(v)), limit)
-    return sols if t[i] & 1 else sorted(map(packed_inverse, sols), key=_key)
+    return sols if t[i] & 1 else sorted(map(packed_inverse, sols), key=length_lex)
 
 
 def _conjugators(k: bytes, m: bytes, limit: int) -> list[bytes]:
@@ -187,7 +183,7 @@ def _conjugators(k: bytes, m: bytes, limit: int) -> list[bytes]:
             if len(z) <= limit:
                 sols.add(z)
             z = packed_product(step, z)
-    return sorted(sols, key=_key)
+    return sorted(sols, key=length_lex)
 
 
 def enumerate_solutions(
@@ -203,15 +199,15 @@ def enumerate_solutions(
     var_syms = [system.var_sym(n) for n in var_names]
     relators = system.relators()
     first_var = 2 * system.n_constants
-    roots = [pack(r) for r in relators]
+    roots = [r.packed for r in relators]
     if any(_hopeless(t, bound.per_var, first_var) for t in roots):
         return
     packed = _enumeration(system.n_constants, bound.per_var)
     values = [b""] * len(var_syms)
 
     def solution() -> dict[str, Word]:
-        # the packed search is checked against the Word algebra
-        words = list(map(unpack, values))
+        # substituted afresh, away from the search's carried partials
+        words = list(map(Word.from_packed, values))
         if any(substitute(r, dict(zip(var_syms, words))) for r in relators):
             raise AssertionError("internal: packed search emitted a non-solution")
         return dict(zip(var_names, words))

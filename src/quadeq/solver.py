@@ -129,7 +129,7 @@ from .standardize import (
     StandardForm,
     standardize,
 )
-from .words import MAX_GENERATORS, Word, least_rotation, pack, packed_inverse, replay, solve_letter, substitute
+from .words import MAX_GENERATORS, Word, least_rotation, packed_inverse, replay, solve_letter, substitute
 
 
 class SolverError(ValueError):
@@ -277,7 +277,7 @@ class CancellationDiagrams:
     """Least-cost search over cancellation diagrams of the coefficient discs.
 
     A search state is the multiset of open clusters, each a status and the
-    multiset of its boundary cycles: packed words (``words.pack``), which
+    multiset of its boundary cycles: packed words (``Word.packed``), which
     are ``bytes``.  Every disc starts as a clean cluster with one
     cycle, and each step glues a pivot letter to one of its partners by the
     rules of the module docstring (``_gluings``).  Genus is charged as soon as
@@ -312,7 +312,7 @@ class CancellationDiagrams:
             if len(w) == 0 or not w.is_cyclically_reduced():
                 raise SolverError("coefficients must be nonempty and cyclically reduced")
         self.kind = kind
-        self.cycles = [pack(w) for w in coefficients]
+        self.cycles = [w.packed for w in coefficients]
         self.n = sum(map(len, self.cycles))
         self._failed: dict[tuple, int] = {}   # state -> largest budget proven infeasible
         # state -> (budget, pivot, partner, child) on the path of the last diagram found

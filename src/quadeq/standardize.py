@@ -177,8 +177,7 @@ class _Normalizer:
 
     def rotate(self, k: int):
         self._tick()
-        w = self.word
-        self.word = Word._raw(w.letters[k:] + w.letters[:k])
+        self.word = self.word.rotated(k)
         self._cyclic_reduce()
 
     def conjugate_block(self, syms: set[int], d: Word):
@@ -350,8 +349,8 @@ class _Normalizer:
             vw = Word((Generator(v, 1),))
             pw = Word((Generator(p, 1),))
             qw = Word((Generator(q, 1),))
-            block = (vw * vw * pw * qw * pw.inverse() * qw.inverse()).letters
-            if self.word.letters[:6] != block:
+            block = vw * vw * pw * qw * pw.inverse() * qw.inverse()
+            if self.word.subword(0, 6) != block:
                 raise StandardizeError("crosscap absorption needs the block v^2 p q p^-1 q^-1")
             # seven-move script: v v p q p^-1 q^-1 R  ->  v^2 q^2 p^2 R
             self.subst1(v, vw * pw.inverse(), vw * pw)      # v p^-1 v q p^-1 q^-1 R

@@ -8,22 +8,27 @@ The canonical letter order is ``a < a^-1 < b < b^-1 < ...`` in declaration
 order of the alphabet; it drives cyclic-word canonicalization and the
 length-lex enumeration used by the oracle.
 
-Packed words.  The diagram search and the oracle work on words packed as
-``bytes``, letter ``2*sym + (sign < 0)`` (``pack``, ``unpack``), so the
-inverse of a letter is ``x ^ 1``.  With at most MAX_GENERATORS = 64 symbols
-every packed letter is below 128, and bytes compare, sort, slice and
-concatenate exactly as tuples of those ints do; the integer order is the
+Packed words.  A ``Word`` stores its letters packed as ``bytes``, letter
+``2*sym + (sign < 0)``, so the inverse of a letter is ``x ^ 1``; the
+diagram search and the oracle work on that form directly (``Word.packed``,
+``Word.from_packed`` and the ``packed_*`` helpers), and every operation of
+the algebra has one implementation, on bytes.  With at most MAX_GENERATORS =
+64 symbols every packed letter is below 128, and bytes compare, sort, slice
+and concatenate exactly as tuples of those ints do; the integer order is the
 canonical letter order, so a packed word's order is ``Word.key``'s.  Bytes
 also cache their hash, and reversal, ``translate``, ``count`` and ``find``
-run in C.
+run in C.  A ``Generator`` is only a view of one letter: iterating or
+indexing a word returns them, and the constructor accepts them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 MAX_GENERATORS = 64
+_TOO_MANY = f"at most {MAX_GENERATORS} generators supported"
 
 
 class AlphabetError(ValueError):
@@ -48,10 +53,6 @@ class Generator(NamedTuple):
     def inv(self) -> "Generator":
         return Generator(self.sym, -self.sign)
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.sym, 0 if self.sign > 0 else 1)
-
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -61,7 +62,7 @@ class Alphabet:
 
     def __post_init__(self):
         if len(self.names) > MAX_GENERATORS:
-            raise AlphabetError(f"at most {MAX_GENERATORS} generators supported")
+            raise AlphabetError(_TOO_MANY)
         if len(set(self.names)) != len(self.names):
             raise AlphabetError("duplicate generator names")
         for n in self.names:
@@ -97,121 +98,126 @@ class Alphabet:
 
     def format(self, w: "Word") -> str:
         """Render a word with collapsed powers, ``1`` for the empty word."""
-        if len(w) == 0:
-            return "1"
         out: list[str] = []
-        run: Generator | None = None
-        count = 0
-        for g in list(w) + [None]:  # type: ignore[list-item]
-            if g is not None and run is not None and g == run:
-                count += 1
-                continue
-            if run is not None:
-                name = self.names[run.sym]
-                exp = count * run.sign
-                out.append(name if exp == 1 else f"{name}^{exp}")
-            run, count = g, 1
-        return " ".join(out)
+        for p, run in groupby(w.packed):
+            name, exp = self.names[p >> 1], len(list(run)) * (-1 if p & 1 else 1)
+            out.append(name if exp == 1 else f"{name}^{exp}")
+        return " ".join(out) or "1"
 
     def extend(self, extra: Sequence[str]) -> "Alphabet":
         return Alphabet(self.names + tuple(extra))
 
 
-def _reduce_letters(letters: Iterable[Generator]) -> tuple[Generator, ...]:
-    stack: list[Generator] = []
-    for g in letters:
-        if g.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +-1, got {g!r}")
-        if stack and stack[-1].sym == g.sym and stack[-1].sign == -g.sign:
-            stack.pop()
+def _pack_letter(g: Generator) -> int:
+    if g.sign not in (1, -1):
+        raise ValueError(f"letter sign must be +-1, got {g!r}")
+    if not 0 <= g.sym < MAX_GENERATORS:
+        raise AlphabetError(_TOO_MANY)
+    return 2 * g.sym + (g.sign < 0)
+
+
+def _free_reduce(letters: Iterable[int]) -> bytes:
+    """The free reduction of a sequence of packed letters."""
+    out = bytearray()
+    for p in letters:
+        if out and out[-1] == p ^ 1:
+            out.pop()
         else:
-            stack.append(g)
-    return tuple(stack)
+            out.append(p)
+    return bytes(out)
+
+
+def length_lex(t: bytes) -> tuple[int, bytes]:
+    """Length-lex key of a packed word: ``Word.key``'s order."""
+    return (len(t), t)
 
 
 class Word:
-    """A freely reduced word.  The constructor reduces its input."""
+    """A freely reduced word.  The constructor packs and reduces its
+    letters; ``from_packed`` trusts its bytes."""
 
-    __slots__ = ("_letters",)
+    __slots__ = ("_packed",)
 
     def __init__(self, letters: Iterable[Generator] = ()):
-        object.__setattr__(self, "_letters", _reduce_letters(letters))
+        self._packed = _free_reduce(map(_pack_letter, letters))
 
     @classmethod
-    def _raw(cls, letters: tuple[Generator, ...]) -> "Word":
-        """Trusted constructor for letter tuples that are already reduced."""
+    def from_packed(cls, t: bytes) -> "Word":
+        """Trusted constructor: ``t`` is already a reduced packed word."""
         w = cls.__new__(cls)
-        object.__setattr__(w, "_letters", letters)
+        w._packed = t
         return w
 
     @property
+    def packed(self) -> bytes:
+        return self._packed
+
+    @property
     def letters(self) -> tuple[Generator, ...]:
-        return self._letters
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self._letters)
+        return len(self._packed)
 
     def __iter__(self) -> Iterator[Generator]:
-        return iter(self._letters)
+        return map(_LETTERS.__getitem__, self._packed)
 
     def __getitem__(self, i: int) -> Generator:
-        return self._letters[i]
+        return _LETTERS[self._packed[i]]
 
     def __bool__(self) -> bool:
-        return bool(self._letters)
+        return bool(self._packed)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Word) and self._letters == other._letters
+        return isinstance(other, Word) and self._packed == other._packed
 
     def __hash__(self) -> int:
-        return hash(self._letters)
+        return hash(self._packed)
 
     def __repr__(self) -> str:
-        body = ",".join(f"{'-' if g.sign < 0 else ''}{g.sym}" for g in self._letters)
+        body = ",".join(f"{'-' if p & 1 else ''}{p >> 1}" for p in self._packed)
         return f"Word[{body}]"
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        # concatenation of reduced words only cancels at the seam
-        a, b = self._letters, other._letters
-        i, j = len(a), 0
-        while i > 0 and j < len(b) and a[i - 1] == b[j].inv():
-            i -= 1
-            j += 1
-        return Word._raw(a[:i] + b[j:])
+        return Word.from_packed(packed_product(self._packed, other._packed))
 
     def inverse(self) -> "Word":
-        return Word._raw(tuple(g.inv() for g in reversed(self._letters)))
+        return Word.from_packed(packed_inverse(self._packed))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word()
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        # w = u c u^-1 with c cyclically reduced, so w^n = u c^n u^-1
+        # with no cancellation inside c^n
+        core, u = packed_cyclic_reduce(self._packed)
+        if n < 0:
+            core, n = packed_inverse(core), -n
+        return Word.from_packed(packed_product(u, core * n, packed_inverse(u)))
 
     def conjugated_by(self, z: "Word") -> "Word":
         """``z^-1 * self * z``."""
         return z.inverse() * self * z
 
     def subword(self, i: int, j: int) -> "Word":
-        return Word._raw(self._letters[i:j])
+        return Word.from_packed(self._packed[i:j])
 
-    def key(self) -> tuple:
-        return (len(self._letters), tuple(g.key for g in self._letters))
+    def rotated(self, k: int) -> "Word":
+        """The conjugate that reads from position k on, around the end:
+        letters ``k..`` then ``..k-1``, freely reduced."""
+        t = self._packed
+        return Word.from_packed(packed_product(t[k:], t[:k]))
+
+    def key(self) -> tuple[int, bytes]:
+        return length_lex(self._packed)
 
     def is_cyclically_reduced(self) -> bool:
-        return len(self) < 2 or self._letters[0] != self._letters[-1].inv()
+        t = self._packed
+        return len(t) < 2 or t[0] != t[-1] ^ 1
 
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Return ``(core, u)`` with ``self == u * core * u^-1``, core cyclically reduced."""
-        letters, n, k = self._letters, len(self._letters), 0
-        while n - 2 * k >= 2 and letters[k] == letters[n - 1 - k].inv():
-            k += 1
-        return Word._raw(letters[k:n - k]), Word._raw(letters[:k])
+        core, u = packed_cyclic_reduce(self._packed)
+        return Word.from_packed(core), Word.from_packed(u)
 
 
 def reduce(letters: Iterable[Generator]) -> Word:
@@ -243,9 +249,8 @@ def root_of(w: Word) -> tuple[Word, int]:
     for d in range(1, n + 1):
         if n % d:
             continue
-        root = w.subword(0, d)
-        if all(w.letters[i * d : (i + 1) * d] == root.letters for i in range(n // d)):
-            return root, n // d
+        if w.packed[:d] * (n // d) == w.packed:
+            return w.subword(0, d), n // d
     raise AssertionError("unreachable")
 
 
@@ -273,10 +278,7 @@ class CyclicWord:
 def cyclic_normalize(w: Word) -> CyclicWord:
     """Canonical cyclic word of w: cyclically reduce, then least rotation."""
     core, _ = w.cyclic_reduce()
-    if len(core) == 0:
-        return CyclicWord(Word())
-    i = least_rotation(pack(core))
-    return CyclicWord(Word._raw(core.letters[i:] + core.letters[:i]))
+    return CyclicWord(core.rotated(least_rotation(core.packed)) if core else core)
 
 
 def cyclically_equal(u: Word, v: Word) -> bool:
@@ -289,16 +291,6 @@ def cyclically_equal(u: Word, v: Word) -> bool:
 _LETTERS = tuple(Generator(p >> 1, -1 if p & 1 else 1) for p in range(2 * MAX_GENERATORS))
 # byte x -> x ^ 1, the inverse letter
 _FLIP = bytes(x ^ 1 for x in range(256))
-
-
-def pack(w: Word) -> bytes:
-    """The packed letters of w."""
-    return bytes([2 * g.sym + (g.sign < 0) for g in w])
-
-
-def unpack(t: bytes) -> Word:
-    """The Word of a reduced packed word."""
-    return Word._raw(tuple([_LETTERS[p] for p in t]))
 
 
 def packed_inverse(t: bytes) -> bytes:
@@ -364,18 +356,18 @@ class UDecomposition:
     blocks: tuple[StableBlock, ...]
 
     def reassemble(self) -> Word:
-        letters = list(self.head.letters)
+        t = self.head.packed
         for b in self.blocks:
             piece = self.base if b.eps > 0 else self.base.inverse()
-            letters.extend(piece.letters * b.run)
-            letters.extend(b.tail.letters)
-        return Word._raw(tuple(letters))
+            t += piece.packed * b.run + b.tail.packed
+        return Word.from_packed(t)
 
 
 def _maximal_runs(w: Word, u: Word) -> list[tuple[int, int]]:
     """Maximal runs of literal copies of u inside w: list of (start, count)."""
     n, p = len(w), len(u)
-    hits = [w.letters[i : i + p] == u.letters for i in range(n - p + 1)]
+    t, pattern = w.packed, u.packed
+    hits = [t[i : i + p] == pattern for i in range(n - p + 1)]
     runs = []
     i = 0
     while i + p <= n:
@@ -442,16 +434,16 @@ def substitute(
     a missing one raises UnassignedVariableError naming it.
     """
     varset = set(variables) if variables is not None else None
-    out: list[Generator] = []
-    for g in template:
-        img = assignment.get(g.sym)
+    t, parts, start = template._packed, [], 0
+    for i, p in enumerate(t):
+        img = assignment.get(p >> 1)
         if img is None:
-            if varset is not None and g.sym in varset:
-                raise UnassignedVariableError(g.sym)
-            out.append(g)
-        else:
-            out.extend(img.letters if g.sign > 0 else img.inverse().letters)
-    return Word(out)
+            if varset is not None and p >> 1 in varset:
+                raise UnassignedVariableError(p >> 1)
+            continue
+        parts += (t[start:i], packed_inverse(img._packed) if p & 1 else img._packed)
+        start = i + 1
+    return Word.from_packed(packed_product(*parts, t[start:]))
 
 
 def replay(
@@ -471,4 +463,6 @@ def replay(
     out.update(values)
     for step in steps:
         out.update({s: substitute(img, out) for s, img in step.items()})
-    return {s: Word(g for g in w if g.sym not in varset) for s, w in out.items()}
+    dropped = bytes(p for p in range(2 * MAX_GENERATORS) if p >> 1 in varset)
+    return {s: Word.from_packed(_free_reduce(w.packed.translate(None, dropped)))
+            for s, w in out.items()}

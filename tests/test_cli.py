@@ -474,6 +474,18 @@ def test_bad_input_exit_code(tmp_path, capsys, argv, trace, message):
     assert message.format(**paths) in err.splitlines()[-1]
 
 
+def test_triangulate_past_the_generator_limit(tmp_path, capsys):
+    # a 120-letter relator over 32 symbols: the chain needs 117 fresh
+    # variables, 149 symbols in all, more than a word can hold
+    names = [f"x{i}" for i in range(30)]
+    relator = " ".join(f"{v} a" for v in names) + " " + " ".join(f"{v}^-1 b" for v in names)
+    f = write(tmp_path, "s.txt", f"gens: a b\nvars: {' '.join(names)}\n{relator} = 1\n")
+    code, out, err = run(capsys, "triangulate", f)
+    assert code == 2
+    assert out == ""
+    assert err == "error: at most 64 generators supported\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["surface", "{q}", "--dot", "{missing}/g.dot"],
     ["geneq-trace", "{sys}", "--trace-out", "{missing}/t.txt"],

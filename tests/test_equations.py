@@ -55,6 +55,16 @@ def test_bad_system():
         sys_of("gens: a\nvars: a\n")
 
 
+def test_system_refuses_an_undeclared_symbol_and_builds_its_alphabet_once():
+    from quadeq.equations import EquationSystem
+
+    x = Word((Generator(1, 1),))
+    with pytest.raises(EquationError, match="undeclared symbol index 2"):
+        EquationSystem(("a",), ("x",), (Equation(x, Word((Generator(0, 1), Generator(2, -1)))),))
+    s = EquationSystem(("a",), ("x",), (Equation(x, Word()),))
+    assert s.alphabet is s.alphabet and s.alphabet.names == ("a", "x")
+
+
 # --- triangulation -----------------------------------------------------------
 
 def test_triangulate_five_letters():

@@ -11,7 +11,7 @@ from quadeq.oracle import (
     min_solution_stats,
     reduced_words,
 )
-from quadeq.words import Alphabet, Word, pack, substitute
+from quadeq.words import Alphabet, Word, substitute
 
 
 def test_reduced_words_order_and_counts():
@@ -112,7 +112,7 @@ def test_constant_run_bound_on_squares():
     # planted W = u^2 v^2 have one with |u|, |v| <= 4
     for i, s in enumerate(_squares_systems(20)):
         w = len(s.equations[0].rhs)
-        root = pack(s.relators()[0])
+        root = s.relators()[0].packed
         for ell in range(6):
             assert _hopeless(root, ell, 4) == (4 * ell < w), (s.render(), ell)
         least = min_solution_stats(s, SearchBound(4))

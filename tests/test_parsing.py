@@ -61,3 +61,10 @@ def test_nested():
     w = parse_word("([a,b] x)^2", AB)
     inner = commutator(AB.word("a"), AB.word("b")) * AB.word("x")
     assert w == inner * inner
+
+
+def test_a_long_power_parses_in_one_step():
+    w = parse_word("(a b)^100000", AB)
+    assert len(w) == 200_000
+    assert w.subword(0, 4) == parse_word("a b a b", AB) and w[-1] == AB.gen("b")
+

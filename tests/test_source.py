@@ -151,6 +151,25 @@ def test_letter_packing_has_one_owner():
     assert [f.split(":")[0] for f in found] == ["words.py"]
 
 
+def test_word_storage_has_one_owner():
+    # outside words.py a Word is read through .packed and built through its
+    # constructor or Word.from_packed; its storage slot and any other private
+    # member (such as a second, private trusted constructor) stay in words.py
+    from quadeq.words import Word
+
+    private = {n for n in (*vars(Word), *Word.__slots__) if n.startswith("_") and not n.endswith("__")}
+    assert set(Word.__slots__) <= private
+    root = Path(__file__).resolve().parent.parent
+    paths = [p for d in ("src", "tests", "perfbench") for p in sorted((root / d).rglob("*.py"))]
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [path.name for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr in private
+                  or isinstance(n, ast.Constant) and n.value in private]
+    assert found and set(found) == {"words.py"}
+
+
 def test_cli_reports_every_package_error_as_bad_input():
     # a ValueError of the package that main does not catch ends as
     # "internal error", exit 4, instead of an error line and exit 2

@@ -11,7 +11,6 @@ from quadeq.words import (
     cyclically_equal,
     is_proper_power,
     least_rotation,
-    pack,
     packed_cyclic_reduce,
     packed_inverse,
     packed_product,
@@ -19,7 +18,6 @@ from quadeq.words import (
     root_of,
     substitute,
     u_decompose,
-    unpack,
 )
 
 AB = Alphabet(("a", "b", "c"))
@@ -127,20 +125,20 @@ def test_cyclically_equal():
 @given(raw_words)
 def test_pack_round_trip(seq):
     w = reduce(seq)
-    assert unpack(pack(w)) == w
-    assert list(pack(w)) == [2 * sym + (sign < 0) for sym, sign in w]
+    assert Word.from_packed(w.packed) == w
+    assert list(w.packed) == [2 * sym + (sign < 0) for sym, sign in w]
 
 
 @given(raw_words)
 def test_packed_inverse_is_the_word_inverse(seq):
     w = reduce(seq)
-    assert packed_inverse(pack(w)) == pack(w.inverse())
+    assert packed_inverse(w.packed) == w.inverse().packed
 
 
 @given(raw_words, raw_words, raw_words)
 def test_packed_product_is_the_word_product(s1, s2, s3):
     u, v, w = reduce(s1), reduce(s2), reduce(s3)
-    assert packed_product(pack(u), pack(v), pack(w)) == pack(u * v * w)
+    assert packed_product(u.packed, v.packed, w.packed) == (u * v * w).packed
     assert packed_product() == b""
 
 
@@ -148,7 +146,100 @@ def test_packed_product_is_the_word_product(s1, s2, s3):
 def test_packed_cyclic_reduce_is_the_word_one(seq):
     w = reduce(seq)
     core, u = w.cyclic_reduce()
-    assert packed_cyclic_reduce(pack(w)) == (pack(core), pack(u))
+    assert packed_cyclic_reduce(w.packed) == (core.packed, u.packed)
+
+
+# --- an independent reference: free reduction on a stack of (sym, sign) -----
+
+def _naive_reduce(pairs):
+    out = []
+    for sym, sign in pairs:
+        if out and out[-1] == (sym, -sign):
+            out.pop()
+        else:
+            out.append((sym, sign))
+    return out
+
+
+def _naive_inverse(pairs):
+    return [(sym, -sign) for sym, sign in reversed(pairs)]
+
+
+def _pairs(w):
+    return [(g.sym, g.sign) for g in w]
+
+
+def _unpacked(t):
+    return [(p >> 1, -1 if p & 1 else 1) for p in t]
+
+
+@given(raw_words)
+def test_constructor_is_the_naive_reduction(seq):
+    w = Word(seq)
+    assert _pairs(w) == _naive_reduce(_pairs(seq))
+    assert _unpacked(w.packed) == _pairs(w)
+
+
+@given(raw_words, raw_words, raw_words)
+def test_product_is_the_naive_reduction(s1, s2, s3):
+    u, v, w = reduce(s1), reduce(s2), reduce(s3)
+    expected = _naive_reduce(_pairs(s1) + _pairs(s2) + _pairs(s3))
+    assert _pairs(u * v * w) == expected
+    assert _unpacked(packed_product(u.packed, v.packed, w.packed)) == expected
+
+
+@given(raw_words)
+def test_inverse_is_the_naive_inverse(seq):
+    w = reduce(seq)
+    expected = _naive_reduce(_naive_inverse(_pairs(seq)))
+    assert _pairs(w.inverse()) == expected
+    assert _unpacked(packed_inverse(w.packed)) == expected
+
+
+@given(raw_words, raw_words)
+def test_cyclic_reduce_against_the_naive_reduction(seq, conj):
+    # (core, u) is fixed by: w = u core u^-1 letter for letter, and core
+    # cyclically reduced; conjugating by conj makes long u likely
+    for pairs in (_pairs(seq), _pairs(conj) + _pairs(seq) + _naive_inverse(_pairs(conj))):
+        w = _naive_reduce(pairs)
+        word = Word(Generator(*p) for p in pairs)
+        core, u = word.cyclic_reduce()
+        packed_core, packed_u = packed_cyclic_reduce(word.packed)
+        assert (_unpacked(packed_core), _unpacked(packed_u)) == (_pairs(core), _pairs(u))
+        assert _pairs(u) + _pairs(core) + _naive_inverse(_pairs(u)) == w
+        assert len(core) < 2 or _pairs(core)[0] != _naive_inverse(_pairs(core))[0]
+
+
+@given(raw_words, raw_words, raw_words)
+def test_substitute_is_the_naive_reduction(template, image_b, image_c):
+    # b and c are assigned, a is fixed
+    images = {1: _pairs(image_b), 2: _pairs(image_c)}
+    expected = []
+    for sym, sign in _pairs(template):
+        img = images.get(sym, [(sym, 1)])
+        expected += img if sign > 0 else _naive_inverse(img)
+    got = substitute(reduce(template), {1: reduce(image_b), 2: reduce(image_c)})
+    assert _pairs(got) == _naive_reduce(expected)
+
+
+@given(raw_words, st.integers(-6, 6))
+def test_power_is_the_repeated_product(seq, n):
+    w = reduce(seq)
+    expected = Word()
+    for _ in range(abs(n)):
+        expected = expected * (w if n > 0 else w.inverse())
+    assert w ** n == expected
+    base = _pairs(seq) if n > 0 else _naive_inverse(_pairs(seq))
+    assert _pairs(w ** n) == _naive_reduce(base * abs(n))
+
+
+def test_constructor_refuses_a_symbol_out_of_range():
+    from quadeq.words import MAX_GENERATORS, AlphabetError
+
+    assert len(Word((Generator(MAX_GENERATORS - 1, -1),))) == 1
+    for sym in (MAX_GENERATORS, 149, -1):
+        with pytest.raises(AlphabetError, match="at most 64 generators supported"):
+            Word((Generator(sym, 1),))
 
 
 def _least_rotation_naive(t):
@@ -158,16 +249,16 @@ def _least_rotation_naive(t):
 
 @given(raw_words, st.integers(1, 4))
 def test_least_rotation_is_the_first_least(seq, k):
-    t = pack(reduce(seq)) * k  # powers have several least rotations
+    t = reduce(seq).packed * k  # powers have several least rotations
     if t:
         assert least_rotation(t) == _least_rotation_naive(t)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_least_rotation_of_a_power_of_a_letter(k):
-    t = pack(W("b")) * k
+    t = W("b").packed * k
     assert least_rotation(t) == 0
-    assert least_rotation(pack(W("b", "a")) * k) == 1
+    assert least_rotation(W("b", "a").packed * k) == 1
 
 # --- powers and roots -------------------------------------------------------
 
