@@ -1,14 +1,37 @@
 """Decision procedure for quadratic systems over free groups.
 
 Pipeline: decouple the system (eliminating variables shared between two
-equations), normalize each surviving equation to standard form, then decide
-solvability by searching cancellation diagrams.  A diagram glues the letters
-of the coefficient discs in pairs: a letter to an inverse letter, and in a
-non-orientable form also to an equal letter, glued with a flip.  The search
-builds the surface one gluing at a time (Culler, "Using surfaces to solve
-equations in free groups", Topology 20, 1981).  A partial diagram is a
-surface with boundary; its open clusters (components with unglued letters)
-are each a multiset of boundary cycles, the cyclic words of unglued letters.
+equations), run the balance test on each surviving relator, normalize each
+to standard form, then decide solvability by searching cancellation
+diagrams.
+
+The balance test (``_gluable``) decides most unsat relators before any is
+normalized.  Call a relator r orientable when each of its variables occurs
+in it with both signs, x ... x^-1, and non-orientable otherwise.  If r has
+a solution, each constant's exponent sum in r is 0 when r is orientable and
+even when it is not; the test reads this from letter counts, as many of
+each sign, or an even number.  Proof: abelianize a solution X.  The image
+of r(X) is 0, and it is r's constant exponent sums plus, for each variable,
+its exponent sum e_x in r times ab(X_x).  A variable read as x ... x^-1 has
+e_x = 0, and one read twice with one sign has e_x = +-2.
+
+The test's verdict is the one the search reaches on r's standard form,
+whose discs ``CancellationDiagrams`` tests first, by the same rule and
+kind.  Normalization substitutes words u_x for variables x, rotates and
+cyclically reduces, and the standard word's constants are its discs.  A
+substitution adds e_x times u_x's constant exponent sums for each x.  Every
+e_x is 0 or +-2, since each variable occurs twice, and stays 0 in an
+orientable relator, since the new e is a linear image of the old; rotation
+and reduction add nothing.  So the discs' exponent sums equal r's in the
+orientable case and agree with them mod 2 in the other.
+
+A diagram glues the letters of the coefficient discs in pairs: a letter to
+an inverse letter, and in a non-orientable form also to an equal letter,
+glued with a flip.  The search builds the surface one gluing at a time
+(Culler, "Using surfaces to solve equations in free groups", Topology 20,
+1981).  A partial diagram is a surface with boundary; its open clusters
+(components with unglued letters) are each a multiset of boundary cycles,
+the cyclic words of unglued letters.
 Gluing the pivot letter p of a cycle p A to a partner q:
 
     q on the same cycle, p A q B:    inverse letters: cycles A and B
@@ -176,6 +199,19 @@ class _Memo(dict):
         return value
 
 
+def _gluable(letters: bytes, symbols: Iterable[int], orientable: bool) -> bool:
+    """Can every letter of these symbols be glued?  ``letters`` are packed
+    (``Word.packed``).  A letter glues to an inverse letter, so in an
+    orientable diagram each symbol needs as many letters of one sign as of
+    the other; in a non-orientable one it also glues to an equal letter, so
+    each symbol needs an even count.  The balance test of the module
+    docstring."""
+    count = letters.count
+    if orientable:
+        return all(count(2 * s) == count(2 * s + 1) for s in symbols)
+    return not any((count(2 * s) + count(2 * s + 1)) & 1 for s in symbols)
+
+
 def _nonnegative(budget: int) -> bool:
     return budget >= 0
 
@@ -330,15 +366,9 @@ class CancellationDiagrams:
         n, joined = self.n, b"".join(self.cycles)
         if n == 0:
             return _nonnegative
-        if n % 2:
-            return _never
         letters = range(2 * (max(joined) // 2 + 1))
-        count = list(map(joined.count, letters))
         orientable = self.kind == ORIENTABLE
-        # can every letter be glued?  Inverse letters pair up in an
-        # orientable form; any two letters of a symbol in a non-orientable one
-        plain, inverse = count[0::2], count[1::2]
-        if plain != inverse if orientable else any(map((1).__and__, map(add, plain, inverse))):
+        if not _gluable(joined, range(len(letters) // 2), orientable):
             return _never
         failed, chosen = self._failed, self._chosen
         # a content as one integer, the exponent sum of symbol s times
@@ -635,7 +665,8 @@ class SolveResult:
     searched with on a non-orientable relator, over the relators decided so
     far: the length at which it found a witness, or the cap when it found
     none.  It is always 0 for orientable relators, whose witnesses are built
-    from their diagrams."""
+    from their diagrams, and 0 for an unsat verdict of the balance test,
+    which runs before any relator is decided."""
 
     status: str  # "sat" | "unsat" | "bound_exceeded" | "inconclusive"
     witness: dict[str, Word] | None
@@ -849,6 +880,12 @@ def solve_quadratic(
 ) -> SolveResult:
     """Decide a quadratic system; SAT answers carry verified witnesses.
 
+    The system is decoupled into independent relators, and a relator that
+    fails the balance test of the module docstring makes it unsat before
+    any relator is normalized or searched.  Otherwise each relator is
+    normalized, searched for a diagram at its form's genus, and given a
+    witness, in order; the first that fails sets the verdict.
+
     UNSAT verdicts are complete (diagram search is finite); the bound only
     caps the oracle's witness search for non-orientable equations,
     defaulting to the cited free-group bound (``default_bound``).  A
@@ -859,7 +896,11 @@ def solve_quadratic(
     if any(c not in (0, 2) for c in system.occurrence_counts().values()):
         raise SolverError("system is not quadratic")
     relators, elim, unsat = _decouple(system)
-    if unsat:
+    constants, variables = range(system.n_constants), system.var_syms
+    # the balance test: a relator is orientable when each of its variables
+    # can glue to its inverse, and its constants must glue as its kind allows
+    if unsat or not all(_gluable(rel.packed, constants, _gluable(rel.packed, variables, True))
+                        for rel in relators):
         return SolveResult("unsat", None, 0)
 
     assignment: dict[int, Word] = {}

@@ -39,6 +39,20 @@ def test_solve_unsat(tmp_path, capsys):
     assert "verdict: unsat" in out
 
 
+@pytest.mark.parametrize("rhs", [
+    "a b",      # odd counts of a and b: the balance test decides it
+    "a a b b",  # balanced, so the diagram search decides it
+])
+def test_solve_unsat_square_root(tmp_path, capsys, rhs):
+    f = write(tmp_path, "eq.txt", f"gens: a b\nvars: x\nx x = {rhs}\n")
+    code, out, _ = run(capsys, "solve", f)
+    assert code == 0
+    assert "verdict: unsat" in out.splitlines()
+    code, out, _ = run(capsys, "solve", f, "--json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "unsat"
+
+
 def test_solve_declared_variable_that_occurs_nowhere(tmp_path, capsys):
     f = write(tmp_path, "eq.txt", "gens: a\nvars: x y\nx a x^-1 = a\n")
     code, out, _ = run(capsys, "solve", f)

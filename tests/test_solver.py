@@ -5,7 +5,7 @@ import pytest
 
 from quadeq import solver
 from quadeq.binpack import BinPackInstance, build_equation, exhaustive_pack, sweep_instances
-from quadeq.equations import parse_system
+from quadeq.equations import Equation, EquationSystem, parse_system
 from quadeq.oracle import SearchBound, is_satisfiable
 from quadeq.solver import (
     CancellationDiagrams,
@@ -14,6 +14,7 @@ from quadeq.solver import (
     SolverError,
     _commutators,
     _diagrams,
+    _normalized_discs,
     genus_at,
     solve_quadratic,
     tuple_genus,
@@ -191,6 +192,71 @@ def test_conjugation_equation():
 def test_unsolvable_conjugation():
     r = solve_text("gens: a b\nvars: z\nz^-1 a z = b")
     assert r.status == "unsat"
+
+
+# --- the balance test ------------------------------------------------------------------
+
+def _random_relator(rng):
+    """A quadratic one-relator system over a, b, c with 1-3 variables, each
+    read x ... x^-1 or twice with one sign, between random constant words;
+    half of them get a constant tail that balances their kind."""
+    names = ("x", "y", "z")[:rng.randint(1, 3)]
+    al = Alphabet(("a", "b", "c", *names))
+    while True:
+        letters = []
+        for n in names:
+            sign = rng.choice((1, -1))
+            letters += [al.gen(n, sign), al.gen(n, rng.choice((sign, -sign)))]
+        rng.shuffle(letters)
+        word = Word()
+        for g in letters:
+            word = word * _random_word(rng, rng.randint(0, 2), ABC) * Word((g,))
+        if rng.random() < 0.5:
+            count = word.packed.count
+            orientable = all(count(2 * s) == count(2 * s + 1) for s in range(3, 3 + len(names)))
+            for s, name in enumerate("abc"):
+                e = count(2 * s) - count(2 * s + 1)
+                word = word * al.word(name) ** (-e if orientable else e % 2)
+        system = EquationSystem(("a", "b", "c"), names, (Equation(word),))
+        if all(c == 2 for c in system.occurrence_counts().values()):
+            return system
+
+
+def test_balance_test_agrees_with_the_search():
+    # a relator the test refuses has no diagram on its standard form and no
+    # short solution; one it accepts has standard-form discs it accepts too
+    rng = random.Random(7)
+    seen = {}
+    for _ in range(400):
+        system = _random_relator(rng)
+        letters = system.equations[0].relator().packed
+        orientable = solver._gluable(letters, system.var_syms, True)
+        balanced = solver._gluable(letters, range(3), orientable)
+        form = standardize(system).form
+        assert form.kind == (ORIENTABLE if orientable else NONORIENTABLE)
+        seen[balanced, orientable] = seen.get((balanced, orientable), 0) + 1
+        if balanced:
+            discs = b"".join(core.packed for _, core, _ in _normalized_discs(form))
+            assert solver._gluable(discs, range(3), orientable)
+        else:
+            assert not _diagrams(form).solvable_within(form.genus)
+            assert is_satisfiable(system, SearchBound(2)) is None
+    assert len(seen) == 4 and min(seen.values()) >= 40, seen
+
+
+@pytest.mark.parametrize("text", [
+    "gens: a b\nvars: x\nx^-1 a x = b",
+    "gens: a b\nvars: x\nx^-1 a x = a^-1",  # even counts, but orientable
+    "gens: a b\nvars: x\nx x = a b",
+    # the first relator is balanced; the second, unbalanced, decides first
+    "gens: a b\nvars: x y\nx^2 = a^2\ny^-1 a y = b",
+])
+def test_unbalanced_relators_never_reach_standardize(text, monkeypatch):
+    def refuse(system):
+        raise AssertionError("standardize called")
+
+    monkeypatch.setattr(solver, "standardize", refuse)
+    assert solve_text(text) == SolveResult("unsat", None, 0)
 
 
 # --- agreement with the oracle on a small corpus --------------------------------------
@@ -381,6 +447,9 @@ def test_state_cap_makes_the_verdict_inconclusive(monkeypatch):
     assert solve_quadratic(system).status == "unsat"
     monkeypatch.setattr(solver, "MAX_STATES", 100)
     assert solve_quadratic(system) == SolveResult("inconclusive", None, 0)
+    # an unbalanced relator after it decides the system before any search
+    text = system.render().replace("vars: z1 z2 z3", "vars: z1 z2 z3 w") + "w^-1 b w = c\n"
+    assert solve_text(text) == SolveResult("unsat", None, 0)
     diag = _diagrams(standardize(system).form)
     with pytest.raises(SearchLimitError):
         diag.solvable_within(0)
