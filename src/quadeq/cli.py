@@ -262,10 +262,9 @@ def cmd_genus(args) -> int:
             return _inconclusive(rep, args)
         rep.add("verdict", "solvable" if res.solvable else "unsolvable")
         if res.witness:
-            sysm = sv._tuple_form(coeffs, args.at, kind).system(gens)
-            if not sysm.check(res.witness):
+            if not res.system.check(res.witness):
                 raise AssertionError("internal: genus witness failed verification")
-            for line in _fmt_witness(sysm, res.witness):
+            for line in _fmt_witness(res.system, res.witness):
                 rep.add("witness", line)
         rep.emit(args)
         return EXIT_OK
@@ -472,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--bound", type=_nonnegative, default=None,
                     help="cap of the oracle's witness search, which only non-orientable "
-                         "equations need (default: the cited bound 12 s^4)")
+                         "equations need (default: 12 s^4)")
     common(sp)
     sp.set_defaults(fn=cmd_solve)
 

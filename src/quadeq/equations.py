@@ -148,8 +148,8 @@ def parse_system(text: str) -> EquationSystem:
             continue
         if gens is None:
             raise EquationError(f"line {lineno}: equation before gens: header")
-        if alphabet is None:
-            alphabet = Alphabet(tuple(gens) + tuple(variables))
+        if alphabet is None:  # built by a system without equations, which checks the names
+            alphabet = EquationSystem(gens, variables, ()).alphabet
         if "=" not in line:
             raise EquationError(f"line {lineno}: expected '=' in equation")
         left, right = line.split("=", 1)

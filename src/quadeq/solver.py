@@ -87,7 +87,7 @@ the signed cut tests every cycle.
 Exact contents cut a non-orientable state in two ways.  Both proofs follow
 a diagram as the gluing rules build it from the state as it is stored.  The
 search tables a state and its re-arrangements (the canonical forms of
-``CancellationDiagrams``) as one, since they have diagrams of the same
+``_arrangement``) as one, since they have diagrams of the same
 costs, so a state with a diagram has one of the same cost in which no state
 on the way is re-arranged.
 
@@ -132,14 +132,14 @@ each couple a commutator of face pieces (``_commutators``).  Hurwitz moves
 put the conjugates in the form's order.  A non-orientable form's witness is
 the oracle's first solution within the bound.  Either is transported back
 to the input's variables and checked.  The search's cycles are packed words
-(``bytes``); the replay's are tuples of labels.
+(``bytes``); the replay's are strings of labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, compress
+from functools import partial, reduce
+from itertools import chain, compress, islice
 from operator import add, itemgetter, mul, xor
 from typing import Iterable, Sequence
 
@@ -182,11 +182,7 @@ class SearchLimitError(SolverError):
     """The diagram search tabled MAX_STATES states without a verdict."""
 
 
-def _inverse_labels(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([x ^ 1 for x in reversed(cycle)])
-
-
-_second = itemgetter(1)
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 class _Memo(dict):
@@ -197,6 +193,11 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.fn(key)
         return value
+
+
+def _rotated(c: bytes) -> bytes:
+    i = least_rotation(c)
+    return c[i:] + c[:i]
 
 
 def _gluable(letters: bytes, symbols: Iterable[int], orientable: bool) -> bool:
@@ -309,6 +310,52 @@ def _gluings(state: Sequence[tuple], view: Sequence[tuple], pivot: tuple[int, in
         yield (cj, yj, t), cost, st, new, rest
 
 
+def _arrangement(rotation, mirrored, views=None):
+    """(cluster, canonical, read): the canonical arrangement of search
+    states, from a cycle's least rotations read forward and inverted.
+
+    ``cluster(status, cycles)`` arranges an open cluster: cycles by least
+    rotation, a twisted cluster's cycles each up to inversion, a pending
+    cluster up to inverting all its cycles.  ``canonical(clusters)`` sorts
+    arranged clusters into a state, up to inverting every clean cluster at
+    once.  (One clean cluster alone may not be inverted: which later merges
+    need a flip depends on its orientation.)  The search's packed cycles
+    compare as they are.  Labelled cycles compare by ``views``, cycle ->
+    (its packed view, itself), and ``read`` gives a state's packed view: the
+    views decide; labels break ties where cycles or clusters are sorted, and
+    of two readings of a pending cluster or a state, the first is kept.
+    """
+    order, least, arrange, choose, pick, read = sorted, min, sorted, min, min, None
+    if views is not None:
+        order, least = partial(sorted, key=views), partial(min, key=views)
+        viewed = _memo(lambda cl: (cl[0], tuple(map(_first, map(views, cl[1])))))
+
+        def arrange(clusters):
+            return sorted(sorted(clusters), key=viewed)
+
+        def read(state: tuple) -> tuple:
+            return tuple(map(viewed, state))
+
+        choose, pick = partial(min, key=viewed), partial(min, key=read)
+
+    def cluster(status: int, cycles: list) -> tuple:
+        if status == _TWISTED:
+            return status, tuple(order(map(least, map(rotation, cycles), map(mirrored, cycles))))
+        key = status, tuple(order(map(rotation, cycles)))
+        return choose(key, (status, tuple(order(map(mirrored, cycles))))) if status == _PENDING else key
+
+    # cluster -> the cluster inverted, when it is clean
+    mirror = _memo(lambda cl: (_CLEAN, tuple(order(map(mirrored, cl[1])))) if cl[0] == _CLEAN else cl)
+
+    def canonical(clusters: list[tuple]) -> tuple:
+        state = tuple(arrange(clusters))
+        if not state or state[0][0] != _CLEAN:  # clean clusters sort first
+            return state
+        return pick(state, tuple(arrange(map(mirror, clusters))))
+
+    return cluster, canonical, read
+
+
 class CancellationDiagrams:
     """Least-cost search over cancellation diagrams of the coefficient discs.
 
@@ -321,16 +368,12 @@ class CancellationDiagrams:
     non-orientable one, a crosscap 1 -- and a pending cluster pays its last
     crosscap when it closes, which adds up to the cost table.
 
-    States are canonical: cycles by least rotation, a twisted cluster's
-    cycles each up to inversion, a pending cluster up to inverting all its
-    cycles, the whole state up to inverting every clean cluster at once.
-    (One clean cluster alone may not be inverted: which later merges need a
-    flip depends on its orientation.)  The instance keeps a table of the
-    largest budget proven infeasible per state across ``solvable_within``
+    States are canonical (``_arrangement``).  The instance keeps a table of
+    the largest budget proven infeasible per state across ``solvable_within``
     calls, so rising budgets reuse it, and each call tries each distinct
     (cost, state) child once; the search is set up once per instance, at its
-    first call.  The pivot is a letter with the fewest
-    partners, on the shortest cycle among those.  For each state on the path
+    first call.  The pivot is a letter with the fewest partners, on the
+    shortest cycle among those.  For each state on the path
     of the diagram found last it keeps the gluing it chose there, which
     ``certificate`` replays.  Children that a cut of the module docstring
     rules out are dropped: the one-cluster bound of a non-orientable form,
@@ -354,6 +397,8 @@ class CancellationDiagrams:
         # state -> (budget, pivot, partner, child) on the path of the last diagram found
         self._chosen: dict[tuple, tuple] = {}
         self._within = None  # budget -> bool, set up by the first search
+        # cycle -> its least rotation, and its inverse's: for search and certificate
+        self._turns = _memo(_rotated), _memo(lambda c: _rotated(packed_inverse(c)))
 
     def solvable_within(self, budget: int) -> bool:
         """Does some diagram cost at most ``budget``?"""
@@ -384,16 +429,7 @@ class CancellationDiagrams:
 
         odd = _memo(parity)
 
-        def rotate(c: bytes) -> bytes:
-            i = least_rotation(c)
-            return c[i:] + c[:i]
-
-        # cycle -> its least rotation, and that of its inverse
-        rotation = _memo(rotate)
-        mirrored = _memo(lambda c: rotate(packed_inverse(c)))
-        # cluster -> the cluster inverted, when it is clean
-        mirror = _memo(lambda cl: (_CLEAN, tuple(sorted(map(mirrored, cl[1]))))
-                       if cl[0] == _CLEAN else cl)
+        cluster, canonical, _ = _arrangement(*self._turns)
 
         def totals(key: tuple) -> set[int]:
             """The sums of one value from each of ``options``, added by
@@ -444,20 +480,6 @@ class CancellationDiagrams:
                 if not without(cut, adds, k).issuperset(map(value, cycles)):
                     return False
             return True
-
-        def cluster(status: int, cycles: list[bytes]) -> tuple:
-            if status == _TWISTED:
-                return status, tuple(sorted(map(min, map(rotation, cycles), map(mirrored, cycles))))
-            key = tuple(sorted(map(rotation, cycles)))
-            if status == _PENDING:
-                key = min(key, tuple(sorted(map(mirrored, cycles))))
-            return status, key
-
-        def canonical(clusters: list[tuple]) -> tuple:
-            state = tuple(sorted(clusters))
-            if not state or state[0][0] != _CLEAN:  # clean clusters sort first
-                return state
-            return min(state, tuple(sorted(map(mirror, clusters))))
 
         def children(state: tuple, left: int) -> tuple[tuple, dict]:
             """The pivot, and (cost, state) -> partner for each gluing of the
@@ -555,78 +577,55 @@ class CancellationDiagrams:
 
         The descent replays the gluings ``solvable_within`` chose on the path
         of the diagram it found, on states whose letters carry their identity:
-        labels, tuples of ints, since they reach 2n.  Letter i of the discs is
-        ``2*i``, and ``2*i + 1`` once it is read inverted, so ``_gluings``
-        acts on it as on a packed letter.  After each gluing the state is put
-        in the search's canonical arrangement, where the next chosen gluing
-        applies; no state is searched again.
+        labels, one code point of a str per letter, since they reach 2n.
+        Letter i of the discs is ``2*i``, and ``2*i + 1`` once it is read
+        inverted, so ``_gluings`` acts on it as on a packed letter.  After
+        each gluing ``_arrangement`` arranges the state by its packed view,
+        where the next chosen gluing applies; no state is searched again.
         """
         if not self.solvable_within(budget):
             return None
-        where = [(d, k) for d, c in enumerate(self.cycles) for k in range(len(c))]
+        # label -> its letter's (disc, offset), its packed letter, the label read inverted
+        where = [(d, k) for d, c in enumerate(self.cycles) for k in range(len(c)) for _ in (0, 1)]
         packed = [x ^ f for c in self.cycles for x in c for f in (0, 1)]
+        flip = [x ^ 1 for x in range(2 * self.n)]
         orientable = self.kind == ORIENTABLE
-        turns: dict[tuple, tuple] = {}
+        ranks: dict[str, tuple] = {}  # labelled cycle -> (its packed view, itself)
+        forward, inverted = _Memo(), _Memo()  # labelled cycle -> its least rotation, its inverse's
 
-        def turned(c: tuple) -> tuple:
-            """The least rotations of a labelled cycle read forward and
-            inverted, each as (packed view, labelled cycle)."""
-            f = turns.get(c)
-            if f is None:
-                v = bytes(map(packed.__getitem__, c))
-                f = []
-                for w, d in ((v, c), (packed_inverse(v), _inverse_labels(c))):
-                    i = least_rotation(w)
-                    f.append((w[i:] + w[:i], d[i:] + d[:i]))
-                f = turns[c] = turns[f[0][1]] = tuple(f)
-                turns[f[1][1]] = f[::-1]
-            return f
+        def invert(c: str) -> str:
+            return c[::-1].translate(flip)
 
-        def arrange(cl: tuple) -> tuple:
-            """A labelled cluster read forward and with every cycle inverted,
-            each as ((status, views), (status, labelled cycles)): the rules of
-            ``solvable_within``'s ``cluster``, applied to (packed view,
-            labelled cycle) pairs and decided by the views."""
-            st, cycles = cl
-            fs = list(map(turned, cycles))
-            if st == _TWISTED:
-                a = b = sorted(map(min, fs))
-            else:
-                a, b = sorted(map(itemgetter(0), fs)), sorted(map(_second, fs))
-                if st == _PENDING:
-                    if [v for v, _ in b] < [v for v, _ in a]:
-                        a = b
-                    b = a
-            (va, la), (vb, lb) = zip(*a), zip(*b)
-            return ((st, va), (st, la)), ((st, vb), (st, lb))
+        rotation, mirrored = self._turns
 
-        arrangement = _memo(arrange)  # labelled cluster -> its arrangements
+        def turn(c: str) -> str:
+            """A labelled cycle rotated where the search's least rotation of
+            its view starts.  A cycle, once turned, keeps its labels: its
+            rotation and its inverse's turn to themselves and each other."""
+            v = c.translate(packed).encode("latin-1")
+            rv = rotation(v)
+            w, d, rw = packed_inverse(v), invert(c), mirrored(rv)
+            i, j = (v + v).find(rv), (w + w).find(rw)
+            r, m = c[i:] + c[:i], d[j:] + d[:j]
+            ranks[r], ranks[m] = (rv, r), (rw, m)
+            forward[r], forward[m], inverted[r], inverted[m], inverted[c] = r, m, m, r, m
+            return r
 
-        def arranged(clusters: list[tuple]) -> tuple[tuple, tuple]:
-            """The canonical state that labelled clusters read as, and the
-            clusters in its order, rotations and orientations: the rule of
-            ``solvable_within``'s ``canonical``."""
-            if not clusters:
-                return (), ()
-            plain, mirror = (zip(*sorted(x)) for x in zip(*map(arrangement, clusters)))
-            views, labelled = plain
-            mirror_views, mirror_labelled = mirror
-            if mirror_views < views:
-                return mirror_views, mirror_labelled
-            return views, labelled
-
-        ids = iter(range(0, 2 * self.n, 2))
-        view, state = arranged([(_CLEAN, (tuple(next(ids) for _ in c),)) for c in self.cycles])
-        pairs = []
+        forward.fn, inverted.fn = turn, lambda c: inverted[forward[c]]
+        cluster, canonical, packed_state = _arrangement(forward.__getitem__, inverted.__getitem__,
+                                                        ranks.__getitem__)
+        ids = iter(map(chr, range(0, 2 * self.n, 2)))
+        state = canonical([cluster(_CLEAN, ["".join(islice(ids, len(c)))]) for c in self.cycles])
+        view, pairs = packed_state(state), []
         while state:
             left, pivot, partner, child = self._chosen[view]
-            _, _, st, new, rest = next(_gluings(state, view, pivot, orientable, left,
-                                                _inverse_labels, partner))
+            _, _, st, new, rest = next(_gluings(state, view, pivot, orientable, left, invert, partner))
             (ci, yi, pos), (cj, yj, t) = pivot, partner
-            pairs.append((where[state[ci][1][yi][pos] >> 1], where[state[cj][1][yj][t] >> 1]))
+            pairs.append((where[ord(state[ci][1][yi][pos])], where[ord(state[cj][1][yj][t])]))
             if new:
-                rest.append((st, tuple(new)))
-            view, state = arranged(rest)
+                rest.append(cluster(st, new))
+            state = canonical(rest)
+            view = packed_state(state)
             if view != child:
                 raise AssertionError("internal: the descent left the path of the diagram found")
         return pairs
@@ -674,7 +673,7 @@ class SolveResult:
 
 
 def default_bound(form: StandardForm) -> int:
-    """The cited minimal-solution bound of a non-orientable form: 12 s^4."""
+    """The cap on the oracle's witness search for a non-orientable form: 12 s^4."""
     s = sum(len(c) for c in form.coefficients) + len(form.tail)
     return max(1, 12 * s ** 4)
 
@@ -888,9 +887,8 @@ def solve_quadratic(
 
     UNSAT verdicts are complete (diagram search is finite); the bound only
     caps the oracle's witness search for non-orientable equations,
-    defaulting to the cited free-group bound (``default_bound``).  A
-    diagram search that reaches MAX_STATES leaves the verdict
-    ``inconclusive``.
+    defaulting to 12 s^4, the cap of ``default_bound``.  A diagram search
+    that reaches MAX_STATES leaves the verdict ``inconclusive``.
     """
     # a declared variable that occurs nowhere is free; replay sets it to 1
     if any(c not in (0, 2) for c in system.occurrence_counts().values()):
@@ -938,6 +936,7 @@ def solve_quadratic(
 class GenusResult:
     solvable: bool
     witness: dict[str, Word] | None
+    system: EquationSystem | None = None  # the standard system that the witness solves
 
 
 def _tuple_form(coefficients: Sequence[Word], g: int, kind: str) -> StandardForm:
@@ -976,7 +975,7 @@ def genus_at(
         raise SolverError("diagram solvable but witness search exhausted the bound")
     if not sysm.check(sol):
         raise AssertionError("internal: genus witness failed verification")
-    return GenusResult(True, sol)
+    return GenusResult(True, sol, sysm)
 
 
 def tuple_genus(

@@ -250,6 +250,17 @@ def test_word_file_header_errors(tmp_path, capsys, cmd, text, message):
     assert out == "" and err.strip() == message
 
 
+# a variable named like a generator reads as the same clash whether or not an
+# equation follows, where the parse alphabet used to refuse the names first
+@pytest.mark.parametrize("text", ["gens: a b\nvars: a\na a = b b\n", "gens: a b\nvars: a\n"],
+                         ids=["with_equation", "headers_only"])
+def test_solve_generator_variable_name_clash(tmp_path, capsys, text):
+    f = write(tmp_path, "eq.txt", text)
+    code, out, err = run(capsys, "solve", f)
+    assert code == 2
+    assert out == "" and err == "error: generator/variable name clash\n"
+
+
 def test_surface_dot(tmp_path, capsys):
     f = write(tmp_path, "q.txt", "edges: a\na a\n")
     dot = str(tmp_path / "g.dot")

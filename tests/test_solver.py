@@ -1,5 +1,7 @@
 import hashlib
 import random
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 
@@ -413,6 +415,75 @@ def test_min_genus_pinned():
     for kind, discs, genus in pins:
         n = sum(len(d) for d in discs)
         assert CancellationDiagrams(discs, kind).min_genus(n // 2 + 1) == genus, (kind, discs)
+
+
+def _reference_orientable_genus(discs):
+    """The least orientable genus of the discs by brute force, or None when
+    no pairing exists.  Each pairing of every letter with an inverse letter
+    glues the discs, as faces, along their letters, as edges; a component of
+    V vertices, E edges and F faces has genus (2 - V + E - F) / 2, and the
+    genera add up.  It shares no code with ``solver`` or ``surfaces``."""
+    ends = {}  # symbol -> (positive letters, negative letters), as (disc, offset)
+    for d, w in enumerate(discs):
+        for k, g in enumerate(w):
+            ends.setdefault(g.sym, ([], []))[g.sign < 0].append((d, k))
+    if any(len(p) != len(q) for p, q in ends.values()):
+        return None
+    best = None
+    for choice in product(*(permutations(q) for _, q in ends.values())):
+        root = {}  # one union-find over discs and corners, (disc, k) the start of letter k
+
+        def find(x):
+            while root.get(x, x) != x:
+                x = root[x]
+            return x
+
+        for (p, _), q in zip(ends.values(), choice):
+            for (d, k), (e, j) in zip(p, q):
+                # x runs from corner k to k + 1 of d, and x^-1 from j to j + 1 of e
+                root[find((d, k))] = find((e, (j + 1) % len(discs[e])))
+                root[find((d, (k + 1) % len(discs[d])))] = find((e, j))
+                root[find(d)] = find(e)
+        genus = 0
+        for c in {find(d) for d in range(len(discs))}:
+            faces = [d for d in range(len(discs)) if find(d) == c]
+            vertices = {find((d, k)) for d in faces for k in range(len(discs[d]))}
+            edges = sum(len(discs[d]) for d in faces) // 2
+            genus += (2 - len(vertices) + edges - len(faces)) // 2
+        best = genus if best is None else min(best, genus)
+    return best
+
+
+def _orientable_tuples():
+    """2,000 seeded tuples of 1-5 cyclically reduced discs over a, b, c, at
+    most 12 letters in all.  Nine in ten give each letter an inverse partner
+    and cut the shuffled letters into few discs, so that many need handles;
+    the others take any letters, and most of those have no pairing."""
+    rng = random.Random(5)
+    tuples = []
+    while len(tuples) < 2000:
+        if rng.random() < 0.1:
+            letters = [Generator(rng.randrange(3), rng.choice((1, -1)))
+                       for _ in range(rng.randint(1, 12))]
+        else:
+            letters = [g for s in rng.choices(range(3), k=rng.randint(2, 6))
+                       for g in (Generator(s, 1), Generator(s, -1))]
+            rng.shuffle(letters)
+        count = min(len(letters), rng.choice((1, 1, 1, 2, 2, 3, 4, 5)))
+        cuts = [0, *sorted(rng.sample(range(1, len(letters)), count - 1)), len(letters)]
+        discs = [letters[i:j] for i, j in zip(cuts, cuts[1:])]
+        if all(x != y.inv() for d in discs for x, y in zip(d, d[1:] + d[:1])):
+            tuples.append([Word(d) for d in discs])
+    return tuples
+
+
+def test_orientable_least_genus_matches_the_reference():
+    found = Counter()
+    for discs in _orientable_tuples():
+        genus = _reference_orientable_genus(discs)
+        assert tuple_genus(discs, ORIENTABLE, ("a", "b", "c")) == genus, discs
+        found[genus] += 1
+    assert found == {None: 427, 0: 1104, 1: 408, 2: 61}
 
 
 def test_form_solvable_matches_packing():

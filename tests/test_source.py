@@ -170,6 +170,29 @@ def test_word_storage_has_one_owner():
     assert found and set(found) == {"words.py"}
 
 
+def _own_nodes(fn: ast.AST):
+    """The nodes of a function's body, without those of the functions it defines."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_pending_cluster_rule_has_one_owner():
+    # a pending cluster is taken up to inverting all its cycles: one function
+    # states that rule, for the search's states and the certificate's alike
+    tree = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
+    found = []
+    for qualname, fn in _functions(tree):
+        operands = [x for n in _own_nodes(fn) if isinstance(n, ast.Compare)
+                    for x in (n.left, *n.comparators)]
+        if any(isinstance(x, ast.Name) and x.id == "_PENDING" for x in operands):
+            found.append(qualname)
+    assert len(found) == 1, found
+
+
 def test_cli_reports_every_package_error_as_bad_input():
     # a ValueError of the package that main does not catch ends as
     # "internal error", exit 4, instead of an error line and exit 2
