@@ -628,6 +628,7 @@ class CancellationDiagrams:
             view = packed_state(state)
             if view != child:
                 raise AssertionError("internal: the descent left the path of the diagram found")
+        forward.fn = inverted.fn = None  # turn refers to both: free them without the collector
         return pairs
 
 

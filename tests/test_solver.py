@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from collections import Counter
@@ -722,6 +723,23 @@ def test_certificate_after_rising_budgets():
     assert len(diag.certificate(2)) == 6
     assert CancellationDiagrams([a * b, b * a], ORIENTABLE).certificate(5) is None
     assert CancellationDiagrams([], ORIENTABLE).certificate(0) == []
+
+
+def test_search_and_certificate_leave_no_reference_cycle():
+    # a reference cycle through a memo keeps a discarded instance's tables
+    # and memos alive until the collector runs, which slows every later case
+    tuples = [([commutator(a, b) ** 3], ORIENTABLE), ([a * b, b.inverse() * a.inverse()], ORIENTABLE),
+              ([a * a * b * b], NONORIENTABLE), ([commutator(a, b), a * a], NONORIENTABLE)]
+    gc.collect()
+    gc.disable()
+    try:
+        for discs, kind in tuples:
+            diag = CancellationDiagrams(discs, kind)
+            assert diag.certificate(diag.min_genus(sum(map(len, discs)))) is not None
+        del diag
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _nonorientable_cost(surface, discs, pairs):
