@@ -320,10 +320,10 @@ def _arrangement(rotation, mirrored, views=None):
     arranged clusters into a state, up to inverting every clean cluster at
     once.  (One clean cluster alone may not be inverted: which later merges
     need a flip depends on its orientation.)  The search's packed cycles
-    compare as they are.  Labelled cycles compare by ``views``, cycle ->
-    (its packed view, itself), and ``read`` gives a state's packed view: the
-    views decide; labels break ties where cycles or clusters are sorted, and
-    of two readings of a pending cluster or a state, the first is kept.
+    compare as they are, and ``read`` is None.  Labelled cycles compare by
+    ``views``, cycle -> (its packed view, itself), and ``read`` gives a
+    state's view: the views decide, labels break ties in sorts, and of two
+    readings of a pending cluster or a state the first is kept.
     """
     order, least, arrange, choose, pick, read = sorted, min, sorted, min, min, None
     if views is not None:
