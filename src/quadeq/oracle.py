@@ -50,7 +50,8 @@ from itertools import islice
 from typing import Iterator
 
 from .equations import EquationSystem
-from .words import Word, length_lex, packed_cyclic_reduce, packed_inverse, packed_product, substitute
+from .words import (Word, length_lex, packed_cyclic_reduce, packed_inverse, packed_product,
+                    packed_root_length, packed_solve_letter, packed_substitute, substitute)
 
 
 @dataclass(frozen=True)
@@ -65,18 +66,6 @@ class SearchBound:
             raise ValueError("per-variable bound must be >= 0")
         if self.total is not None and self.total < 0:
             raise ValueError("total bound must be >= 0")
-
-
-def _substitute(t: bytes, x: int, img: bytes) -> bytes:
-    """``t`` with the letter ``x`` (even) sent to ``img``, freely reduced."""
-    if x not in t and x ^ 1 not in t:
-        return t
-    inv, parts, start = packed_inverse(img), [], 0
-    for i, p in enumerate(t):
-        if p | 1 == x | 1:
-            parts += (t[start:i], inv if p & 1 else img)
-            start = i + 1
-    return packed_product(*parts, t[start:])
 
 
 @lru_cache(maxsize=None)
@@ -132,10 +121,7 @@ def _solve_last(t: bytes, sym: int, limit: int) -> list[bytes] | None:
     if not occ:
         return [] if t else None  # no occurrence: unsat unless trivial
     if len(occ) == 1:
-        # u x^s v = 1 gives x = (u^-1 v^-1)^s = (v u)^-s
-        i = occ[0]
-        w = packed_product(t[i + 1:], t[:i])
-        w = w if t[i] & 1 else packed_inverse(w)
+        w = packed_solve_letter(t, occ[0])
         return [w] if len(w) <= limit else []
     if len(occ) > 2:
         return None  # left to the caller's enumeration
@@ -173,7 +159,7 @@ def _conjugators(k: bytes, m: bytes, limit: int) -> list[bytes]:
     if r is None:
         return []
     z0 = packed_product(uk, ck[:r], packed_inverse(um))
-    d = next(d for d in range(1, n + 1) if n % d == 0 and ck[:d] * (n // d) == ck)
+    d = packed_root_length(ck)
     gen = packed_product(uk, ck[:d], packed_inverse(uk))  # generator of the centralizer of k
     # |gen^t z0| >= |t|*|root| - |uk| - |z0|, so far powers cannot fit
     sols: set[bytes] = set()
@@ -212,11 +198,11 @@ def enumerate_solutions(
             raise AssertionError("internal: packed search emitted a non-solution")
         return dict(zip(var_names, words))
 
-    def descend(partials: list[bytes], x: int, img: bytes):
-        """The partial images with x -> img, or None when one is hopeless."""
+    def descend(partials: list[bytes], images: dict[int, bytes]):
+        """The partial images under ``images``, or None when one is hopeless."""
         out = []
         for t in partials:
-            t = _substitute(t, x, img)
+            t = packed_substitute(t, images)
             if _hopeless(t, bound.per_var, first_var):
                 return None
             out.append(t)
@@ -240,20 +226,20 @@ def enumerate_solutions(
             if not any(partials):
                 yield solution()
             return
-        x = 2 * var_syms[depth]
+        sym = var_syms[depth]
         budget = bound.per_var if bound.total is None else min(bound.per_var, bound.total - used)
         if depth == len(var_syms) - 1:
             closed = close_last(partials)
             if closed is not None:
                 for w in closed:
-                    if len(w) <= budget and not any(_substitute(t, x, w) for t in partials):
+                    if len(w) <= budget and not any(packed_substitute(t, {sym: w}) for t in partials):
                         values[depth] = w
                         yield solution()
                 return
         for t in packed:
             if len(t) > budget:
                 break  # length-lex order: every later word is longer
-            child = descend(partials, x, t)
+            child = descend(partials, {sym: t})
             if child is not None:
                 values[depth] = t
                 yield from rec(depth + 1, child, used + len(t))

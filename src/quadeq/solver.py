@@ -152,7 +152,8 @@ from .standardize import (
     StandardForm,
     standardize,
 )
-from .words import MAX_GENERATORS, Word, least_rotation, packed_inverse, replay, solve_letter, substitute
+from .words import (MAX_GENERATORS, Word, packed_inverse, packed_least_rotation, replay,
+                    solve_letter, substitute)
 
 
 class SolverError(ValueError):
@@ -193,11 +194,6 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.fn(key)
         return value
-
-
-def _rotated(c: bytes) -> bytes:
-    i = least_rotation(c)
-    return c[i:] + c[:i]
 
 
 def _gluable(letters: bytes, symbols: Iterable[int], orientable: bool) -> bool:
@@ -398,7 +394,8 @@ class CancellationDiagrams:
         self._chosen: dict[tuple, tuple] = {}
         self._within = None  # budget -> bool, set up by the first search
         # cycle -> its least rotation, and its inverse's: for search and certificate
-        self._turns = _memo(_rotated), _memo(lambda c: _rotated(packed_inverse(c)))
+        self._turns = (_memo(packed_least_rotation),
+                       _memo(lambda c: packed_least_rotation(packed_inverse(c))))
 
     def solvable_within(self, budget: int) -> bool:
         """Does some diagram cost at most ``budget``?"""
@@ -687,40 +684,30 @@ def _decouple(system: EquationSystem) -> tuple[list[Word], list[tuple[int, Word]
     material; evaluate in reverse order when rebuilding witnesses.
     """
     relators = [eq.relator() for eq in system.equations]
-    nc = system.n_constants
+    first_var = 2 * system.n_constants  # the least packed variable letter
     elim: list[tuple[int, Word]] = []
     while True:
-        owner: dict[int, list[int]] = {}
+        # variable -> the relators it occurs in, by first occurrence
+        owner: dict[int, set[int]] = {}
         for idx, r in enumerate(relators):
-            for g in r:
-                if g.sym >= nc:
-                    owner.setdefault(g.sym, []).append(idx)
-        shared = None
-        for sym, idxs in owner.items():
-            uniq = sorted(set(idxs))
-            if len(uniq) == 2:
-                shared = (sym, uniq[0], uniq[1])
-                break
+            for p in r.packed:
+                if p >= first_var:
+                    owner.setdefault(p >> 1, set()).add(idx)
+        shared = next(((sym, *sorted(idxs)) for sym, idxs in owner.items() if len(idxs) == 2), None)
         if shared is None:
             break
         sym, i, j = shared
         r = relators[i]
-        pos = [k for k, g in enumerate(r) if g.sym == sym]
+        pos = [k for k, p in enumerate(r.packed) if p >> 1 == sym]
         if len(pos) != 1:
             raise AssertionError("internal: shared variable must occur once per relator")
         img = solve_letter(r, pos[0])
         elim.append((sym, img))
         relators[j] = substitute(relators[j], {sym: img})
         del relators[i]
-    out = []
-    unsat = False
-    for r in relators:
-        if all(g.sym < nc for g in r):
-            if len(r):
-                unsat = True
-            continue
-        out.append(r)
-    return out, elim, unsat
+    out = [r for r in relators if max(r.packed, default=-1) >= first_var]
+    # a relator of constants alone is unsat unless it is trivial
+    return out, elim, len(out) < sum(map(bool, relators))
 
 
 def _witness(form: StandardForm, diag: CancellationDiagrams, system: EquationSystem,
@@ -917,9 +904,9 @@ def solve_quadratic(
         if found is None:
             return SolveResult("bound_exceeded", None, used_bound)
         back = nz.to_original(found)
-        for g in rel:
-            if g.sym >= system.n_constants:
-                assignment[g.sym] = back[system.var_name(g.sym)]
+        for p in rel.packed:
+            if p >= 2 * system.n_constants:
+                assignment[p >> 1] = back[system.var_name(p >> 1)]
 
     # eliminated variables follow from later material; free ones are 1
     assignment = replay([{sym: expr} for sym, expr in reversed(elim)], assignment,

@@ -227,10 +227,8 @@ def reduce(letters: Iterable[Generator]) -> Word:
 
 def solve_letter(w: Word, k: int) -> Word:
     """The value of the letter at position k that makes ``w`` trivial, for a
-    letter whose symbol occurs nowhere else in ``w``: u x^s v = 1 gives
-    x = (u^-1 v^-1)^s."""
-    vu = w.subword(k + 1, len(w)) * w.subword(0, k)
-    return vu.inverse() if w[k].sign > 0 else vu
+    letter whose symbol occurs nowhere else in ``w``."""
+    return Word.from_packed(packed_solve_letter(w.packed, k))
 
 
 def commutator(x: Word, y: Word) -> Word:
@@ -245,13 +243,8 @@ def is_proper_power(w: Word) -> bool:
 
 def root_of(w: Word) -> tuple[Word, int]:
     """Primitive root: returns (r, k) with w == r^k, k maximal (w nonempty)."""
-    n = len(w)
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        if w.packed[:d] * (n // d) == w.packed:
-            return w.subword(0, d), n // d
-    raise AssertionError("unreachable")
+    d = packed_root_length(w.packed)
+    return w.subword(0, d), len(w) // d
 
 
 @dataclass(frozen=True)
@@ -277,8 +270,7 @@ class CyclicWord:
 
 def cyclic_normalize(w: Word) -> CyclicWord:
     """Canonical cyclic word of w: cyclically reduce, then least rotation."""
-    core, _ = w.cyclic_reduce()
-    return CyclicWord(core.rotated(least_rotation(core.packed)) if core else core)
+    return CyclicWord(Word.from_packed(packed_least_rotation(packed_cyclic_reduce(w.packed)[0])))
 
 
 def cyclically_equal(u: Word, v: Word) -> bool:
@@ -332,6 +324,39 @@ def least_rotation(t: bytes) -> int:
                 best, start = r, i
         i = t.find(m, i + 1)
     return start
+
+
+def packed_least_rotation(t: bytes) -> bytes:
+    """The least rotation of the cyclically reduced word t."""
+    i = least_rotation(t) if t else 0
+    return t[i:] + t[:i]
+
+
+def packed_root_length(t: bytes) -> int:
+    """The length of the primitive root of t: the least d with t == t[:d]
+    repeated (Lyndon-Schupp, Prop. I.2.19); 0 when t is empty."""
+    n = len(t)
+    return next((d for d in range(1, n) if n % d == 0 and t[:d] * (n // d) == t), n)
+
+
+def packed_solve_letter(t: bytes, k: int) -> bytes:
+    """The value of the letter at position k of t that makes t trivial, for
+    a letter whose symbol occurs nowhere else in t: u x^s v = 1 gives
+    x = (u^-1 v^-1)^s = (v u)^-s."""
+    vu = packed_product(t[k + 1:], t[:k])
+    return vu if t[k] & 1 else packed_inverse(vu)
+
+
+def packed_substitute(t: bytes, images: Mapping[int, bytes]) -> bytes:
+    """``t`` with each letter of an imaged symbol sent to its image (read
+    inverted for an inverse letter), freely reduced."""
+    parts, start = [], 0
+    for i, p in enumerate(t):
+        img = images.get(p >> 1)
+        if img is not None:
+            parts += (t[start:i], packed_inverse(img) if p & 1 else img)
+            start = i + 1
+    return packed_product(*parts, t[start:]) if parts else t
 
 
 @dataclass(frozen=True)
@@ -433,17 +458,13 @@ def substitute(
     When ``variables`` is given, every occurring variable must be assigned;
     a missing one raises UnassignedVariableError naming it.
     """
-    varset = set(variables) if variables is not None else None
-    t, parts, start = template._packed, [], 0
-    for i, p in enumerate(t):
-        img = assignment.get(p >> 1)
-        if img is None:
-            if varset is not None and p >> 1 in varset:
+    if variables is not None:
+        unassigned = set(variables) - assignment.keys()
+        for p in template._packed:
+            if p >> 1 in unassigned:
                 raise UnassignedVariableError(p >> 1)
-            continue
-        parts += (t[start:i], packed_inverse(img._packed) if p & 1 else img._packed)
-        start = i + 1
-    return Word.from_packed(packed_product(*parts, t[start:]))
+    images = {s: w._packed for s, w in assignment.items()}
+    return Word.from_packed(packed_substitute(template._packed, images))
 
 
 def replay(

@@ -151,6 +151,44 @@ def test_letter_packing_has_one_owner():
     assert [f.split(":")[0] for f in found] == ["words.py"]
 
 
+def _is_root_test(node: ast.AST) -> bool:
+    """Is node ``X[:d] * (n // d)``, a prefix repeated to test for a root?"""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and isinstance(node.left, ast.Subscript) and isinstance(node.left.slice, ast.Slice)
+            and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.FloorDiv))
+
+
+def _is_letter_solve(node: ast.AST) -> bool:
+    """Is node a call on ``X[k + 1:], X[:k]``, the product v u of u x v = 1?"""
+    if not (isinstance(node, ast.Call) and len(node.args) == 2
+            and all(isinstance(a, ast.Subscript) and isinstance(a.slice, ast.Slice) for a in node.args)):
+        return False
+    after, before = (a.slice for a in node.args)
+    return (ast.dump(node.args[0].value) == ast.dump(node.args[1].value)
+            and isinstance(after.lower, ast.BinOp) and isinstance(after.lower.op, ast.Add)
+            and after.upper is None and before.lower is None and before.upper is not None
+            and ast.dump(after.lower.left) == ast.dump(before.upper)
+            and isinstance(after.lower.right, ast.Constant) and after.lower.right.value == 1)
+
+
+def test_word_rules_have_one_owner():
+    # the root of a word and the value of a lone letter are computed only in
+    # words.py, which the oracle and the solver call
+    for rule in (_is_root_test, _is_letter_solve):
+        found = []
+        for path in sorted(SRC.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found += [path.name for n in ast.walk(tree) if rule(n)]
+        assert found == ["words.py"], rule.__name__
+
+
+def test_solver_reads_packed_letters():
+    # the solver reads letters as packed bytes, never through Generator views
+    tree = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
+    assert [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr in ("sym", "sign")] == []
+
+
 def test_word_storage_has_one_owner():
     # outside words.py a Word is read through .packed and built through its
     # constructor or Word.from_packed; its storage slot and any other private

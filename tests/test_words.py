@@ -14,6 +14,9 @@ from quadeq.words import (
     packed_cyclic_reduce,
     packed_inverse,
     packed_product,
+    packed_root_length,
+    packed_solve_letter,
+    packed_substitute,
     reduce,
     root_of,
     substitute,
@@ -220,6 +223,46 @@ def test_substitute_is_the_naive_reduction(template, image_b, image_c):
         expected += img if sign > 0 else _naive_inverse(img)
     got = substitute(reduce(template), {1: reduce(image_b), 2: reduce(image_c)})
     assert _pairs(got) == _naive_reduce(expected)
+
+
+@given(raw_words, raw_words, raw_words)
+def test_packed_substitute_is_the_naive_reduction(template, image_b, image_c):
+    # each image holds an imaged symbol, and no letter of an image is imaged again
+    images = {1: _pairs(image_b) + [(2, 1)], 2: [(1, -1)] + _pairs(image_c)}
+    expected = []
+    for sym, sign in _pairs(reduce(template)):
+        img = images.get(sym, [(sym, 1)])
+        expected += img if sign > 0 else _naive_inverse(img)
+    packed = {s: reduce(Generator(*p) for p in img).packed for s, img in images.items()}
+    assert _unpacked(packed_substitute(reduce(template).packed, packed)) == _naive_reduce(expected)
+
+
+@given(raw_words, raw_words, st.sampled_from((1, -1)))
+def test_packed_solve_letter_is_the_naive_reduction(u, v, sign):
+    # x, symbol 3, occurs once: u x^sign v = 1 at the value found
+    t = Word([*u, Generator(3, sign), *v]).packed
+    k = max(t.find(6), t.find(7))
+    w = _unpacked(packed_solve_letter(t, k))
+    assert _naive_reduce(w) == w
+    x = w if sign > 0 else _naive_inverse(w)
+    assert _naive_reduce(_unpacked(t[:k]) + x + _unpacked(t[k + 1:])) == []
+
+
+@given(raw_words, st.integers(1, 4))
+def test_packed_root_length_is_the_least_period(seq, k):
+    # the root's length is the least shift that maps the word to itself
+    t = reduce(seq).packed * k
+    d = packed_root_length(t)
+    assert d == next((d for d in range(1, len(t) + 1) if t[d:] + t[:d] == t), 0)
+    assert not t or len(t) // d >= k
+
+
+@pytest.mark.parametrize("names, root", [
+    (("a",), 1), (("a", "b"), 2), (("a", "b", "a"), 3), (("a", "-b", "a", "b"), 4),
+    (("a",) * 6, 1), (("a", "b") * 3, 2), (("a", "b", "a") * 2, 3), (("a", "a", "b") * 4, 3),
+])
+def test_packed_root_length_of_powers_and_primitive_words(names, root):
+    assert packed_root_length(W(*names).packed) == root
 
 
 @given(raw_words, st.integers(-6, 6))
