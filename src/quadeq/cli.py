@@ -448,6 +448,11 @@ def cmd_compute_l(args) -> int:
     rep.add("log2_quotient", b.exponent)
     rep.add("digits", b.digits)
     if args.expand:
+        # the limit on int -> str conversion is process-wide: refuse, not raise it
+        limit = sys.get_int_max_str_digits()
+        if limit and b.digits > limit:
+            raise sc.SchemaError(f"--expand: L has {b.digits} digits, past this Python's "
+                                 f"limit of {limit} on printing an integer")
         rep.add("value", b.expand())
     rep.emit(args)
     return EXIT_OK

@@ -132,15 +132,11 @@ class _Normalizer:
     def __init__(self, system: EquationSystem):
         if len(system.equations) != 1:
             raise StandardizeError("standardize expects a single equation")
-        counts = {}
-        rel = system.equations[0].relator()
-        for g in rel:
-            if g.sym >= system.n_constants:
-                counts[g.sym] = counts.get(g.sym, 0) + 1
-        if any(c != 2 for c in counts.values()):
+        # the sides as written, by solve's rule: a declared variable occurs 0 or 2 times
+        if any(c not in (0, 2) for c in system.occurrence_counts().values()):
             raise StandardizeError("equation is not quadratic")
         self.nc = system.n_constants
-        self.word = rel
+        self.word = system.equations[0].relator()
         self.moves: list[tuple[dict[int, Word], dict[int, Word]]] = []
         self.steps = 0
         self._cyclic_reduce()

@@ -142,6 +142,15 @@ def test_standardize_coefficient_lines(tmp_path, capsys):
         "coefficient: a", "coefficient: b", "tail: a b"]
 
 
+def test_standardize_and_solve_agree_on_what_is_quadratic(tmp_path, capsys):
+    # x occurs four times as written, though the relator x x x^-1 x^-1 is 1
+    f = write(tmp_path, "eq.txt", "gens: a b\nvars: x y\nx x = x x\n")
+    for command in ("standardize", "solve"):
+        code, out, err = run(capsys, command, f)
+        assert (code, out) == (2, ""), command
+        assert "not quadratic" in err, command
+
+
 def test_timing_only_with_the_flag(tmp_path, capsys):
     f = write(tmp_path, "eq.txt", SOLVABLE)
     code, out, _ = run(capsys, "solve", f, "--timing")
@@ -549,6 +558,22 @@ def test_compute_l(capsys):
     assert "log2_quotient: 5171200" in out
     code, out, _ = run(capsys, "compute-L", "--q", "1", "--delta", "0", "--alphabet", "1")
     assert "log2_quotient: 5050" in out
+
+
+def test_compute_l_expand_refuses_more_digits_than_python_prints(capsys):
+    # L(1, 1, 1) has 389,172 digits, past the default int -> str limit of 4,300
+    code, out, err = run(capsys, "compute-L", "--q", "1", "--delta", "1", "--alphabet", "1",
+                         "--expand")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --expand: L has 389172 digits")
+
+
+def test_compute_l_expand_prints_the_value(capsys):
+    code, out, _ = run(capsys, "compute-L", "--q", "1", "--delta", "0", "--alphabet", "1",
+                       "--expand")
+    assert code == 0
+    assert "digits: 1521" in out
+    assert f"value: {1 << 5050}" in out
 
 
 def test_unknown_command(capsys):
