@@ -28,13 +28,16 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+# quadeq from this checkout; the corpus beside this file; the benchmark's inputs
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
-from quadeq.binpack import build_equation, sweep_instances  # noqa: E402
-from quadeq.equations import parse_system  # noqa: E402
-from quadeq.parsing import parse_word  # noqa: E402
-from quadeq.solver import solve_quadratic, tuple_genus  # noqa: E402
-from quadeq.words import Alphabet  # noqa: E402
+import workloads
+from corpus import iter_corpus
+from quadeq.binpack import build_equation, sweep_instances
+from quadeq.equations import parse_system
+from quadeq.parsing import parse_word
+from quadeq.solver import solve_quadratic, tuple_genus
+from quadeq.words import Alphabet
 
 
 def _solved(system) -> str:
@@ -44,9 +47,6 @@ def _solved(system) -> str:
 
 
 def _corpus():
-    sys.path.insert(0, str(ROOT / "tests"))
-    from corpus import iter_corpus
-
     return map(_solved, iter_corpus())
 
 
@@ -55,9 +55,6 @@ def _binpack():
 
 
 def _planted():
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
     for case in workloads.planted_cases(0):
         if case.kind == "genus":  # as perfbench/run.py's decide reads it
             header, *lines = case.text.splitlines()
