@@ -10,18 +10,26 @@ Grammar (whitespace separates terms; ``#`` starts a comment to end of line):
 
 ``1`` is the empty word, ``[u,v]`` the commutator ``u^-1 v^-1 u v``,
 ``(w)^k`` the k-th power.  Every NAME must be declared in the alphabet.
-Trailing garbage is rejected.
+Trailing garbage is rejected, and so is a power or product of more than
+MAX_LETTERS letters.
 """
 
 from __future__ import annotations
 
 import re
 
-from .words import Alphabet, Word, commutator
+from .words import Alphabet, Word, commutator, packed_cyclic_reduce
 
 _TOKEN = re.compile(
     r"\s+|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>-?\d+)|(?P<punct>[\^\[\],()])"
 )
+
+
+# The most letters a power or product may have.  A power is built letter by
+# letter, so a huge exponent must be refused before it is taken; a million
+# letters is five times (a b)^100000 and far more than any search here can
+# handle.
+MAX_LETTERS = 1_000_000
 
 
 class WordSyntaxError(ValueError):
@@ -94,7 +102,7 @@ def _parse_word(toks: _Tokens, alphabet: Alphabet, stop: set[str]) -> Word:
         tok = toks.peek()
         if tok is None:
             return out
-        kind, value, _ = tok
+        kind, value, pos = tok
         if kind == "punct" and value in stop:
             return out
         atom = _parse_atom(toks, alphabet)
@@ -104,8 +112,15 @@ def _parse_word(toks: _Tokens, alphabet: Alphabet, stop: set[str]) -> Word:
             ekind, evalue, epos = toks.next()
             if ekind != "int":
                 raise WordSyntaxError("expected integer exponent", toks.text, epos)
-            atom = atom ** int(evalue)
+            e = int(evalue)
+            # atom = u c u^-1 with c cyclically reduced, and atom^e has 2|u| + |e||c| letters
+            core = len(packed_cyclic_reduce(atom.packed)[0])
+            if e and len(atom) + (abs(e) - 1) * core > MAX_LETTERS:
+                raise WordSyntaxError(f"power of more than {MAX_LETTERS} letters", toks.text, pos)
+            atom = atom ** e
         out = out * atom
+        if len(out) > MAX_LETTERS:
+            raise WordSyntaxError(f"product of more than {MAX_LETTERS} letters", toks.text, pos)
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:

@@ -958,9 +958,17 @@ def genus_at(
     if not want_witness:
         return GenusResult(True, None)
     sysm = form.system(gens)
-    sol, _ = _witness(form, diag, sysm, None)
-    if sol is None:
+    # a non-orientable solution at the least genus k extends to genus g by
+    # x_{k+1} = ... = x_g = 1, so the oracle searches k squares, not g
+    k = g if kind == ORIENTABLE else diag.min_genus(g, LEAST_GENUS[kind])
+    least = _tuple_form(coefficients, k, kind)
+    least_sys = least.system(gens)
+    found, _ = _witness(least, diag, least_sys, None)
+    if found is None:
         raise SolverError("diagram solvable but witness search exhausted the bound")
+    # names by position: variable_names dodges the generator names
+    values = [found[name] for name in least_sys.variables]
+    sol = dict(zip(sysm.variables, values[:k] + [Word()] * (g - k) + values[k:]))
     if not sysm.check(sol):
         raise AssertionError("internal: genus witness failed verification")
     return GenusResult(True, sol, sysm)

@@ -24,6 +24,10 @@ touch solutions) to the equation word, in four phases that run once each:
 Each substitution is recorded, so solutions transport in both directions;
 every variable occurring in the input occurs exactly twice (quadraticity) and
 the moves preserve that.
+
+Letters are read packed (``Word.packed``), as the solver reads them: letter
+p has symbol ``p >> 1``, is inverted when ``p & 1`` is set, and is a
+variable's when ``p >= 2 * n_constants``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .equations import EquationSystem, Equation
-from .words import Generator, Word, replay, substitute
+from .words import Word, replay, substitute
 
 ORIENTABLE = "orientable"
 NONORIENTABLE = "nonorientable"
@@ -79,18 +83,18 @@ class StandardForm:
         """The standard equation over fresh names; variable i is symbol
         ``len(gens) + i``, genus variables first, then conjugators."""
         genus_names, conj_names = self.variable_names(gens)
-        n = len(gens)
-        letters: list[Generator] = []
+        n, t = len(gens), bytearray()
         if self.kind == ORIENTABLE:
-            for x in range(n, n + 2 * self.genus, 2):
-                letters += (Generator(x, -1), Generator(x + 1, -1), Generator(x, 1), Generator(x + 1, 1))
+            for x in range(2 * n, 2 * n + 4 * self.genus, 4):  # x^-1 y^-1 x y, y after x
+                t += bytes((x + 1, x + 3, x, x + 2))
         else:
-            for x in range(n, n + self.genus):
-                letters += (Generator(x, 1), Generator(x, 1))
+            for x in range(2 * n, 2 * (n + self.genus), 2):
+                t += bytes((x, x))
         for z, c in enumerate(self.coefficients, n + len(genus_names)):
-            letters += (Generator(z, -1), *c, Generator(z, 1))
-        letters += self.tail
-        return EquationSystem(gens, tuple(genus_names + conj_names), (Equation(Word(letters)),))
+            if c:  # z^-1 z would cancel
+                t += bytes((2 * z + 1,)) + c.packed + bytes((2 * z,))
+        word = Word.from_packed(bytes(t) + self.tail.packed)
+        return EquationSystem(gens, tuple(genus_names + conj_names), (Equation(word),))
 
 
 @dataclass
@@ -123,9 +127,17 @@ class Normalization:
         return {n: values[self.original.var_sym(n)] for n in self.original.variables}
 
     def to_standard(self, assignment: Mapping[str, Word]) -> dict[str, Word]:
+        for name in assignment:
+            if name not in self.original.variables:
+                raise StandardizeError(f"unknown input variable {name!r}")
         by_sym = {self.original.var_sym(n): w for n, w in assignment.items()}
         values = replay([inv for _, inv in self._moves], by_sym, self.original.var_syms)
         return {name: values[sym] for name, sym in zip(self.system.variables, self._layout)}
+
+
+def _word(*letters: int) -> Word:
+    """The word of these packed letters, none of them next to its inverse."""
+    return Word.from_packed(bytes(letters))
 
 
 class _Normalizer:
@@ -136,10 +148,10 @@ class _Normalizer:
         if any(c not in (0, 2) for c in system.occurrence_counts().values()):
             raise StandardizeError("equation is not quadratic")
         self.nc = system.n_constants
-        self.word = system.equations[0].relator()
+        self.vc = 2 * self.nc  # the least packed letter of a variable
+        self.word = system.equations[0].relator().cyclic_reduce()[0]
         self.moves: list[tuple[dict[int, Word], dict[int, Word]]] = []
         self.steps = 0
-        self._cyclic_reduce()
 
     # --- primitive moves ------------------------------------------------------
 
@@ -148,33 +160,29 @@ class _Normalizer:
         if self.steps > _MAX_STEPS:
             raise AssertionError("normalization did not terminate")
 
-    def _cyclic_reduce(self):
-        self.word = self.word.cyclic_reduce()[0]
-
     def subst(self, mapping: dict[int, Word], inverse: dict[int, Word]):
         """Apply an invertible substitution to the word and record it."""
         self._tick()
-        self.word = substitute(self.word, mapping)
+        self.word = substitute(self.word, mapping).cyclic_reduce()[0]
         self.moves.append((mapping, inverse))
-        self._cyclic_reduce()
 
     def subst1(self, sym: int, image: Word, inverse_image: Word):
         self.subst({sym: image}, {sym: inverse_image})
 
     def flip(self, sym: int):
-        g = Word((Generator(sym, -1),))
+        g = _word(2 * sym + 1)
         self.subst1(sym, g, g)
 
     def orient(self, k: int, sign: int):
         """Flip the variable at position k if it does not read ``sign``; a
         flip acts in place, so every position stays."""
-        if self.word[k].sign != sign:
-            self.flip(self.word[k].sym)
+        p = self.word.packed[k]
+        if p & 1 != (sign < 0):
+            self.flip(p >> 1)
 
     def rotate(self, k: int):
         self._tick()
-        self.word = self.word.rotated(k)
-        self._cyclic_reduce()
+        self.word = self.word.rotated(k).cyclic_reduce()[0]
 
     def conjugate_block(self, syms: set[int], d: Word):
         """z -> d^-1 z d for each block variable: slides a contiguous all-
@@ -184,38 +192,27 @@ class _Normalizer:
         mapping = {}
         inverse = {}
         for s in syms:
-            v = Word((Generator(s, 1),))
+            v = _word(2 * s)
             mapping[s] = d.inverse() * v * d
             inverse[s] = d * v * d.inverse()
         self.subst(mapping, inverse)
-
-    def slide_conj_block(self, sym: int, d: Word):
-        """x -> x d slides a coefficient block x^-1 K x left over d
-        (the constant interior K must stay outside the substitution)."""
-        if not len(d):
-            return
-        v = Word((Generator(sym, 1),))
-        self.subst1(sym, v * d, v * d.inverse())
 
     def square(self, sym: int):
         """A x B x C -> A x^2 B^-1 C via x -> x B^-1, after flipping a pair
         x^-1 B x^-1."""
         i, j = self.occurrences(sym)
         self.orient(i, 1)
-        b = self.segment(i + 1, j)
-        x = Word((Generator(sym, 1),))
+        b = self.word.subword(i + 1, j)
+        x = _word(2 * sym)
         self.subst1(sym, x * b.inverse(), x * b)
 
     # --- scanning helpers -------------------------------------------------------
 
     def occurrences(self, sym: int) -> list[int]:
-        return [i for i, g in enumerate(self.word) if g.sym == sym]
+        return [i for i, p in enumerate(self.word.packed) if p >> 1 == sym]
 
     def var_syms_present(self) -> list[int]:
-        return sorted({g.sym for g in self.word if g.sym >= self.nc})
-
-    def segment(self, i: int, j: int) -> Word:
-        return self.word.subword(i, j)
+        return sorted({p >> 1 for p in self.word.packed if p >= self.vc})
 
     # --- block recognition --------------------------------------------------------
 
@@ -224,33 +221,26 @@ class _Normalizer:
 
         Returns (squares, handles, spans): squares as (sym, pos); handles as
         (sym1, sym2, pos); spans maps each closed var to its block extent.
+        A handle reads p q p^-1 q^-1 for variable letters p, q; the word is
+        reduced, so q is neither p nor p^-1.
         """
-        w = self.word
+        t = self.word.packed
         squares: list[tuple[int, int]] = []
         handles: list[tuple[int, int, int]] = []
         spans: dict[int, tuple[int, int]] = {}
         i = 0
-        n = len(w)
+        n = len(t)
         while i < n:
-            g = w[i]
-            if g.sym >= self.nc:
-                if (
-                    i + 3 < n
-                    and w[i + 2].sym == g.sym
-                    and w[i + 2].sign == -g.sign
-                    and w[i + 1].sym >= self.nc
-                    and w[i + 3].sym == w[i + 1].sym
-                    and w[i + 3].sign == -w[i + 1].sign
-                    and w[i + 1].sym != g.sym
-                ):
-                    handles.append((g.sym, w[i + 1].sym, i))
-                    spans[g.sym] = (i, i + 4)
-                    spans[w[i + 1].sym] = (i, i + 4)
+            p = t[i]
+            if p >= self.vc:
+                if i + 3 < n and t[i + 2] == p ^ 1 and t[i + 1] >= self.vc and t[i + 3] == t[i + 1] ^ 1:
+                    handles.append((p >> 1, t[i + 1] >> 1, i))
+                    spans[p >> 1] = spans[t[i + 1] >> 1] = (i, i + 4)
                     i += 4
                     continue
-                if i + 1 < n and w[i + 1] == g:
-                    squares.append((g.sym, i))
-                    spans[g.sym] = (i, i + 2)
+                if i + 1 < n and t[i + 1] == p:
+                    squares.append((p >> 1, i))
+                    spans[p >> 1] = (i, i + 2)
                     i += 2
                     continue
             i += 1
@@ -260,28 +250,29 @@ class _Normalizer:
 
     def collect_squares(self):
         while True:
+            t = self.word.packed
             for s in self.var_syms_present():
                 i, j = self.occurrences(s)
-                if self.word[i].sign == self.word[j].sign and j > i + 1:
+                if t[i] == t[j] and j > i + 1:
                     self.square(s)
                     break
             else:
                 return
 
     def _find_linked(self) -> tuple[int, int] | None:
-        w = self.word
+        t = self.word.packed
         _, _, spans = self.blocks()
         for s in self.var_syms_present():
             if s in spans:
                 continue  # already sits in a collected block
             i, j = self.occurrences(s)
             for k in range(i + 1, j):
-                g = w[k]
-                if g.sym < self.nc or g.sym == s or g.sym in spans:
+                r = t[k] >> 1
+                if t[k] < self.vc or r == s or r in spans:
                     continue
-                other = [t for t in self.occurrences(g.sym) if t != k]
+                other = [u for u in self.occurrences(r) if u != k]
                 if other and not (i < other[0] < j):
-                    return s, g.sym
+                    return s, r
         return None
 
     def collect_handles(self):
@@ -294,7 +285,7 @@ class _Normalizer:
             self.orient(i1, 1)
             self.rotate(i1)
             occ = self.occurrences(x)
-            if occ[0] != 0 or self.word[0].sign != 1:
+            if occ[0] != 0 or self.word.packed[0] & 1:
                 raise AssertionError("internal: rotation must bring x^+1 to the front")
             ys = [k for k in self.occurrences(y) if 0 < k < occ[1]]
             if len(ys) != 1:
@@ -306,21 +297,20 @@ class _Normalizer:
             j2 = [t for t in self.occurrences(y) if t != k][0]
             if not k < i2 < j2:
                 raise AssertionError("internal: handle letters out of order")
-            a = self.segment(1, k)
-            yw = Word((Generator(y, 1),))
-            xw = Word((Generator(x, 1),))
+            a = self.word.subword(1, k)
+            yw, xw = _word(2 * y), _word(2 * x)
             if len(a):
                 self.subst1(y, a.inverse() * yw, a * yw)
             # word = x y B x^-1 C y^-1 D'
             k = self.occurrences(y)[0]
             i2 = self.occurrences(x)[1]
-            b = self.segment(k + 1, i2)
+            b = self.word.subword(k + 1, i2)
             if len(b):
                 self.subst1(y, yw * b.inverse(), yw * b)
             # word = x y x^-1 (CB) y^-1 D'
             i2 = self.occurrences(x)[1]
             j2 = self.occurrences(y)[1]
-            cb = self.segment(i2 + 1, j2)
+            cb = self.word.subword(i2 + 1, j2)
             if len(cb):
                 self.subst1(x, cb * xw, cb.inverse() * xw)
             # word = (CB) x y x^-1 y^-1 (AD)
@@ -334,22 +324,18 @@ class _Normalizer:
             v, vpos = squares[0]
             self.orient(vpos, 1)  # phase 1 leaves an input square v^-1 v^-1 as it is
             # slide the square to the front
-            self.conjugate_block({v}, self.segment(0, vpos))
+            self.conjugate_block({v}, self.word.subword(0, vpos))
             squares, handles, _ = self.blocks()
             p, q, hpos = handles[0]
             # slide the handle right behind the square
-            self.conjugate_block({p, q}, self.segment(2, hpos))
+            self.conjugate_block({p, q}, self.word.subword(2, hpos))
             # the script below needs the handle to read p q p^-1 q^-1
             self.orient(2, 1)
             self.orient(3, 1)
-            vw = Word((Generator(v, 1),))
-            pw = Word((Generator(p, 1),))
-            qw = Word((Generator(q, 1),))
-            block = vw * vw * pw * qw * pw.inverse() * qw.inverse()
-            if self.word.subword(0, 6) != block:
+            if self.word.packed[:6] != bytes((2 * v, 2 * v, 2 * p, 2 * q, 2 * p + 1, 2 * q + 1)):
                 raise StandardizeError("crosscap absorption needs the block v^2 p q p^-1 q^-1")
             # seven-move script: v v p q p^-1 q^-1 R  ->  v^2 q^2 p^2 R
-            self.subst1(v, vw * pw.inverse(), vw * pw)      # v p^-1 v q p^-1 q^-1 R
+            self.subst1(v, _word(2 * v, 2 * p + 1), _word(2 * v, 2 * p))  # v p^-1 v q p^-1 q^-1 R
             self.square(p)                                   # v p p q^-1 v^-1 q^-1 R
             self.square(q)                                   # v p^2 q^2 v R
             self.square(v)                                   # v^2 (q^-2 p^-2) R
@@ -362,8 +348,9 @@ class _Normalizer:
         Squares or handles go first, in order of their least variable.  The
         open pairs left are then nested or side by side, so some pair has a
         constant gap; the least such variable is flipped to x^-1 K x and slid
-        behind the prefix, until none is left.  The layout lists the
-        variables in the order of the form's canonical names.
+        behind the prefix via x -> x D (K stays outside the substitution),
+        until none is left.  The layout lists the variables in the order of
+        the form's canonical names.
         """
         squares, handles, _ = self.blocks()
         if squares and handles:
@@ -375,18 +362,18 @@ class _Normalizer:
             for s in sorted(s for s, _ in squares):
                 i = self.occurrences(s)[0]
                 self.orient(i, 1)
-                self.conjugate_block({s}, self.segment(prefix_len, i))
+                self.conjugate_block({s}, self.word.subword(prefix_len, i))
                 prefix_len += 2
                 layout.append(s)
         else:
             for p, q, _ in sorted(handles, key=lambda h: min(h[0], h[1])):
                 _, hs, _ = self.blocks()
                 pos = [h[2] for h in hs if {h[0], h[1]} == {p, q}][0]
-                self.conjugate_block({p, q}, self.segment(prefix_len, pos))
+                self.conjugate_block({p, q}, self.word.subword(prefix_len, pos))
                 # normalize to the commutator shape x^-1 y^-1 x y
                 self.orient(prefix_len, -1)
                 self.orient(prefix_len + 1, -1)
-                layout += [self.word[prefix_len].sym, self.word[prefix_len + 1].sym]
+                layout += [self.word.packed[prefix_len] >> 1, self.word.packed[prefix_len + 1] >> 1]
                 prefix_len += 4
         kind = NONORIENTABLE if squares else ORIENTABLE
         genus = len(squares) if squares else len(handles)
@@ -399,22 +386,25 @@ class _Normalizer:
                 if s in layout:
                     continue
                 i, j = self.occurrences(s)
-                if all(self.word[k].sym < self.nc for k in range(i + 1, j)):
+                if all(p < self.vc for p in self.word.packed[i + 1:j]):
                     pending.append((s, i, j))
             if not pending:
                 break
             s, i, j = min(pending)
             self.orient(i, -1)
-            self.slide_conj_block(s, self.segment(prefix_len, i))
+            d = self.word.subword(prefix_len, i)
+            if len(d):
+                x = _word(2 * s)
+                self.subst1(s, x * d, x * d.inverse())
             i2, j2 = self.occurrences(s)
             if i2 != prefix_len:
                 raise AssertionError("internal: a slid block must start at the prefix")
-            coefficients.append(self.segment(i2 + 1, j2))
+            coefficients.append(self.word.subword(i2 + 1, j2))
             prefix_len = j2 + 1
             layout.append(s)
 
-        tail = self.segment(prefix_len, len(self.word))
-        if any(g.sym >= self.nc for g in tail):
+        tail = self.word.subword(prefix_len, len(self.word))
+        if any(p >= self.vc for p in tail.packed):
             raise AssertionError("internal: tail must be constant")
         return StandardForm(kind, genus, tuple(coefficients), tail), layout
 
@@ -435,9 +425,10 @@ def standardize(system: EquationSystem) -> Normalization:
 
     # sanity: the final word, with standard variable i for layout[i], is the
     # standard equation the form writes
-    index = {s: nz.nc + i for i, s in enumerate(layout)}
-    translated = Word(g if g.sym < nz.nc else Generator(index[g.sym], g.sign) for g in nz.word)
-    if translated != out_sys.equations[0].relator():
+    table = bytearray(range(256))
+    for i, s in enumerate(layout, nz.nc):
+        table[2 * s:2 * s + 2] = (2 * i, 2 * i + 1)
+    if nz.word.packed.translate(table) != out_sys.equations[0].relator().packed:
         raise AssertionError("internal: assembled word must equal the standard shape")
 
     return Normalization(

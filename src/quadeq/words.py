@@ -19,6 +19,12 @@ canonical letter order, so a packed word's order is ``Word.key``'s.  Bytes
 also cache their hash, and reversal, ``translate``, ``count`` and ``find``
 run in C.  A ``Generator`` is only a view of one letter: iterating or
 indexing a word returns them, and the constructor accepts them.
+
+Of the solve path, ``solver``, ``standardize`` and ``oracle`` read packed
+letters only; the parser's name atom (``Alphabet.gen``) and
+``EquationSystem.occurrence_counts`` still read ``Generator`` views.  So do
+the modules off that path: ``surfaces``, ``geneq``, ``triangular``,
+``schema``, the CLI's DOT export and ``EquationSystem.is_constant_word``.
 """
 
 from __future__ import annotations

@@ -226,6 +226,33 @@ def test_genus_at_builds_the_cliff_witness(tmp_path, capsys):
     assert system.check({n: parse_word(w, system.alphabet) for n, w in witness.items()})
 
 
+def test_genus_at_above_the_least_nonorientable_genus(tmp_path, capsys):
+    # the least genus of [a,b] is 3; genus 12 takes that witness and sets
+    # x4 .. x12 to 1, where the oracle searched all 12 squares
+    f = write(tmp_path, "c.txt", "gens: a b\n[a,b]\n")
+    code, out, _ = run(capsys, "genus", f, "--kind", "nonorientable", "--at", "12")
+    assert code == 0
+    assert "verdict: solvable" in out
+    witness = dict(line[len("witness: "):].split(" = ") for line in out.splitlines()
+                   if line.startswith("witness: "))
+    names = [f"x{i}" for i in range(1, 13)]
+    assert sorted(witness) == sorted(names)
+    assert all(witness[n] == "1" for n in names[3:])
+    system = parse_system(f"gens: a b\nvars: {' '.join(names)}\n"
+                          f"{' '.join(n + '^2' for n in names)} [a,b] = 1\n")
+    assert system.check({n: parse_word(w, system.alphabet) for n, w in witness.items()})
+
+
+@pytest.mark.parametrize("cmd,text", [
+    ("solve", "gens: a\nvars: x\nx x = a^9223372036854775808\n"),
+    ("genus", "gens: a\na^9223372036854775808\n"),
+])
+def test_an_exponent_past_the_letter_cap_is_bad_input(tmp_path, capsys, cmd, text):
+    code, out, err = run(capsys, cmd, write(tmp_path, "in.txt", text))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "power of more than" in err
+
+
 @pytest.mark.parametrize("text,bound", [
     (SOLVABLE, 0),                                  # orientable: built from the diagram
     ("gens: a b\nvars: x\nx^2 = (a b)^2\n", 2),  # non-orientable: the oracle's x = a b

@@ -1,6 +1,7 @@
 import pytest
 
-from quadeq.parsing import WordSyntaxError, parse_word
+from quadeq import parsing
+from quadeq.parsing import MAX_LETTERS, WordSyntaxError, parse_word
 from quadeq.words import Alphabet, Word, commutator
 
 AB = Alphabet(("a", "b", "x"))
@@ -68,3 +69,28 @@ def test_a_long_power_parses_in_one_step():
     assert len(w) == 200_000
     assert w.subword(0, 4) == parse_word("a b a b", AB) and w[-1] == AB.gen("b")
 
+
+@pytest.mark.parametrize("text,pos", [
+    ("a^9223372036854775808", 0),           # 2**63, past an index-sized integer
+    (f"b a^{MAX_LETTERS + 1}", 2),
+    (f"a (b a b^-1)^-{MAX_LETTERS}", 2),      # 2 + MAX_LETTERS letters
+])
+def test_an_oversized_power_is_refused_before_it_is_taken(text, pos):
+    with pytest.raises(WordSyntaxError, match="power of more than") as ei:
+        parse_word(text, AB)
+    assert ei.value.pos == pos
+
+
+def test_the_letter_cap_counts_a_conjugate_power_exactly(monkeypatch):
+    monkeypatch.setattr(parsing, "MAX_LETTERS", 10)
+    assert len(parse_word("(b a b^-1)^8", AB)) == 10
+    with pytest.raises(WordSyntaxError, match="power of more than 10"):
+        parse_word("(b a b^-1)^9", AB)
+
+
+def test_an_oversized_product_is_refused_at_its_term(monkeypatch):
+    monkeypatch.setattr(parsing, "MAX_LETTERS", 10)
+    assert len(parse_word("a^6 a^-2 a^6", AB)) == 10
+    with pytest.raises(WordSyntaxError, match="product of more than 10") as ei:
+        parse_word("a^6 b^5", AB)
+    assert ei.value.pos == 4

@@ -183,10 +183,15 @@ def test_word_rules_have_one_owner():
 
 
 def test_solver_reads_packed_letters():
-    # the solver reads letters as packed bytes, never through Generator views
-    tree = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
-    assert [n.lineno for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute) and n.attr in ("sym", "sign")] == []
+    # the solve path reads letters as packed bytes, never through Generator views
+    found = []
+    for module in ("solver.py", "standardize.py", "oracle.py"):
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        found += [f"{module}:{n.lineno}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr in ("sym", "sign")
+                  or isinstance(n, ast.Name) and n.id == "Generator"
+                  or isinstance(n, ast.alias) and n.name == "Generator"]
+    assert found == []
 
 
 def test_word_storage_has_one_owner():

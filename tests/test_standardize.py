@@ -84,6 +84,14 @@ def test_negative_square_beside_a_handle():
     assert sols and all(system.check(nz.to_original(sol)) for sol in sols)
 
 
+def test_transports_refuse_unknown_names():
+    nz = std("gens: a b\nvars: x\nx^2 a = 1")
+    with pytest.raises(StandardizeError, match="'y'"):
+        nz.to_standard({"y": Word()})
+    with pytest.raises(StandardizeError, match="'y'"):
+        nz.to_original({"y": Word()})
+
+
 # --- randomized transport corpus ----------------------------------------------------
 
 
